@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -172,6 +172,54 @@ def factorize_extended(n: int, table: PrimeTable) -> Factorization:
     if n > 1:
         pairs.append((n, 1))
     return Factorization(tuple(sorted(pairs)))
+
+
+@lru_cache(maxsize=None)
+def _factor_pp(q: int) -> tuple[tuple[int, int], ...]:
+    """Trial-division factorization (moduli here are small)."""
+    pairs = []
+    n, p = q, 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            pairs.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
+
+
+@lru_cache(maxsize=None)
+def _primitive_root(p: int, alpha: int) -> int:
+    """Smallest primitive root mod p^alpha (odd p)."""
+    mod = p**alpha
+    phi = (p - 1) * p ** (alpha - 1)
+    fac = [f for f, _ in _factor_pp(phi)]
+    g = 2
+    while True:
+        if math.gcd(g, mod) == 1 and all(pow(g, phi // f, mod) != 1 for f in fac):
+            return g
+        g += 1
+
+
+def _divisors(pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Divisors of prod p^e over the (p, e) pairs, unsorted.
+
+    Each prime multiplies the divisors found so far, so squarefree inputs
+    come out as 1, p1, p2, p1 p2, p3, ...
+    """
+    divs = [1]
+    for p, e in pairs:
+        pk = 1
+        new = []
+        for _ in range(e):
+            pk *= p
+            new.extend(d * pk for d in divs)
+        divs.extend(new)
+    return divs
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +487,6 @@ def lambda_weight(
 # Heath-Brown decomposition
 
 
-def _divisors(n: int, table: PrimeTable) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n, table).pairs:
-        pk = 1
-        new = []
-        for _ in range(e):
-            pk *= p
-            new.extend(d * pk for d in divs)
-        divs.extend(new)
-    return sorted(divs)
-
-
 def heath_brown_terms(n: int, J: int, table: PrimeTable | None = None) -> float:
     """Evaluate the J-fold combinatorial decomposition of Lambda at n.
 
@@ -470,7 +506,7 @@ def heath_brown_terms(n: int, J: int, table: PrimeTable | None = None) -> float:
         raise ValueError(f"n={n} outside [2, {table.limit}]")
     primes = list(factorize(n, table).primes)
     npr = len(primes)
-    divs = _divisors(n, table)
+    divs = sorted(_divisors(factorize(n, table).pairs))
     idx = {d: i for i, d in enumerate(divs)}
     nd = len(divs)
     # d < n^(1/J) decided exactly as d^J < n to avoid float boundary slips

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import default_table, factorize
+from .arith import _factor_pp, _primitive_root, default_table, factorize
 
 __all__ = [
     "DirichletCharacter",
@@ -47,37 +47,6 @@ __all__ = [
 GROUP_BUDGET = 10**6
 #: largest prime-power modulus at which F falls back to literal summation
 F_BRUTE_CAP = 4096
-
-
-@lru_cache(maxsize=None)
-def _factor_pp(q: int) -> tuple[tuple[int, int], ...]:
-    """Trial-division factorization (moduli here are small)."""
-    pairs = []
-    n, p = q, 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            pairs.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        pairs.append((n, 1))
-    return tuple(pairs)
-
-
-@lru_cache(maxsize=None)
-def _primitive_root(p: int, alpha: int) -> int:
-    """Smallest primitive root mod p^alpha (odd p)."""
-    mod = p**alpha
-    phi = (p - 1) * p ** (alpha - 1)
-    fac = [f for f, _ in _factor_pp(phi)]
-    g = 2
-    while True:
-        if math.gcd(g, mod) == 1 and all(pow(g, phi // f, mod) != 1 for f in fac):
-            return g
-        g += 1
 
 
 @lru_cache(maxsize=None)

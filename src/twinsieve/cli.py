@@ -65,7 +65,7 @@ def _write_report(out_dir: Path, command: str, config: dict, results: dict,
         "provenance": {
             "version": __version__,
             "seed": seed,
-            "runtime_ms": int((time.time() - t0) * 1000),
+            "runtime_ms": int((time.perf_counter() - t0) * 1000),
         },
     }
     path = out_dir / f"{command}.json"
@@ -215,7 +215,7 @@ def _cmd_scan(args, out_dir: Path, t0: float) -> int:
     if args.rough:
         parts = args.rough.split(",")
         a1, a2 = float(parts[0]), float(parts[1])
-    table = build_prime_table(max(args.N + 2, 1000), budget=_memory_budget())
+    table = build_prime_table(max(args.N + 2, args.cutoff, 1000), budget=_memory_budget())
     rep = exceptional_scan(
         args.N,
         args.k1,
@@ -395,7 +395,7 @@ def main(argv=None) -> int:
     _apply_config_file(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         return _HANDLERS[args.command](args, out_dir, t0)
     except (ValueError, OSError) as exc:

@@ -16,7 +16,8 @@ import numpy as np
 from .arith import PrimeTable, default_table
 from .ntt import ReconstructionOverflow, exact_convolve, float_convolve
 from .singular import classical_goldbach_series, singular_series
-from .sieves import SieveWeights, apply_sieve_range
+from .progressions import weight_array
+from .sieves import SieveWeights, _omega_counts, apply_sieve_range, rho_range
 
 __all__ = [
     "ArithSequence",
@@ -47,41 +48,19 @@ class ArithSequence:
         return np.issubdtype(self.values.dtype, np.integer)
 
 
-def _lambda_values(N: int, table: PrimeTable, primes_only: bool) -> np.ndarray:
-    vals = np.zeros(N + 1)
-    for p in table.primes_upto(N):
-        p = int(p)
-        logp = math.log(p)
-        if primes_only:
-            vals[p] = logp
-        else:
-            pk = p
-            while pk <= N:
-                vals[pk] = logp
-                pk *= p
-    return vals
-
-
-def _rough_mask(N: int, z: float, table: PrimeTable) -> np.ndarray:
-    mask = np.ones(N + 1, dtype=bool)
-    for p in table.primes_upto(z):
-        mask[int(p) :: int(p)] = False
-    mask[0] = True
-    return mask
-
-
-def _omega_counts(N: int, table: PrimeTable, multiplicity: bool) -> np.ndarray:
-    counts = np.zeros(N + 1, dtype=np.int16)
-    for p in table.primes_upto(N):
-        p = int(p)
-        if multiplicity:
-            pk = p
-            while pk <= N:
-                counts[pk::pk] += 1
-                pk *= p
-        else:
-            counts[p::p] += 1
-    return counts
+def _almost_twin_support(
+    N: int, k: float, z: float, table: PrimeTable, omega: np.ndarray | None
+) -> np.ndarray:
+    """Mask on 0..N of the primes n such that n + 2 has at most k prime
+    factors and none <= z.  ``omega`` holds the factor counts of 0..N+2
+    (unused when k is inf); z <= 1 drops the roughness condition."""
+    sel = table.spf[: N + 1] == np.arange(N + 1)
+    sel[:2] = False
+    if k != math.inf:
+        sel[1:] &= omega[3 : N + 3] <= k
+    if z > 1:
+        sel[1:] &= rho_range(N + 2, 1, z, table)[3 : N + 3] == 1
+    return sel
 
 
 def build_sequence(
@@ -107,25 +86,19 @@ def build_sequence(
     table = table or default_table(max(N + 2, 1_100_000))
     if table.limit < N + 2:
         raise ValueError("prime table must cover N + 2")
-    if kind == "Lambda0":
-        vals = _lambda_values(N, table, primes_only=True)
-    elif kind == "Lambda":
-        vals = _lambda_values(N, table, primes_only=False)
+    if kind == "Lambda":
+        vals = weight_array("Lambda", N, table)
+    elif kind == "Lambda0":
+        primes = _almost_twin_support(N, math.inf, 1.0, table, None)
+        vals = np.where(primes, weight_array("Lambda", N, table), 0.0)
     elif kind == "Lambda_k":
         if k is None:
             raise ValueError("Lambda_k needs k")
         if alpha is None:
             alpha = 1.0 / 15.0 if k == 2 else 1.0 / 10.0
-        vals = _lambda_values(N, table, primes_only=True)
-        shifted = np.zeros(N + 1, dtype=bool)
-        if k == math.inf:
-            ok = np.ones(N + 3, dtype=bool)
-        else:
-            ok = _omega_counts(N + 2, table, count_multiplicity) <= k
-        if alpha > 0:
-            ok &= _rough_mask(N + 2, N**alpha, table)
-        shifted[1:] = ok[3 : N + 3]
-        vals = np.where(shifted, vals, 0.0)
+        omega = None if k == math.inf else _omega_counts(N + 2, table, count_multiplicity)
+        support = _almost_twin_support(N, k, N**alpha if alpha > 0 else 1.0, table, omega)
+        vals = np.where(support, weight_array("Lambda", N, table), 0.0)
     elif kind == "Lambda_E3star":
         from .arith import lambda_e3star
 
@@ -136,9 +109,9 @@ def build_sequence(
     elif kind == "sieve_twisted":
         if weights is None:
             raise ValueError("sieve_twisted needs weights")
-        vals = _lambda_values(N, table, primes_only=True)
-        tw = apply_sieve_range(weights, N + 2)
-        vals = vals * tw[2 : N + 3]
+        primes = _almost_twin_support(N, math.inf, 1.0, table, None)
+        vals = np.where(primes, weight_array("Lambda", N, table), 0.0)
+        vals = vals * apply_sieve_range(weights, N + 2)[2 : N + 3]
     else:
         raise ValueError(f"unknown sequence kind {kind!r}")
     if indicator:
@@ -237,22 +210,12 @@ def exceptional_scan(
     z1, c1 = threshold(alpha1)
     z2, c2 = threshold(alpha2)
 
-    def indicator(k, z):
-        vals = np.zeros(N + 1, dtype=np.int64)
-        prime_mask = table.spf[: N + 1] == np.arange(N + 1)
-        prime_mask[:2] = False
-        ok = np.ones(N + 3, dtype=bool)
-        if k != math.inf:
-            ok = _omega_counts(N + 2, table, count_multiplicity) <= k
-        if z > 1:
-            ok &= _rough_mask(N + 2, z, table)
-        sel = prime_mask.copy()
-        sel[1:] &= ok[3 : N + 3]
-        vals[sel] = 1
-        return vals
-
-    a1 = indicator(k1, z1)
-    a2 = indicator(k2, z2)
+    omega = None
+    if k1 != math.inf or k2 != math.inf:
+        omega = _omega_counts(N + 2, table, count_multiplicity)
+    a1 = _almost_twin_support(N, k1, z1, table, omega).astype(np.int64)
+    a2 = _almost_twin_support(N, k2, z2, table, omega).astype(np.int64)
+    del omega  # free it before the transform, where memory peaks
     seq1 = ArithSequence(N=N, values=a1, kind="ind1")
     seq2 = ArithSequence(N=N, values=a2, kind="ind2")
     if mode == "float":

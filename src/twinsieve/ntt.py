@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import arith
+
 P1 = 2013265921  # 15 * 2^27 + 1
 P2 = 2281701377  # 17 * 2^27 + 1
 MAX_EXACT = P1 * P2
@@ -20,25 +22,7 @@ class ReconstructionOverflow(ValueError):
     """Convolution values may exceed the CRT range; split the inputs."""
 
 
-def _primitive_root(p: int) -> int:
-    phi = p - 1
-    factors = []
-    n = phi
-    for q in (2, 3, 5, 7, 11, 13):
-        while n % q == 0:
-            n //= q
-            if q not in factors:
-                factors.append(q)
-    if n > 1:
-        factors.append(n)
-    g = 2
-    while True:
-        if all(pow(g, phi // q, p) != 1 for q in factors):
-            return g
-        g += 1
-
-
-_ROOTS = {p: _primitive_root(p) for p in (P1, P2)}
+_ROOTS = {p: arith._primitive_root(p, 1) for p in (P1, P2)}
 
 
 _BITREV_CACHE: dict[int, np.ndarray] = {}

@@ -14,14 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import PrimeTable, default_table
-from .characters import (
-    DirichletCharacter,
-    _value_table,
-    character_group,
-    conductor,
-    primitive_characters,
-)
+from .arith import PrimeTable, _divisors, _factor_pp, default_table
+from .characters import _value_table, primitive_characters
 from .sieves import SieveWeights
 
 __all__ = [
@@ -118,14 +112,28 @@ def char_sum_table(
     return CharSumTable(N=N, P=P, weight=weight, entries=entries, characters=chars)
 
 
-def _chars_mod_q_with_small_conductor(q: int, P: float):
-    """(f, psi*) pairs for the characters mod q with conductor <= P."""
-    out = []
-    for f in range(1, q + 1):
-        if q % f == 0 and f <= P:
-            for chi in primitive_characters(f):
-                out.append((f, chi))
-    return out
+def _discrepancies(R: np.ndarray, q: int, P: float) -> np.ndarray:
+    """disc[a] = sum_n w(n) u_P(n a^-1; q) for every residue a mod q.
+
+    ``R`` holds the residue sums of w mod q.  Each character mod q with
+    conductor f <= P (f a divisor of q) contributes its induced sum
+    restricted to n coprime to q (the imprimitivity correction is exact:
+    the value table of the induced character vanishes on non-units).
+    Non-units a get 0.
+    """
+    r = np.arange(q)
+    coprime = np.gcd(r, q) == 1
+    phi = int(np.count_nonzero(coprime))
+    corr = np.zeros(q, dtype=complex)
+    for f in sorted(_divisors(_factor_pp(q))):
+        if f > P:
+            break
+        for chi_star in primitive_characters(f):
+            induced = np.where(coprime, _value_table(chi_star)[r % f], 0)
+            corr += np.conj(induced) * np.dot(induced, R)
+    if np.any(np.abs(corr.imag) >= 1e-6 * (np.abs(corr.real) + 1)):
+        raise ValueError(f"character correction mod {q} is not real")
+    return np.where(coprime, R - corr.real / phi, 0.0)
 
 
 def bv_discrepancy(
@@ -137,31 +145,14 @@ def bv_discrepancy(
     table: PrimeTable | None = None,
     w: np.ndarray | None = None,
 ) -> float:
-    """sum_n w(n) u_P(n a^-1; q), computed exactly via residue sums.
-
-    Each character mod q with conductor <= P contributes its induced sum
-    restricted to n coprime to q (the imprimitivity correction is exact:
-    the value table of the induced character vanishes on non-units).
-    """
+    """sum_n w(n) u_P(n a^-1; q), computed exactly via residue sums."""
     if math.gcd(a, q) != 1:
         raise ValueError("a must be coprime to q")
     if w is None:
         w = weight_array(weight, N, table)
     if q == 1:
         return 0.0
-    R = _residue_sums(w, q)
-    r = np.arange(q)
-    coprime = np.gcd(r, q) == 1
-    phi = int(np.count_nonzero(coprime))
-    disc = float(R[a % q])
-    correction = 0j
-    for f, chi_star in _chars_mod_q_with_small_conductor(q, P):
-        star_vals = _value_table(chi_star)
-        induced = np.where(coprime, star_vals[r % f], 0)
-        T = np.dot(induced, R)
-        correction += np.conj(induced[a % q]) * T
-    assert abs(correction.imag) < 1e-6 * (abs(correction.real) + 1)
-    return disc - correction.real / phi
+    return float(_discrepancies(_residue_sums(w, q), q, P)[a % q])
 
 
 def bv_profile(
@@ -183,23 +174,13 @@ def bv_profile(
     P_list = sorted(set(P_list))
     rows = []
     for q in range(1, Q + 1):
-        R = _residue_sums(w, q) if q > 1 else None
-        r = np.arange(q)
-        coprime = (np.gcd(r, q) == 1) if q > 1 else None
+        if q == 1:
+            rows += [{"P": P, "q": 1, "a_max": 1, "discrepancy": 0.0} for P in P_list]
+            continue
+        R = _residue_sums(w, q)
+        units = np.nonzero(np.gcd(np.arange(q), q) == 1)[0]
         for P in P_list:
-            if q == 1:
-                rows.append({"P": P, "q": 1, "a_max": 1, "discrepancy": 0.0})
-                continue
-            phi = int(np.count_nonzero(coprime))
-            base = np.where(coprime, R, 0.0).astype(complex)
-            corr = np.zeros(q, dtype=complex)
-            for f, chi_star in _chars_mod_q_with_small_conductor(q, P):
-                star_vals = _value_table(chi_star)
-                induced = np.where(coprime, star_vals[r % f], 0)
-                T = np.dot(induced, R)
-                corr += np.conj(induced) * T
-            disc = np.where(coprime, R - corr.real / phi, 0.0)
-            units = np.nonzero(coprime)[0]
+            disc = _discrepancies(R, q, P)
             best = units[np.argmax(np.abs(disc[units]))]
             rows.append(
                 {

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .arith import PrimeTable, default_table
+from .arith import PrimeTable, _divisors, default_table
 
 __all__ = [
     "SieveWeights",
@@ -201,6 +201,21 @@ def rho_range(N: int, w: float, z: float, table: PrimeTable) -> np.ndarray:
     return out
 
 
+def _omega_counts(N: int, table: PrimeTable, multiplicity: bool) -> np.ndarray:
+    """Omega(n) (or omega(n) without multiplicity) for n = 0..N."""
+    counts = np.zeros(N + 1, dtype=np.int16)
+    for p in table.primes_upto(N):
+        p = int(p)
+        if multiplicity:
+            pk = p
+            while pk <= N:
+                counts[pk::pk] += 1
+                pk *= p
+        else:
+            counts[p::p] += 1
+    return counts
+
+
 def curly_V(w: SieveWeights, g: LocalDensity | None = None) -> float:
     """Main-term functional sum of lambda_d * g(d) (default g = 1/phi)."""
     if g is None:
@@ -320,17 +335,7 @@ def p3_pointwise_check(
     vals = p3_minorant_range(N, eps, P, n_max, table)
     rho_P = rho_range(n_max, 1, P, table).astype(float)
     rho_z = rho_range(n_max, 1, z, table).astype(float)
-    counts = np.zeros(n_max + 1)
-    for p in table.primes_upto(n_max):
-        p = int(p)
-        if count_multiplicity:
-            pk = p
-            while pk <= n_max:
-                counts[pk::pk] += 1
-                pk *= p
-        else:
-            counts[p::p] += 1
-    in_p3 = (counts <= 3).astype(float)
+    in_p3 = (_omega_counts(n_max, table, count_multiplicity) <= 3).astype(float)
     lhs = vals * rho_P
     rhs = rho_z * in_p3
     bad = np.nonzero(lhs[1:] > rhs[1:] + 1e-9)[0] + 1
@@ -366,13 +371,6 @@ def vector_sieve_lower(A, B, A_plus, A_minus, B_plus, B_minus) -> float:
 # sieve identities
 
 
-def _divisors_of(P_set: list[int]):
-    out = [1]
-    for p in P_set:
-        out += [d * p for d in out]
-    return out
-
-
 def sie1_identity_check(
     P_set: Iterable[int],
     lam: SieveWeights,
@@ -401,8 +399,8 @@ def sie1_identity_check(
     lhs = 0.0
     lhs_mag = 0.0
     over = prodP // e // j  # e, j coprime divisors of squarefree P
-    for c in _divisors_of([p for p in P_list if j % p == 0]):
-        for d in _divisors_of([p for p in P_list if over % p == 0]):
+    for c in _divisors((p, 1) for p in P_list if j % p == 0):
+        for d in _divisors((p, 1) for p in P_list if over % p == 0):
             term = lam.coefficients.get(c * d * e, 0.0) * g.g(d)
             lhs += term
             lhs_mag += abs(term)
@@ -415,7 +413,7 @@ def sie1_identity_check(
     mu_e = (-1) ** sum(1 for p in P_list if e % p == 0)
     rhs = 0.0
     rhs_mag = 0.0
-    for b in _divisors_of([p for p in P_list if (prodP // j) % p == 0]):
+    for b in _divisors((p, 1) for p in P_list if (prodP // j) % p == 0):
         theta_jb = apply_sieve(lam, j * b)
         gb = math.gcd(b, e)
         mu_gb = (-1) ** sum(1 for p in P_list if gb % p == 0)

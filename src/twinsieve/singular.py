@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import PrimeTable, default_table, factorize_extended
+from .arith import PrimeTable, _divisors, default_table, factorize_extended
 from .characters import ExceptionalZeroHypothesis, local_sigma
 
 __all__ = [
@@ -56,12 +56,41 @@ def _special_primes(m: int, table: PrimeTable) -> set[int]:
     return out
 
 
+def _covering(cutoff: int, table: PrimeTable | None) -> PrimeTable:
+    """``table`` (default: the shared one), checked to hold every prime <= cutoff."""
+    table = table or default_table()
+    if cutoff > table.limit:
+        raise ValueError(f"cutoff {cutoff} exceeds the prime table limit {table.limit}")
+    return table
+
+
+# (factor, cutoff) -> product; every table that covers the cutoff lists the
+# same primes up to it, so the table is not part of the key
+_GENERIC_PRODUCTS: dict = {}
+
+
+def _generic_product(factor, cutoff: int, table: PrimeTable) -> float:
+    """2 * prod of factor(p) over the odd primes p <= cutoff."""
+    key = (factor, cutoff)
+    if key not in _GENERIC_PRODUCTS:
+        value = 2.0
+        for p in table.primes_upto(cutoff):
+            if p > 2:
+                value *= factor(int(p))
+        _GENERIC_PRODUCTS[key] = value
+    return _GENERIC_PRODUCTS[key]
+
+
+def _twin_generic_factor(p: int) -> float:
+    return 1.0 - 4.0 / (p - 2) ** 2
+
+
 def _four_case_factor(p: int, m: int) -> float:
     if m % p == 0 or (m + 4) % p == 0:
         return 1.0 + (p - 4) / (p - 2) ** 2
     if (m + 2) % p == 0:
         return 1.0 + 2.0 / (p - 2)
-    return 1.0 - 4.0 / (p - 2) ** 2
+    return _twin_generic_factor(p)
 
 
 def singular_series(
@@ -71,7 +100,9 @@ def singular_series(
 
     Odd primes up to ``cutoff`` contribute their four-case factor; primes
     beyond the cutoff dividing m(m+2)(m+4) are folded in exactly via
-    factorization, so the tail bound only covers generic factors.
+    factorization, so the tail bound only covers generic factors.  The
+    product of the generic factors over p <= cutoff does not depend on m
+    and is computed once; only the primes of m(m+2)(m+4) are priced per m.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -79,16 +110,11 @@ def singular_series(
         raise ValueError("cutoff must be at least 100")
     if m % 2 != 0:
         return SingularSeriesValue(0.0, cutoff, 0.0)
-    table = table or default_table()
-    value = 2.0
-    for p in table.primes_upto(cutoff):
-        p = int(p)
-        if p == 2:
-            continue
-        value *= _four_case_factor(p, m)
+    table = _covering(cutoff, table)
+    value = _generic_product(_twin_generic_factor, cutoff, table)
     for p in sorted(_special_primes(m, table)):
-        if p > cutoff:
-            value *= _four_case_factor(p, m)
+        generic = _twin_generic_factor(p) if p <= cutoff else 1.0
+        value *= _four_case_factor(p, m) / generic
     return SingularSeriesValue(value, cutoff, _tail_bound(value, cutoff))
 
 
@@ -98,7 +124,7 @@ def singular_series_alt(
     """Same series through the local densities: prod (1 + sigma(p,m)/phi2(p)^2)."""
     if m < 1:
         raise ValueError("m must be positive")
-    table = table or default_table()
+    table = _covering(cutoff, table)
     value = 1.0 + local_sigma("sigma", 2, m)
     for p in table.primes_upto(cutoff):
         p = int(p)
@@ -120,19 +146,18 @@ def partial_singular_series(m: int, primes, table: PrimeTable | None = None) -> 
     return value
 
 
+def _goldbach_generic_factor(p: int) -> float:
+    return 1.0 - 1.0 / (p - 1) ** 2
+
+
 def classical_goldbach_series(
     m: int, cutoff: int = 100_000, table: PrimeTable | None = None
 ) -> SingularSeriesValue:
     """Hardy-Littlewood series for plain Goldbach: 2 C2(cutoff) prod_{p|m, p>2} (p-1)/(p-2)."""
     if m % 2 != 0:
         return SingularSeriesValue(0.0, cutoff, 0.0)
-    table = table or default_table()
-    value = 2.0
-    for p in table.primes_upto(cutoff):
-        p = int(p)
-        if p == 2:
-            continue
-        value *= 1.0 - 1.0 / (p - 1) ** 2
+    table = _covering(cutoff, table)
+    value = _generic_product(_goldbach_generic_factor, cutoff, table)
     for p, _ in factorize_extended(m, table).pairs:
         if p > 2:
             value *= (p - 1) / (p - 2)
@@ -171,13 +196,6 @@ class MainTermReport:
     M: float
     E: float
     components: dict = field(default_factory=dict)
-
-
-def _divisors_of_primes(primes: tuple[int, ...]):
-    out = [1]
-    for p in primes:
-        out += [d * p for d in out]
-    return out
 
 
 def main_term_M(
@@ -219,7 +237,7 @@ def main_term_M(
         L1_sum = 0.0
         L2_sum = 0.0
         L3_sum = 0.0
-        for q_tilde in _divisors_of_primes(odd):
+        for q_tilde in _divisors((p, 1) for p in odd):
             ps = tuple(p for p in odd if q_tilde % p == 0)
             for s in range(4):
                 if s <= 1:

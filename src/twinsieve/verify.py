@@ -629,7 +629,7 @@ def suite_scan(full: bool = True) -> list[dict]:
             f"{len(rep.exceptional)} exceptional m, clamped={rep.clamped}",
         )
     )
-    prev = exceptional_scan(N // 10, 2, 3, 1 / 15, 1 / 10, build_prime_table(N // 10 + 2))
+    prev = exceptional_scan(N // 10, 2, 3, 1 / 15, 1 / 10, table)
     prefix_ok = [m for m in rep.exceptional if m <= N // 10] == prev.exceptional
     counts_ok = bool(np.all(rep.counts[2 : N // 10 + 1] >= prev.counts[2 : N // 10 + 1]))
     out.append(
@@ -690,9 +690,9 @@ def suite_bv(full: bool = True) -> list[dict]:
     out.append(_check("exact zeros at q = 1 and P >= q", zero_ok, ""))
 
     if full:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rows = bv_profile(10**6, 10**3, [1, 10, 100], "mu", build_prime_table(10**6))
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         totals = profile_totals(rows)
         vanish = all(
             abs(r["discrepancy"]) < 1e-5 for r in rows if r["P"] >= r["q"]
@@ -727,11 +727,11 @@ def run_suite(name: str, full: bool = True) -> dict:
         return {"suite": "all", "passed": all(c["passed"] for c in checks), "checks": checks}
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = SUITES[name](full=full)
     return {
         "suite": name,
         "passed": all(c["passed"] for c in checks),
-        "runtime_s": round(time.time() - t0, 2),
+        "runtime_s": round(time.perf_counter() - t0, 2),
         "checks": checks,
     }

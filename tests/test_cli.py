@@ -31,6 +31,25 @@ def test_scan_subcommand(tmp_path):
     assert len(csv_text) > 1
 
 
+def test_scan_predictions_use_the_full_cutoff(tmp_path):
+    # N + 2 < cutoff: the CLI's prime table must still reach the cutoff
+    from twinsieve.arith import build_prime_table
+    from twinsieve.singular import singular_series
+
+    assert run_cli([
+        "scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "0.0667,0.1",
+        "--cutoff", "100000", "--out", str(tmp_path),
+    ]) == 0
+    table = build_prime_table(100_000)
+    rows = (tmp_path / "scan.csv").read_text().splitlines()[1:]
+    assert rows
+    for row in rows:
+        m, _, prediction, _ = row.split(",")
+        m = int(m)
+        want = singular_series(m, 100_000, table).value * m / math.log(m) ** 2
+        assert float(prediction) == pytest.approx(want, rel=1e-10), m
+
+
 def test_scan_inf(tmp_path):
     assert run_cli([
         "scan", "--N", "500", "--k1", "inf", "--k2", "inf", "--out", str(tmp_path),

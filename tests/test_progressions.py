@@ -150,6 +150,25 @@ def test_bv_profile(table):
     assert totals[1] == pytest.approx(classical, rel=1e-9)
 
 
+def test_bv_profile_rows_match_bv_discrepancy(table):
+    # every row, intermediate P included, is the max over units a of
+    # |bv_discrepancy(q, a)|
+    N = 5000
+    for weight in ("mu", "Lambda"):
+        w = weight_array(weight, N, table)
+        for row in bv_profile(N, 30, [2, 5], weight, table):
+            q, P = row["q"], row["P"]
+            discs = {
+                a: bv_discrepancy(N, q, a, P, weight, table, w=w)
+                for a in range(1, q + 1)
+                if math.gcd(a, q) == 1
+            }
+            best = max(abs(d) for d in discs.values())
+            assert abs(row["discrepancy"]) == pytest.approx(best, abs=1e-9), row
+            if best > 1e-6:  # on vanishing rows the argmax is rounding noise
+                assert row["discrepancy"] == pytest.approx(discs[row["a_max"]], abs=1e-9)
+
+
 def test_weighted_level_sum(table):
     N = 3000
     lam = SieveWeights({1: 1.0}, level=1, primes=frozenset())

@@ -44,11 +44,23 @@ def test_singular_series_m4(table):
 
 def test_two_routes_agree(table):
     rng = random.Random(41)
-    for _ in range(60):
-        m = 2 * rng.randrange(1, 500_000)
-        a = singular_series(m, 10_000, table).value
-        b = singular_series_alt(m, 10_000, table)
-        assert a == pytest.approx(b, rel=1e-10)
+    ms = [2 * rng.randrange(1, 500_000) for _ in range(60)]
+    # a prime beyond either cutoff divides m, m + 2 or m + 4
+    for p in (101, 10_007, 100_003):
+        ms += [2 * p, 6 * p - 2, 2 * p - 4]
+    for cutoff in (100, 10_000):
+        for m in ms:
+            a = singular_series(m, cutoff, table).value
+            b = singular_series_alt(m, cutoff, table)
+            assert a == pytest.approx(b, rel=1e-10), (m, cutoff)
+
+
+def test_cutoff_beyond_the_table_is_an_error():
+    # the product would silently stop at the table's last prime
+    small = build_prime_table(1000)
+    for series in (singular_series, singular_series_alt, classical_goldbach_series):
+        with pytest.raises(ValueError):
+            series(500_002, 100_000, small)
 
 
 def test_per_prime_match_with_local_sigma(table):
