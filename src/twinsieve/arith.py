@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "PrimeTable",
     "Factorization",
-    "ArithContext",
     "build_prime_table",
     "factorize",
     "factorize_extended",
@@ -40,9 +39,6 @@ __all__ = [
     "lambda_weight",
     "heath_brown_terms",
 ]
-
-C0 = 1.0 / 1000.0
-C1 = C0 / 100.0
 
 #: default cap on the spf table (entries are 32-bit)
 DEFAULT_LIMIT_BUDGET = 2**31
@@ -190,6 +186,20 @@ def _factor_pp(q: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         pairs.append((n, 1))
     return tuple(pairs)
+
+
+def _radical(q: int) -> int:
+    """Product of the distinct primes dividing q."""
+    return math.prod(p for p, _ in _factor_pp(q))
+
+
+def _valuation(n: int, p: int) -> int:
+    """Exponent of p in n (n != 0)."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 @lru_cache(maxsize=None)
@@ -557,17 +567,3 @@ def heath_brown_terms(n: int, J: int, table: PrimeTable | None = None) -> float:
                 inner += m_conv[i] * l_conv[idx[n // d]]
         total_vec -= (-1) ** j * math.comb(J, j) * inner
     return float(sum(int(c) * math.log(p) for c, p in zip(total_vec, primes)))
-
-
-@dataclass(frozen=True)
-class ArithContext:
-    """Shared scan parameters: range N, pre-sieve threshold P, fixed c0, c1."""
-
-    N: int
-    P: int
-    c0: float = C0
-    c1: float = C1
-
-    def __post_init__(self):
-        if not (2 <= self.P <= self.N):
-            raise ValueError(f"need 2 <= P <= N, got P={self.P}, N={self.N}")

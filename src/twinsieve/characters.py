@@ -14,14 +14,13 @@ values, which is what the singular-series machinery consumes.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import _factor_pp, _primitive_root, default_table, factorize
+from .arith import _factor_pp, _primitive_root, _radical, _valuation, default_table, factorize
 
 __all__ = [
     "DirichletCharacter",
@@ -115,23 +114,7 @@ class DirichletCharacter:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, n: int) -> complex:
-        n %= self.q
-        if self.q > 1 and math.gcd(n, self.q) != 1:
-            return 0j
-        frac = 0.0
-        for part in self.odd_parts:
-            dl = int(_dlog_table(part.p, part.alpha)[n % part.modulus])
-            frac += part.exponent * dl / part.phi
-        tp = self.two_part
-        if tp is not None and tp.alpha >= 2:
-            r = n % tp.modulus
-            if tp.alpha == 2:
-                frac += tp.e_minus * (0.5 if r == 3 else 0.0)
-            else:
-                s_tab, t_tab = _two_decomp_table(tp.alpha)
-                frac += tp.e_minus * int(s_tab[r]) / 2
-                frac += tp.e_five * int(t_tab[r]) / 2 ** (tp.alpha - 2)
-        return cmath.exp(2j * math.pi * frac)
+        return complex(_value_table(self)[n % self.q])
 
     def __call__(self, n: int) -> complex:
         return self.value(n)
@@ -271,20 +254,11 @@ def conductor(chi: DirichletCharacter) -> int:
         if part.exponent == 0:
             continue
         d = part.phi // math.gcd(part.phi, part.exponent)
-        v = 0
-        while d % part.p == 0:
-            d //= part.p
-            v += 1
-        out *= part.p ** (1 + v)
+        out *= part.p ** (1 + _valuation(d, part.p))
     tp = chi.two_part
     if tp is not None:
         if tp.e_five:
-            v = 0
-            e = tp.e_five
-            while e % 2 == 0:
-                e //= 2
-                v += 1
-            out *= 2 ** (tp.alpha - v)
+            out *= 2 ** (tp.alpha - _valuation(tp.e_five, 2))
         elif tp.e_minus:
             out *= 4
     return out
@@ -297,11 +271,7 @@ def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     for part in chi.odd_parts:
         if part.exponent == 0:
             continue
-        beta = 0
-        ppow = 1
-        while f % (ppow * part.p) == 0:
-            ppow *= part.p
-            beta += 1
+        beta = _valuation(f, part.p)
         phi_new = (part.p - 1) * part.p ** (beta - 1)
         g_new = _primitive_root(part.p, beta)
         dl = int(_dlog_table(part.p, part.alpha)[g_new % part.modulus])
@@ -314,11 +284,7 @@ def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     f2 = 1
     if tp is not None:
         if tp.e_five:
-            v = 0
-            e = tp.e_five
-            while e % 2 == 0:
-                e //= 2
-                v += 1
+            v = _valuation(tp.e_five, 2)
             beta = tp.alpha - v
             new_tp = _TwoPart(beta, tp.e_minus, tp.e_five >> v)
             f2 = 2**beta
@@ -360,13 +326,9 @@ def _value_table(chi: DirichletCharacter) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _primitive_characters_cached(f: int) -> tuple[DirichletCharacter, ...]:
-    return tuple(chi for chi in character_group(f) if conductor(chi) == f)
-
-
 def primitive_characters(f: int) -> tuple[DirichletCharacter, ...]:
     """All primitive characters of conductor exactly f."""
-    return _primitive_characters_cached(f)
+    return tuple(chi for chi in character_group(f) if conductor(chi) == f)
 
 
 # ---------------------------------------------------------------------------
@@ -382,47 +344,13 @@ def _phase_matrix(q: int) -> np.ndarray:
 
 def gauss_sum(chi: DirichletCharacter, a: int) -> complex:
     """sum over units b mod q of chi(b) e_q(ab), by direct summation."""
-    q = chi.q
-    if q == 1:
-        return 1 + 0j
-    vals = _value_table(chi)
-    b = np.arange(q)
-    return complex(np.sum(vals * np.exp(2j * np.pi * (a % q) * b / q)))
+    return modified_gauss_sum(chi, a, 0)
 
 
 @lru_cache(maxsize=4096)
 def _tau_primitive(chi: DirichletCharacter) -> complex:
-    """tau(chi) for primitive chi, by direct summation at the conductor."""
+    """tau(chi) = c_chi(1) by direct summation."""
     return gauss_sum(chi, 1)
-
-
-def _component_gauss_formula(part_modulus: int, p: int, alpha: int,
-                             chi_star: DirichletCharacter, alpha0: int,
-                             a: int) -> complex:
-    """Closed-form c_chi(a) at one prime power via the conductor reduction."""
-    if alpha == 0:
-        return 1 + 0j
-    a %= part_modulus
-    if a == 0:
-        alpha_m = alpha
-    else:
-        alpha_m = 0
-        aa = a
-        while aa % p == 0 and alpha_m < alpha:
-            aa //= p
-            alpha_m += 1
-    if alpha0 > alpha - alpha_m:
-        return 0j
-    k = alpha - alpha_m - alpha0
-    if k >= 2:
-        return 0j  # mu(p^k) = 0
-    if k == 1 and alpha0 >= 1:
-        return 0j  # chi*(p) = 0
-    mu_k = 1.0 if k == 0 else -1.0
-    phi_ratio = _phi_pp(p, alpha) / _phi_pp(p, alpha - alpha_m)
-    tau = _tau_primitive(chi_star)
-    lead = chi_star.conjugate().value(a // p**alpha_m) if alpha0 >= 1 else 1.0
-    return lead * mu_k * phi_ratio * tau
 
 
 def _phi_pp(p: int, alpha: int) -> int:
@@ -440,41 +368,27 @@ def _components_with_meta(chi: DirichletCharacter):
         parts.append((2, tp.alpha, tp.modulus))
     for p, alpha, mod in parts:
         comp = chi.component(mod)
-        f = conductor(comp)
-        alpha0 = 0
-        ff = f
-        while ff > 1:
-            ff //= p
-            alpha0 += 1
+        alpha0 = _valuation(conductor(comp), p)
         star = primitive_part(comp)
         out.append((p, alpha, mod, comp, star, alpha0))
     return out
 
 
 def gauss_sum_formula(chi: DirichletCharacter, a: int) -> complex:
-    """c_chi(a) assembled from prime-power closed forms.
-
-    Per prime power the conductor reduction gives the value directly (zero
-    exactly when the depth condition fails); components are glued with the
-    twisted-argument multiplicativity c(a) = prod_i c_i(inv(q/q_i) * a).
-    """
-    q = chi.q
-    if q == 1:
-        return 1 + 0j
-    out = 1 + 0j
-    for p, alpha, mod, _comp, star, alpha0 in _components_with_meta(chi):
-        cof = q // mod
-        inv = pow(cof, -1, mod)
-        out *= _component_gauss_formula(mod, p, alpha, star, alpha0, inv * a % mod)
-        if out == 0:
-            return 0j
-    return out
+    """c_chi(a) from the closed forms: gauss_sum_formula_all at a mod q."""
+    return complex(gauss_sum_formula_all(chi)[a % chi.q])
 
 
 def _component_gauss_formula_all(
     p: int, alpha: int, star: DirichletCharacter, alpha0: int
 ) -> np.ndarray:
-    """Closed-form c values for every residue mod p^alpha, by v_p class."""
+    """Closed-form c values for every residue mod p^alpha, by v_p class.
+
+    The conductor reduction gives c(r) with v = v_p(r) as
+    conj(chi*)(r / p^v) mu(p^k) phi(p^alpha) / phi(p^(alpha-v)) tau(chi*),
+    k = alpha - v - alpha0; it vanishes when k < 0, when k >= 2, and when
+    k = 1 with a non-principal chi* (chi*(p) = 0).
+    """
     mod = p**alpha
     out = np.zeros(mod, dtype=np.complex128)
     tau = _tau_primitive(star)
@@ -501,7 +415,11 @@ def _component_gauss_formula_all(
 
 
 def gauss_sum_formula_all(chi: DirichletCharacter) -> np.ndarray:
-    """Vectorized gauss_sum_formula over every shift a mod q."""
+    """c_chi(a) for every shift a mod q, assembled from prime-power closed forms.
+
+    Components are glued with the twisted-argument multiplicativity
+    c(a) = prod_i c_i(inv(q/q_i) * a).
+    """
     q = chi.q
     if q == 1:
         return np.ones(1, dtype=np.complex128)
@@ -515,21 +433,25 @@ def gauss_sum_formula_all(chi: DirichletCharacter) -> np.ndarray:
     return result
 
 
+@lru_cache(maxsize=64)
+def _restriction_mask(q: int, j: int) -> np.ndarray:
+    """Residues b mod q with (b+2, rad q) = (j, rad q), as a read-only mask."""
+    rad = _radical(q)
+    mask = np.gcd(np.arange(q) + 2, rad) == math.gcd(j, rad)
+    mask.flags.writeable = False
+    return mask
+
+
 def modified_gauss_sum(chi: DirichletCharacter, a: int, j: int) -> complex:
     """Gauss sum over units b with (b+2, rad q) = (j, rad q); j=0 lifts the restriction."""
     q = chi.q
-    rad = 1
-    for p, _ in _factor_pp(q):
-        rad *= p
-    if j != 0 and rad % j != 0:
-        raise ValueError(f"j={j} does not divide rad(q)={rad}")
+    if j != 0 and _radical(q) % j != 0:
+        raise ValueError(f"j={j} does not divide rad(q)={_radical(q)}")
     if q == 1:
         return 1 + 0j
     vals = _value_table(chi)
     b = np.arange(q)
-    keep = np.ones(q, dtype=bool)
-    if j != 0:
-        keep = np.gcd(b + 2, rad) == math.gcd(j, rad)
+    keep = np.ones(q, dtype=bool) if j == 0 else _restriction_mask(q, j)
     return complex(np.sum(vals[keep] * np.exp(2j * np.pi * (a % q) * b[keep] / q)))
 
 
@@ -538,13 +460,9 @@ def _restricted_c_all(chi: DirichletCharacter, j: int) -> np.ndarray:
     q = chi.q
     if q == 1:
         return np.ones(1, dtype=np.complex128)
-    rad = 1
-    for p, _ in _factor_pp(q):
-        rad *= p
-    vals = _value_table(chi).copy()
+    vals = _value_table(chi)
     if j != 0:
-        b = np.arange(q)
-        vals[np.gcd(b + 2, rad) != math.gcd(j, rad)] = 0
+        vals = np.where(_restriction_mask(q, j), vals, 0)
     return _phase_matrix(q) @ vals
 
 
@@ -564,23 +482,14 @@ def F_bruteforce(
     j2: int,
     m: int,
 ) -> complex:
-    """F by literal summation over units a: the oracle route, fine for q <= ~2000."""
-    _check_pair(chi1, chi2)
-    q = chi1.q
-    if q == 1:
-        return 1 + 0j
-    c1 = _restricted_c_all(chi1, j1)
-    c2 = _restricted_c_all(chi2, j2)
-    a = np.arange(q)
-    coprime = np.gcd(a, q) == 1
-    phase = np.exp(-2j * np.pi * (m % q) * a / q)
-    return complex(np.sum(c1[coprime] * c2[coprime] * phase[coprime]))
+    """F by literal summation over units a: F_bruteforce_all_m at m mod q."""
+    return complex(F_bruteforce_all_m(chi1, chi2, j1, j2)[m % chi1.q])
 
 
 def F_bruteforce_all_m(
     chi1: DirichletCharacter, chi2: DirichletCharacter, j1: int, j2: int
 ) -> np.ndarray:
-    """F for every m mod q at once (same summation, batched)."""
+    """F for every m mod q by literal summation over units a: the oracle route."""
     _check_pair(chi1, chi2)
     q = chi1.q
     if q == 1:
@@ -620,8 +529,8 @@ def _F_local_odd_prime(
 
     def F_unrestricted() -> complex:
         prod = chi1 * chi2
-        t1 = _tau_for(chi1)
-        t2 = _tau_for(chi2)
+        t1 = _tau_primitive(chi1)
+        t2 = _tau_primitive(chi2)
         return t1 * t2 * gauss_sum_formula(prod.conjugate(), -m)
 
     def F_second_restricted(ca: DirichletCharacter, cb: DirichletCharacter) -> complex:
@@ -650,11 +559,6 @@ def _F_local_odd_prime(
     return total
 
 
-@lru_cache(maxsize=4096)
-def _tau_for(chi: DirichletCharacter) -> complex:
-    return gauss_sum_formula(chi, 1)
-
-
 def F_factored(
     chi1: DirichletCharacter,
     chi2: DirichletCharacter,
@@ -674,20 +578,14 @@ def F_factored(
     q = chi1.q
     if q == 1:
         return 1 + 0j
-    rad = 1
-    for p, _ in _factor_pp(q):
-        rad *= p
+    rad = _radical(q)
     for j in (j1, j2):
         if j != 0 and rad % j != 0:
             raise ValueError(f"j={j} does not divide rad(q)={rad}")
     out = 1 + 0j
     for p, alpha, mod, comp1, star1, a1 in _components_with_meta(chi1):
         comp2 = chi2.component(mod)
-        a2 = 0
-        f2 = conductor(comp2)
-        while f2 > 1:
-            f2 //= p
-            a2 += 1
+        a2 = _valuation(conductor(comp2), p)
         jl1 = 0 if j1 == 0 else (p if j1 % p == 0 else 1)
         jl2 = 0 if j2 == 0 else (p if j2 % p == 0 else 1)
         if alpha > 1 and (a1 < alpha or a2 < alpha):
@@ -727,18 +625,15 @@ class ExceptionalZeroHypothesis:
         # beta = 1 is admitted as the degenerate endpoint used in tests
         if not 0 < beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
-        t = 0
-        rr = r
-        while rr % 2 == 0:
-            rr //= 2
-            t += 1
+        if r < 3:
+            raise ValueError("r must be at least 3")
+        t = _valuation(r, 2)
+        rr = r >> t
         if t not in (0, 2, 3):
             raise ValueError(f"2-adic valuation of r must be 0, 2 or 3, got {t}")
         fac = factorize(rr, default_table(max(rr, 10)))
         if any(e > 1 for _, e in fac.pairs):
             raise ValueError("odd part of r must be squarefree")
-        if r < 3:
-            raise ValueError("r must be at least 3")
         odd = tuple(_OddPart(p, 1, (p - 1) // 2) for p, _ in fac.pairs)
         tp = None
         if t == 2:
@@ -750,11 +645,7 @@ class ExceptionalZeroHypothesis:
 
     @property
     def t(self) -> int:
-        t, rr = 0, self.r
-        while rr % 2 == 0:
-            rr //= 2
-            t += 1
-        return t
+        return _valuation(self.r, 2)
 
     def odd_primes(self) -> tuple[int, ...]:
         return tuple(p.p for p in self.chi.odd_parts)
@@ -849,6 +740,24 @@ def u_P(n: int, a: int, q: int, P: float) -> float:
     return val
 
 
+def _festi_bound(p: int, alpha: int, j1: int, j2: int, conj_pair: bool) -> np.ndarray:
+    """The prime-power case bound on |F(chi1, chi2, j1, j2, m)| for every m mod p^alpha.
+
+    Cases: 2^{2a} at p = 2; 2 p^{2a-1} when p divides j1 j2; otherwise
+    p^{2a} - 3p^{2a-1} + 1 for a conjugate pair at p^a | m, else
+    p^{2a-1/2} + 3 p^{2a-1}.
+    """
+    q = p**alpha
+    if p == 2:
+        return np.full(q, 2.0 ** (2 * alpha))
+    if (j1 * j2) % p == 0:
+        return np.full(q, 2.0 * p ** (2 * alpha - 1))
+    bound = np.full(q, p ** (2 * alpha - 0.5) + 3.0 * p ** (2 * alpha - 1))
+    if conj_pair:
+        bound[0] = p ** (2 * alpha) - 3 * p ** (2 * alpha - 1) + 1
+    return bound
+
+
 def festi_bound_check(
     chi1: DirichletCharacter,
     chi2: DirichletCharacter,
@@ -857,26 +766,11 @@ def festi_bound_check(
     m: int,
     slack: float = 1e-6,
 ) -> bool:
-    """Check |F| against the stated prime-power case bound.
-
-    Cases: 2^{2a} at p = 2; 2 p^{2a-1} when p divides j1 j2; otherwise
-    p^{2a} - 3p^{2a-1} + 1 for a conjugate pair at p^a | m, else
-    p^{2a-1/2} + 3 p^{2a-1}.
-    """
+    """Check |F| against the stated prime-power case bound (_festi_bound)."""
     q = chi1.q
     fac = _factor_pp(q)
     if len(fac) != 1:
         raise ValueError("festi_bound_check needs a prime-power modulus")
     p, alpha = fac[0]
-    Fval = abs(F_bruteforce(chi1, chi2, j1, j2, m))
-    if p == 2:
-        bound = 2.0 ** (2 * alpha)
-    elif (j1 * j2) % p == 0:
-        bound = 2.0 * p ** (2 * alpha - 1)
-    else:
-        conj_pair = chi1 == chi2.conjugate()
-        if conj_pair and m % q == 0:
-            bound = float(p ** (2 * alpha) - 3 * p ** (2 * alpha - 1) + 1)
-        else:
-            bound = p ** (2 * alpha - 0.5) + 3.0 * p ** (2 * alpha - 1)
-    return Fval <= bound + slack
+    bound = _festi_bound(p, alpha, j1, j2, chi1 == chi2.conjugate())[m % q]
+    return abs(F_bruteforce(chi1, chi2, j1, j2, m)) <= bound + slack

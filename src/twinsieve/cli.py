@@ -113,7 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k2", type=_parse_k, required=True)
     p.add_argument("--rough", default=None, help="a1,a2 roughness exponents (default off)")
     p.add_argument("--exact", action="store_true",
-                   help="bit-exact counting (default float transform with exact re-verification)")
+                   help="bit-exact counts from the integer transform (default: float "
+                   "transform, counts rounded with np.rint and not re-verified; in both "
+                   "modes only the m with count 0 are re-checked by a direct pair search)")
     p.add_argument("--cutoff", type=int, default=10_000, help="singular-series truncation")
     p.add_argument("--samples", type=int, default=512)
     _add_common(p)
@@ -187,9 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Override args from the --config file, converting each value as its flag would."""
     if not getattr(args, "config", None):
         return
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subs.choices[args.command]._actions}
     for line in Path(args.config).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -197,23 +202,29 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if not hasattr(args, key):
-            raise SystemExit(f"config file sets unknown key {key!r}")
-        current = getattr(args, key)
-        if isinstance(current, bool):
+        action = actions.get(key)
+        if action is None or not hasattr(args, key):
+            raise ValueError(f"config file sets unknown key {key!r}")
+        if action.nargs == 0:  # store_true flag
             setattr(args, key, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, key, int(value))
-        elif isinstance(current, float):
-            setattr(args, key, float(value))
-        else:
-            setattr(args, key, value)
+            continue
+        try:
+            converted = action.type(value) if action.type else value
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
+        if action.choices is not None and converted not in action.choices:
+            raise ValueError(
+                f"config key {key!r}: {value!r} is not one of {list(action.choices)}"
+            )
+        setattr(args, key, converted)
 
 
 def _cmd_scan(args, out_dir: Path, t0: float) -> int:
     a1 = a2 = 0.0
     if args.rough:
         parts = args.rough.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"--rough takes two comma-separated exponents, got {args.rough!r}")
         a1, a2 = float(parts[0]), float(parts[1])
     table = build_prime_table(max(args.N + 2, args.cutoff, 1000), budget=_memory_budget())
     rep = exceptional_scan(
@@ -392,11 +403,11 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config_file(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
+        _apply_config_file(parser, args)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](args, out_dir, t0)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,6 +61,8 @@ def solve_linear_sieve_functions(s_max: float, h: float) -> LinearSieveFunctions
     """
     if s_max > 20:
         raise ValueError("s_max capped at 20")
+    if s_max < 4:
+        raise ValueError(f"s_max={s_max} below 4: the junction check integrates up to s = 4")
     if h > 1e-3:
         warnings.warn(f"step h={h} is coarse; accuracy targets assume h <= 1e-3")
     steps_per_unit = round(1.0 / h)

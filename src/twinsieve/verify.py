@@ -13,17 +13,24 @@ import time
 
 import numpy as np
 
-from .arith import build_prime_table, default_table, heath_brown_terms, von_mangoldt
+from .arith import (
+    _divisors,
+    _factor_pp,
+    build_prime_table,
+    default_table,
+    heath_brown_terms,
+    von_mangoldt,
+)
 from .characters import (
     ExceptionalZeroHypothesis,
+    F_bruteforce,
     F_bruteforce_all_m,
-    _factor_pp,
+    F_factored,
+    _festi_bound,
     _restricted_c_all,
     _phase_matrix,
     _value_table,
     character_group,
-    conductor,
-    festi_bound_check,
     gauss_sum_formula_all,
     local_sigma,
     principal_character,
@@ -110,10 +117,8 @@ def _feval_sweep(p_max: int = 97) -> dict:
 
 
 def _all_j_divisors(q: int) -> list[int]:
-    rad = 1
-    for p, _ in _factor_pp(q):
-        rad *= p
-    return [d for d in range(1, rad + 1) if rad % d == 0]
+    """Divisors of rad(q), ascending."""
+    return sorted(_divisors((p, 1) for p, _ in _factor_pp(q)))
 
 
 def _fmult_sweep(q_max: int = 200) -> dict:
@@ -181,13 +186,9 @@ def _gauss_formula_sweep(q_max: int = 300) -> dict:
     worst = 0.0
     arg = None
     for q in range(1, q_max + 1):
-        E = _phase_matrix(q) if q > 1 else None
         for chi in character_group(q):
             formula = gauss_sum_formula_all(chi)
-            if q == 1:
-                direct = np.ones(1, dtype=np.complex128)
-            else:
-                direct = E @ _value_table(chi)
+            direct = _restricted_c_all(chi, 0)
             dev = float(np.max(np.abs(formula - direct)))
             if dev > worst:
                 worst, arg = dev, q
@@ -208,12 +209,13 @@ def _festi_sweep(pp_max: int = 125) -> dict:
     moduli = []
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
               67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113):
-        ppow = p
-        while ppow <= pp_max:
-            moduli.append((p, ppow))
-            ppow *= p
+        alpha = 1
+        while p**alpha <= pp_max:
+            moduli.append((p, alpha))
+            alpha += 1
     bad = []
-    for p, q in moduli:
+    for p, alpha in moduli:
+        q = p**alpha
         chars = character_group(q)
         a = np.arange(q)
         coprime = np.gcd(a, q) == 1
@@ -222,7 +224,6 @@ def _festi_sweep(pp_max: int = 125) -> dict:
         for idx, chi in enumerate(chars):
             for j in (1, p):
                 cvecs[(idx, j)] = _restricted_c_all(chi, j)
-        conds = [conductor(chi) for chi in chars]
         for i1, chi1 in enumerate(chars):
             for i2, chi2 in enumerate(chars):
                 conj_pair = chi1 == chi2.conjugate()
@@ -231,22 +232,8 @@ def _festi_sweep(pp_max: int = 125) -> dict:
                         prod = cvecs[(i1, j1)] * cvecs[(i2, j2)]
                         prod = np.where(coprime, prod, 0)
                         F_all = Econj @ prod
-                        absF = np.abs(F_all)
-                        alpha = 0
-                        qq = q
-                        while qq > 1:
-                            qq //= p
-                            alpha += 1
-                        if p == 2:
-                            bound = np.full(q, 4.0**alpha)
-                        elif (j1 * j2) % p == 0:
-                            bound = np.full(q, 2.0 * p ** (2 * alpha - 1))
-                        else:
-                            base = p ** (2 * alpha - 0.5) + 3.0 * p ** (2 * alpha - 1)
-                            bound = np.full(q, base)
-                            if conj_pair:
-                                bound[0] = p ** (2 * alpha) - 3 * p ** (2 * alpha - 1) + 1
-                        if np.any(absF > bound + 1e-6):
+                        bound = _festi_bound(p, alpha, j1, j2, conj_pair)
+                        if np.any(np.abs(F_all) > bound + 1e-6):
                             bad.append((q, i1, i2, j1, j2))
     return _check(
         "restricted-kernel magnitude bounds at prime powers <= 125",
@@ -256,8 +243,6 @@ def _festi_sweep(pp_max: int = 125) -> dict:
 
 
 def _ffactored_sweep(q_max: int = 200, m_samples: int = 6) -> dict:
-    from .characters import F_bruteforce, F_factored
-
     rng = random.Random(97)
     bad = 0
     total = 0

@@ -150,7 +150,7 @@ def test_memory_budget_env(tmp_path, monkeypatch):
     assert rc == 2  # configuration error surfaces as a clean nonzero exit
 
 
-def test_config_file_overrides(tmp_path):
+def test_config_file_overrides(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("m = 6\ncutoff = 20000\n")
     assert run_cli([
@@ -160,6 +160,29 @@ def test_config_file_overrides(tmp_path):
     rep = load_report(tmp_path, "sseries")
     assert rep["config"]["m"] == 6
     assert rep["config"]["cutoff"] == 20000
+    # values go through each flag's own converter and choices
+    scan = ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--out", str(tmp_path)]
+    cfg.write_text("k1 = inf\n")
+    assert run_cli(scan + ["--config", str(cfg)]) == 0
+    assert load_report(tmp_path, "scan")["config"]["k1"] == "inf"
+    bv = ["bv", "--N", "500", "--Q", "5", "--out", str(tmp_path)]
+    for line, argv in [("N = abc", scan), ("weight = foo", bv), ("bogus = 1", scan)]:
+        cfg.write_text(line + "\n")
+        capsys.readouterr()
+        assert run_cli(argv + ["--config", str(cfg)]) == 2, line
+        assert capsys.readouterr().err.startswith("error:"), line
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "0.1"],
+    ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "0.1,x"],
+    ["sievefn", "--smax", "1"],
+    ["sseries", "--m", "4", "--cutoff", "1000", "--hyp", "0,0.5"],
+])
+def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def _mask_runtime(text: str) -> str:

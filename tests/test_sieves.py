@@ -17,6 +17,7 @@ from twinsieve.sieves import (
     fundamental_lemma_envelope,
     fundlem_pointwise_bound,
     linear_sieve,
+    p3_minorant_eval,
     p3_minorant_range,
     p3_pointwise_check,
     rho_range,
@@ -222,6 +223,14 @@ def test_p3_minorant_values(table):
     # n with >= 4 distinct prime factors >= z and no small ones: minorant <= 0
     n = 11 * 13 * 17 * 19
     assert vals[n] <= 1e-12
+
+
+def test_p3_minorant_range_matches_pointwise(table):
+    # the vectorized minorant against its pointwise definition, every n <= 3000
+    N, eps, P, n_max = 10**10, 1e-3, 3, 3000
+    vals = p3_minorant_range(N, eps, P, n_max, table)
+    for n in range(1, n_max + 1):
+        assert p3_minorant_eval(n, N, eps, P, table) == vals[n], n
 
 
 def test_sie1_identity_examples(table):
