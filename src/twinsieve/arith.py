@@ -393,7 +393,6 @@ def lambda_almost_twin(
     N: int,
     table: PrimeTable,
     alpha: float | None = None,
-    count_multiplicity: bool = True,
 ) -> float:
     """Prime-supported weight log(n) * [n+2 has <= k factors] * [n+2 rough].
 
@@ -411,7 +410,7 @@ def lambda_almost_twin(
     if n < 2 or not table.is_prime(n):
         return 0.0
     z = N**alpha
-    if not almost_prime_indicator(n + 2, k, table, count_multiplicity):
+    if not almost_prime_indicator(n + 2, k, table):
         return 0.0
     if alpha > 0 and not rough_indicator(n + 2, 1, z, table):
         return 0.0

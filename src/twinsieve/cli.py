@@ -19,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .arith import DEFAULT_LIMIT_BUDGET, build_prime_table
 from .characters import ExceptionalZeroHypothesis
@@ -113,9 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k2", type=_parse_k, required=True)
     p.add_argument("--rough", default=None, help="a1,a2 roughness exponents (default off)")
     p.add_argument("--exact", action="store_true",
-                   help="bit-exact counts from the integer transform (default: float "
-                   "transform, counts rounded with np.rint and not re-verified; in both "
-                   "modes only the m with count 0 are re-checked by a direct pair search)")
+                   help="accepted for config stability; counts are always exact (the "
+                   "float FFT rounded under a certified roundoff bound, else the "
+                   "integer transform), and every m with count 0 is re-checked by a "
+                   "direct pair search")
     p.add_argument("--cutoff", type=int, default=10_000, help="singular-series truncation")
     p.add_argument("--samples", type=int, default=512)
     _add_common(p)
@@ -131,7 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind2", required=True)
     p.add_argument("--k", type=int, default=3, help="k for Lambda_k kinds")
     p.add_argument("--indicator", action="store_true", help="0/1 indicator variants")
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--exact", action="store_true",
+                   help="exact integer counts (needs --indicator): the float FFT rounded "
+                   "under a certified roundoff bound, else the integer transform")
     p.add_argument("--limit", type=int, default=200, help="rows written to CSV")
     _add_common(p)
 
@@ -234,11 +235,9 @@ def _cmd_scan(args, out_dir: Path, t0: float) -> int:
         a1,
         a2,
         table,
-        mode="exact" if args.exact else "float",
         sample_count=args.samples,
         seed=args.seed,
         cutoff=args.cutoff,
-        sample_all_even=(args.k1 == math.inf and args.k2 == math.inf and not args.rough),
     )
     rows = [
         (int(m), int(rep.counts[int(m)]), float(p), float(r))

@@ -1,9 +1,9 @@
 """Additive convolutions of arithmetic sequences and exceptional-set scans.
 
 Sequences live on [1, N] as dense arrays; convolutions land on [2, 2N].
-Exact mode (modular transforms, bit-exact counts) backs the exceptional
-scans: an m is only declared representation-free after the integer count
-is zero AND a direct prime-pair search confirms it.
+Exact mode (bit-exact integer counts) backs the exceptional scans: an m
+is only declared representation-free after the integer count is zero AND
+a direct prime-pair search confirms it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import PrimeTable, default_table
-from .ntt import ReconstructionOverflow, exact_convolve, float_convolve
+from .ntt import exact_convolve, float_convolve, roundoff_bound
 from .singular import classical_goldbach_series, singular_series
 from .progressions import weight_array
 from .sieves import SieveWeights, _omega_counts, apply_sieve_range, rho_range
@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 FLOAT_N_CAP = 1 << 27
-EXACT_VALUE_CAP = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,6 @@ def build_sequence(
     eps: float = 1e-3,
     weights: SieveWeights | None = None,
     indicator: bool = False,
-    count_multiplicity: bool = True,
 ) -> ArithSequence:
     """Materialize a named weight as a dense sequence on [1, N].
 
@@ -81,6 +79,8 @@ def build_sequence(
     times a supplied SieveWeights applied at n + 2).  ``indicator``
     replaces log weights by 0/1 support indicators (integer dtype).
     """
+    if N < 1:
+        raise ValueError(f"need N >= 1, got N={N}")
     if N > FLOAT_N_CAP:
         raise ValueError(f"N={N} beyond the dense-array budget {FLOAT_N_CAP}")
     table = table or default_table(max(N + 2, 1_100_000))
@@ -96,7 +96,7 @@ def build_sequence(
             raise ValueError("Lambda_k needs k")
         if alpha is None:
             alpha = 1.0 / 15.0 if k == 2 else 1.0 / 10.0
-        omega = None if k == math.inf else _omega_counts(N + 2, table, count_multiplicity)
+        omega = None if k == math.inf else _omega_counts(N + 2, table, True)
         support = _almost_twin_support(N, k, N**alpha if alpha > 0 else 1.0, table, omega)
         vals = np.where(support, weight_array("Lambda", N, table), 0.0)
     elif kind == "Lambda_E3star":
@@ -122,22 +122,26 @@ def build_sequence(
 def convolve(f: ArithSequence, g: ArithSequence, mode: str = "float") -> ArithSequence:
     """Additive convolution (f*g)(m) = sum over n1+n2=m, as a sequence on [2, 2N].
 
-    Exact mode requires integer inputs bounded by 2^31 and returns
-    bit-exact int64 counts; float mode runs a double-precision FFT with
-    roundoff far below 1e-6 N |f| |g|.
+    Exact mode requires nonnegative integer inputs and returns bit-exact
+    int64 counts: the float FFT rounded to integers when its certified
+    roundoff bound (``ntt.roundoff_bound``) is below 1/4, else the NTT,
+    which raises ReconstructionOverflow past its CRT range.  Float mode
+    returns the double-precision FFT as is.
     """
     if f.N != g.N:
         raise ValueError("sequences must share N")
     if mode == "exact":
         if not (f.is_integer and g.is_integer):
             raise ValueError("exact mode requires integer-valued sequences")
-        if max(f.values.max(initial=0), g.values.max(initial=0)) > EXACT_VALUE_CAP:
-            raise ReconstructionOverflow("values exceed 2^31: split the inputs")
-        conv = exact_convolve(f.values[1:], g.values[1:])
+        a, b = f.values[1:], g.values[1:]
+        if np.any(a < 0) or np.any(b < 0):
+            raise ValueError("exact mode expects nonnegative integer inputs")
+        if roundoff_bound(a, b) < 0.25:
+            conv = np.rint(float_convolve(a, b)).astype(np.int64)
+        else:
+            conv = exact_convolve(a, b)
     elif mode == "float":
-        conv = float_convolve(
-            f.values[1:].astype(float), g.values[1:].astype(float)
-        )
+        conv = float_convolve(f.values[1:], g.values[1:])
     else:
         raise ValueError("mode must be 'float' or 'exact'")
     # index i of conv corresponds to m = i + 2
@@ -184,21 +188,21 @@ def exceptional_scan(
     alpha1: float = 0.0,
     alpha2: float = 0.0,
     table: PrimeTable | None = None,
-    mode: str = "exact",
     sample_count: int = 512,
     seed: int = 0,
     cutoff: int = 10_000,
-    count_multiplicity: bool = True,
-    sample_all_even: bool = False,
 ) -> ScanReport:
     """Scan m = 4 mod 6 up to N for missing two-prime representations.
 
     Convolves the two indicator sequences (primes n with n+2 almost-prime
-    and rough past N^alpha_i); every m with zero count is re-verified by a
-    direct pair search.  Prediction ratios against the appropriate
-    singular series times m/log^2 m are attached for a seeded sample of
-    even m; the proportionality constant is fitted, not assumed.
+    and rough past N^alpha_i) in exact mode; every m with zero count is
+    re-verified by a direct pair search.  Prediction ratios against the
+    appropriate singular series times m/log^2 m are attached for a seeded
+    sample of m (all even m in a plain scan, else m = 4 mod 6); the
+    proportionality constant is fitted, not assumed.
     """
+    if N < 4 or sample_count < 1:
+        raise ValueError(f"need N >= 4 and samples >= 1, got N={N}, samples={sample_count}")
     table = table or default_table(max(N + 2, 1_100_000))
 
     def threshold(alpha):
@@ -212,17 +216,13 @@ def exceptional_scan(
 
     omega = None
     if k1 != math.inf or k2 != math.inf:
-        omega = _omega_counts(N + 2, table, count_multiplicity)
+        omega = _omega_counts(N + 2, table, True)
     a1 = _almost_twin_support(N, k1, z1, table, omega).astype(np.int64)
     a2 = _almost_twin_support(N, k2, z2, table, omega).astype(np.int64)
     del omega  # free it before the transform, where memory peaks
     seq1 = ArithSequence(N=N, values=a1, kind="ind1")
     seq2 = ArithSequence(N=N, values=a2, kind="ind2")
-    if mode == "float":
-        conv = convolve(seq1, seq2, "float")
-        counts = np.rint(conv.values).astype(np.int64)
-    else:
-        counts = convolve(seq1, seq2, "exact").values
+    counts = convolve(seq1, seq2, "exact").values
 
     candidates = np.arange(4, N + 1, 6)
     exceptional = [int(m) for m in candidates if counts[m] == 0]
@@ -231,9 +231,10 @@ def exceptional_scan(
         for m in exceptional
     )
 
+    plain = k1 == math.inf and k2 == math.inf and z1 <= 1 and z2 <= 1
     rng = np.random.default_rng(seed)
     lo = max(4, N // 2)
-    if sample_all_even:
+    if plain:
         pool = np.arange(lo + lo % 2, N + 1, 2)
     else:
         pool = np.arange(lo + (4 - lo % 6) % 6, N + 1, 6)
@@ -241,7 +242,6 @@ def exceptional_scan(
         sampled = np.sort(rng.choice(pool, size=sample_count, replace=False))
     else:
         sampled = pool
-    plain = k1 == math.inf and k2 == math.inf and z1 <= 1 and z2 <= 1
     preds = np.zeros(len(sampled))
     for i, m in enumerate(sampled):
         m = int(m)

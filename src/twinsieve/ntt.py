@@ -1,12 +1,16 @@
-"""Exact integer convolution via number-theoretic transforms.
+"""Convolution engines: an exact integer NTT, and a double-precision FFT
+whose roundoff ``roundoff_bound`` bounds a priori.
 
-Two word-sized NTT primes p = c * 2^27 + 1 support transform lengths up
-to 2^27; true convolution values are recovered by CRT as long as they
+The NTT's two word-sized primes p = c * 2^27 + 1 support transform lengths
+up to 2^27; true convolution values are recovered by CRT as long as they
 stay below p1 * p2 ~ 4.6e18.  All butterflies run vectorized on int64
 (products stay under 2^63 because both primes are < 2^31.1).
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,21 +29,14 @@ class ReconstructionOverflow(ValueError):
 _ROOTS = {p: arith._primitive_root(p, 1) for p in (P1, P2)}
 
 
-_BITREV_CACHE: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=4)
 def _bit_reverse_permutation(n: int) -> np.ndarray:
-    cached = _BITREV_CACHE.get(n)
-    if cached is not None:
-        return cached
     bits = n.bit_length() - 1
     idx = np.arange(n, dtype=np.int64)
     rev = np.zeros(n, dtype=np.int64)
     for _ in range(bits):
         rev = (rev << 1) | (idx & 1)
         idx >>= 1
-    if len(_BITREV_CACHE) < 4:
-        _BITREV_CACHE[n] = rev
     return rev
 
 
@@ -125,8 +122,22 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return r1 + P1 * t
 
 
+def roundoff_bound(a: np.ndarray, b: np.ndarray) -> float:
+    """A-priori bound on max |float_convolve(a, b) - a * b| (C. Percival,
+    Math. Comp. 72 (2003)): |a|_2 |b|_2 ((1+e)^3k (1+e sqrt5)^(3k+1)
+    (1+2e)^3k - 1) for a length-2^k radix-2 FFT, e = 2^-53.  Below 1/4 the
+    rounded float result is exact; the NTT oracle checks numpy's FFT
+    against it.  np.linalg.norm casts to float64 (int64 squares can wrap).
+    """
+    k = max(len(a) + len(b) - 2, 0).bit_length()  # float_convolve's size is 2^k
+    eps = 2.0**-53
+    growth = math.expm1(3 * k * (math.log1p(eps) + math.log1p(2 * eps))
+                        + (3 * k + 1) * math.log1p(eps * math.sqrt(5)))
+    return float(np.linalg.norm(a) * np.linalg.norm(b) * growth)
+
+
 def float_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """FFT convolution in doubles; roundoff well below 1e-6 N |f| |g|."""
+    """FFT convolution in doubles; ``roundoff_bound`` bounds its error."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     out_len = len(a) + len(b) - 1

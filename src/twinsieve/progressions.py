@@ -168,10 +168,10 @@ def bv_profile(
     appended by the caller-facing helpers.  The trend in P is emitted for
     inspection, never asserted.
     """
-    if Q > N:
-        raise ValueError("Q must be at most N")
-    w = weight_array(weight, N, table)
     P_list = sorted(set(P_list))
+    if not 1 <= Q <= N or min(P_list, default=0) < 1:
+        raise ValueError(f"need 1 <= Q <= N and every P >= 1, got Q={Q}, P={P_list}")
+    w = weight_array(weight, N, table)
     rows = []
     for q in range(1, Q + 1):
         if q == 1:

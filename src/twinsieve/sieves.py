@@ -44,22 +44,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SieveWeights:
-    """Sparse divisor weights d -> lambda_d with declared level/range/order."""
+    """Sparse divisor weights d -> lambda_d with declared level and range."""
 
     coefficients: Mapping[int, float]
     level: float
     primes: frozenset[int]
-    order: int = 1
     sign: str = "generic"
-
-    def support(self):
-        return sorted(self.coefficients)
-
-    def range_product(self) -> int:
-        out = 1
-        for p in sorted(self.primes):
-            out *= p
-        return out
 
 
 @dataclass(frozen=True)

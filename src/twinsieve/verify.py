@@ -38,7 +38,7 @@ from .characters import (
     u_P,
 )
 from .convolve import build_sequence, convolve, exceptional_scan
-from .ntt import exact_convolve
+from .ntt import exact_convolve, float_convolve
 from .progressions import bv_discrepancy, bv_profile, profile_totals, weight_array
 from .sievefn import (
     chen_constants,
@@ -63,7 +63,6 @@ from .sieves import (
 from .singular import (
     exceptional_sums,
     main_term_M,
-    partial_singular_series,
     singular_series,
     singular_series_alt,
 )
@@ -73,7 +72,7 @@ def _check(name: str, passed: bool, detail: str = "") -> dict:
     return {"check": name, "passed": bool(passed), "detail": detail}
 
 
-def _squarefree_upto(n: int, table) -> list[int]:
+def _squarefree_upto(n: int) -> list[int]:
     out = []
     for q in range(2, n + 1):
         fac = _factor_pp(q)
@@ -122,10 +121,9 @@ def _all_j_divisors(q: int) -> list[int]:
 
 
 def _fmult_sweep(q_max: int = 200) -> dict:
-    table = default_table()
     bad = 0
     total = 0
-    for q in _squarefree_upto(q_max, table):
+    for q in _squarefree_upto(q_max):
         fac = _factor_pp(q)
         if len(fac) < 2:
             continue
@@ -164,7 +162,6 @@ def _fmult_sweep(q_max: int = 200) -> dict:
 
 
 def _fsimple_sweep(q_max: int = 200) -> dict:
-    table = default_table()
     bad = []
     for q in range(4, q_max + 1):
         fac = _factor_pp(q)
@@ -580,8 +577,8 @@ def suite_convolution(full: bool = True) -> list[dict]:
 
     N = 1 << 20 if full else 1 << 16
     ind = build_sequence("Lambda0", N, build_prime_table(N + 2), indicator=True)
-    exact = convolve(ind, ind, "exact").values
-    flt = convolve(ind, ind, "float").values
+    exact = exact_convolve(ind.values[1:], ind.values[1:])
+    flt = float_convolve(ind.values[1:], ind.values[1:])
     dev = float(np.abs(flt - exact).max())
     out.append(_check(f"float vs exact max deviation at N=2^{N.bit_length()-1}", dev <= 1e-3, f"max dev {dev:.2e}"))
 
@@ -624,7 +621,7 @@ def suite_scan(full: bool = True) -> list[dict]:
             f"prefix={prefix_ok}, monotone={counts_ok}",
         )
     )
-    plain = exceptional_scan(N, math.inf, math.inf, 0, 0, table, sample_all_even=True)
+    plain = exceptional_scan(N, math.inf, math.inf, 0, 0, table)
     ratios = plain.ratios[np.isfinite(plain.ratios)]
     frac = float(np.mean((ratios >= 0.5) & (ratios <= 2.0))) if ratios.size else 0.0
     out.append(

@@ -56,6 +56,25 @@ def test_scan_inf(tmp_path):
     ]) == 0
     rep = load_report(tmp_path, "scan")
     assert all(m <= 10 for m in rep["results"]["exceptional"])
+    # zero roughness exponents are a plain scan too: every even m is sampled
+    csv_plain = (tmp_path / "scan.csv").read_bytes()
+    assert run_cli([
+        "scan", "--N", "500", "--k1", "inf", "--k2", "inf", "--rough", "0,0",
+        "--out", str(tmp_path),
+    ]) == 0
+    assert (tmp_path / "scan.csv").read_bytes() == csv_plain
+    assert any(int(r.split(",")[0]) % 6 != 4 for r in csv_plain.decode().splitlines()[1:])
+
+
+def test_scan_exact_flag_selects_nothing(tmp_path):
+    argv = ["scan", "--N", "1500", "--k1", "2", "--k2", "3",
+            "--rough", "0.0667,0.1", "--seed", "5"]
+    outputs = []
+    for extra in ([], ["--exact"]):
+        out = tmp_path / f"run{len(extra)}"
+        assert run_cli(argv + extra + ["--out", str(out)]) == 0
+        outputs.append(((out / "scan.csv").read_bytes(), load_report(out, "scan")["results"]))
+    assert outputs[0] == outputs[1]
 
 
 def test_convolve_subcommand(tmp_path):
@@ -178,6 +197,13 @@ def test_config_file_overrides(tmp_path, capsys):
     ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "0.1,x"],
     ["sievefn", "--smax", "1"],
     ["sseries", "--m", "4", "--cutoff", "1000", "--hyp", "0,0.5"],
+    ["scan", "--N", "0", "--k1", "2", "--k2", "3"],
+    ["scan", "--N", "-5", "--k1", "2", "--k2", "3"],
+    ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--samples", "0"],
+    ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--samples", "-1"],
+    ["convolve", "--N", "0", "--kind1", "Lambda0", "--kind2", "Lambda0"],
+    ["bv", "--N", "500", "--Q", "0"],
+    ["bv", "--N", "500", "--Q", "5", "--P-list", "0"],
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2

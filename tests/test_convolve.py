@@ -13,7 +13,7 @@ from twinsieve.convolve import (
     exceptional_scan,
     exp_sum,
 )
-from twinsieve.ntt import ReconstructionOverflow, exact_convolve
+from twinsieve.ntt import ReconstructionOverflow, exact_convolve, roundoff_bound
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +98,34 @@ def test_float_vs_exact_deviation(table):
     N = 1 << 16
     vals = (rng.random(N + 1) < 0.3).astype(np.int64)
     a = ArithSequence(N, vals, "ind")
-    exact = convolve(a, a, "exact").values
-    flt = convolve(a, a, "float").values
+    exact = exact_convolve(vals[1:], vals[1:])
+    flt = convolve(a, a, "float").values[2:]
     assert np.abs(flt - exact).max() <= 1e-3
+
+
+@pytest.mark.parametrize("high", [2, 1000])
+def test_certified_float_path_equals_ntt(high):
+    # 0/1 and 0..999 inputs stay under the 1/4 bound, so exact mode runs
+    # the rounded FFT; the NTT is the oracle
+    rng = np.random.default_rng(high)
+    for j in range(1, 17):
+        for n in (2**j - 1, 2**j, 2**j + 1):
+            a = rng.integers(0, high, n + 1)
+            b = rng.integers(0, high, n + 1)
+            assert roundoff_bound(a[1:], b[1:]) < 0.25
+            got = convolve(ArithSequence(n, a, "a"), ArithSequence(n, b, "b"), "exact")
+            assert got.values.dtype == np.int64
+            assert np.array_equal(got.values[2:], exact_convolve(a[1:], b[1:])), n
+
+
+def test_uncertified_inputs_fall_back_to_ntt():
+    rng = np.random.default_rng(9)
+    vals = (2**25 - rng.integers(0, 1000, 65)).astype(np.int64)
+    assert roundoff_bound(vals[1:], vals[1:]) >= 0.25
+    seq = ArithSequence(64, vals, "big")
+    got = convolve(seq, seq, "exact").values
+    py = np.array([int(v) for v in vals[1:]], dtype=object)
+    assert got[2:].tolist() == np.convolve(py, py).tolist()
 
 
 def test_count_monotone_in_N(table):
