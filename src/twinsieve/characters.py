@@ -212,7 +212,8 @@ def quadratic_character(q: int) -> DirichletCharacter:
     return DirichletCharacter(q, tuple(odd), _two_part_for(a2))
 
 
-def character_group(q: int) -> list[DirichletCharacter]:
+@lru_cache(maxsize=64)
+def character_group(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) characters mod q, in a fixed deterministic order."""
     if not 1 <= q <= GROUP_BUDGET:
         raise ValueError(f"q={q} outside enumeration budget [1, {GROUP_BUDGET}]")
@@ -245,7 +246,7 @@ def character_group(q: int) -> list[DirichletCharacter]:
             rec(i + 1, acc + [_OddPart(p, a, e)])
 
     rec(0, [])
-    return chars
+    return tuple(chars)
 
 
 def conductor(chi: DirichletCharacter) -> int:

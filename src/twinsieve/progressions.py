@@ -57,9 +57,18 @@ def weight_array(weight: str, N: int, table: PrimeTable | None = None) -> np.nda
 
 
 def _residue_sums(w: np.ndarray, q: int) -> np.ndarray:
-    """R[r] = sum of w(n) over n = r mod q, n in [1, len(w))."""
-    n = np.arange(len(w))
-    return np.bincount(n % q, weights=w, minlength=q)[:q]
+    """R[r] = sum of w(n) over n = r mod q, n in [0, len(w)).
+
+    w is viewed without a copy as rows of q consecutive values.  For q >= 2
+    each column is summed row by row in increasing n and the short last row
+    is added last: the order of one sequential pass, so float sums equal it
+    bit for bit.  At q = 1 numpy sums the single contiguous column pairwise.
+    Integer w (mu) stays integer, and its sums are exact.
+    """
+    full = len(w) - len(w) % q
+    R = w[:full].reshape(-1, q).sum(axis=0)
+    R[: len(w) - full] += w[full:]
+    return R
 
 
 def psi_progression(

@@ -651,10 +651,10 @@ def suite_bv(full: bool = True) -> list[dict]:
                 if math.gcd(a, q) != 1:
                     continue
                 got = bv_discrepancy(N, q, a, P, "Lambda", table, w=wl)
-                u_vals = {r: u_P(r, a, q, P) for r in range(q) if math.gcd(r, q) == 1}
-                want = sum(
-                    wl[n] * u_vals.get(n % q, 0.0) for n in range(1, N + 1)
+                u = np.array(
+                    [u_P(r, a, q, P) if math.gcd(r, q) == 1 else 0.0 for r in range(q)]
                 )
+                want = float(np.dot(wl[1:], u[np.arange(1, N + 1) % q]))
                 worst = max(worst, abs(got - want))
                 if abs(got - want) > 1e-6:
                     loop_ok = False

@@ -31,13 +31,16 @@ def test_group_sizes_and_orders():
     assert len(character_group(1)) == 1
     g5 = character_group(5)
     assert len(g5) == 4
+    # cached per q, so the group is shared and must be immutable
+    assert isinstance(g5, tuple) and character_group(5) is g5
     assert sorted(chi.order() for chi in g5) == [1, 2, 4, 4]
     g8 = character_group(8)
     assert len(g8) == 4
     assert all(chi.is_real() for chi in g8)
     assert sum(chi.is_principal for chi in g8) == 1
-    with pytest.raises(ValueError):
-        character_group(10**6 + 1)
+    for _ in range(2):  # the budget error is raised on every call, not cached
+        with pytest.raises(ValueError):
+            character_group(10**6 + 1)
 
 
 def test_group_sizes_match_phi():

@@ -6,6 +6,7 @@ import pytest
 from twinsieve.arith import build_prime_table, factorize, mobius, von_mangoldt
 from twinsieve.characters import u_P
 from twinsieve.progressions import (
+    _residue_sums,
     bv_discrepancy,
     bv_profile,
     char_sum_table,
@@ -31,6 +32,27 @@ def test_weight_arrays(table):
         assert mu[n] == mobius(factorize(n, table))
     with pytest.raises(ValueError):
         weight_array("tau", 10, table)
+
+
+@pytest.mark.parametrize("weight", ["mu", "Lambda"])
+def test_residue_sums_match_definition(table, weight):
+    w = weight_array(weight, 1000, table)
+    for q in (1, 2, 7, 30, len(w) - 1, len(w), len(w) + 5):
+        want = [0] * q
+        for n, x in enumerate(w.tolist()):
+            want[n % q] += x
+        got = _residue_sums(w, q)
+        assert got.shape == (q,)
+        if weight == "mu":
+            assert np.issubdtype(got.dtype, np.integer)
+            assert got.tolist() == want
+        elif q == 1:
+            # one contiguous column: numpy sums it pairwise, not in n order
+            assert got[0] == pytest.approx(want[0], rel=len(w) * np.finfo(float).eps)
+        else:
+            assert got.tolist() == want
+            oracle = np.bincount(np.arange(len(w)) % q, weights=w, minlength=q)
+            assert np.array_equal(got, oracle)
 
 
 def test_psi_progression_examples(table):
