@@ -26,6 +26,7 @@ __all__ = [
     "tau_k",
     "big_omega",
     "omega_distinct",
+    "omega_counts",
     "radical",
     "arith_value",
     "smooth_rough_split",
@@ -144,6 +145,25 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
             e += 1
         pairs.append((p, e))
     return Factorization(tuple(pairs))
+
+
+def omega_counts(n: np.ndarray, table: PrimeTable, multiplicity: bool = True) -> np.ndarray:
+    """Omega(n), or the distinct-prime count omega(n) without ``multiplicity``,
+    at every entry of the 1-D integer array ``n`` (0 <= n <= table.limit;
+    0 and 1 give 0).  Divides out spf until every entry reaches 1, each
+    pass working only on the unfinished entries; the distinct count adds
+    1 only on a pass whose spf differs from the one before.
+    """
+    counts = np.zeros(len(n), dtype=np.int16)
+    idx = np.flatnonzero(n > 1)
+    rest, last = n[idx].astype(np.int32), np.zeros(len(idx), dtype=np.int32)
+    while len(idx):
+        p = table.spf[rest]
+        rest //= p
+        counts[idx] += multiplicity | (p != last)
+        keep = rest > 1
+        idx, rest, last = idx[keep], rest[keep], p[keep]
+    return counts
 
 
 def factorize_extended(n: int, table: PrimeTable) -> Factorization:

@@ -326,7 +326,7 @@ def _value_table(chi: DirichletCharacter) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
 def primitive_characters(f: int) -> tuple[DirichletCharacter, ...]:
     """All primitive characters of conductor exactly f."""
     return tuple(chi for chi in character_group(f) if conductor(chi) == f)

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import PrimeTable, default_table
+from .arith import PrimeTable, default_table, lambda_e3star, omega_counts
 from .ntt import exact_convolve, float_convolve, roundoff_bound
 from .singular import classical_goldbach_series, singular_series
 from .progressions import weight_array
-from .sieves import SieveWeights, _omega_counts, apply_sieve_range, rho_range
+from .sieves import SieveWeights, apply_sieve_range
 
 __all__ = [
     "ArithSequence",
@@ -47,18 +47,19 @@ class ArithSequence:
         return np.issubdtype(self.values.dtype, np.integer)
 
 
-def _almost_twin_support(
-    N: int, k: float, z: float, table: PrimeTable, omega: np.ndarray | None
-) -> np.ndarray:
-    """Mask on 0..N of the primes n such that n + 2 has at most k prime
-    factors and none <= z.  ``omega`` holds the factor counts of 0..N+2
-    (unused when k is inf); z <= 1 drops the roughness condition."""
-    sel = table.spf[: N + 1] == np.arange(N + 1)
-    sel[:2] = False
+def _almost_twin_support(N: int, k: float, z: float, table: PrimeTable) -> np.ndarray:
+    """Mask on 0..N of the primes p such that p + 2 has at most k prime
+    factors (with multiplicity) and none <= z; k = inf drops the factor
+    bound and z <= 1 the roughness condition."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
+    p = table.primes_upto(N)
     if k != math.inf:
-        sel[1:] &= omega[3 : N + 3] <= k
+        p = p[omega_counts(p + 2, table) <= k]
     if z > 1:
-        sel[1:] &= rho_range(N + 2, 1, z, table)[3 : N + 3] == 1
+        p = p[table.spf[p + 2] > z]
+    sel = np.zeros(N + 1, dtype=bool)
+    sel[p] = True
     return sel
 
 
@@ -89,27 +90,23 @@ def build_sequence(
     if kind == "Lambda":
         vals = weight_array("Lambda", N, table)
     elif kind == "Lambda0":
-        primes = _almost_twin_support(N, math.inf, 1.0, table, None)
+        primes = _almost_twin_support(N, math.inf, 1.0, table)
         vals = np.where(primes, weight_array("Lambda", N, table), 0.0)
     elif kind == "Lambda_k":
         if k is None:
             raise ValueError("Lambda_k needs k")
         if alpha is None:
             alpha = 1.0 / 15.0 if k == 2 else 1.0 / 10.0
-        omega = None if k == math.inf else _omega_counts(N + 2, table, True)
-        support = _almost_twin_support(N, k, N**alpha if alpha > 0 else 1.0, table, omega)
+        support = _almost_twin_support(N, k, N**alpha if alpha > 0 else 1.0, table)
         vals = np.where(support, weight_array("Lambda", N, table), 0.0)
     elif kind == "Lambda_E3star":
-        from .arith import lambda_e3star
-
         vals = np.zeros(N + 1)
-        counts = _omega_counts(N, table, True)
-        for n in np.nonzero(counts == 3)[0]:
+        for n in np.nonzero(omega_counts(np.arange(N + 1), table) == 3)[0]:
             vals[n] = lambda_e3star(int(n), N, table, eps=eps)
     elif kind == "sieve_twisted":
         if weights is None:
             raise ValueError("sieve_twisted needs weights")
-        primes = _almost_twin_support(N, math.inf, 1.0, table, None)
+        primes = _almost_twin_support(N, math.inf, 1.0, table)
         vals = np.where(primes, weight_array("Lambda", N, table), 0.0)
         vals = vals * apply_sieve_range(weights, N + 2)[2 : N + 3]
     else:
@@ -170,15 +167,10 @@ class ScanReport:
     ratio_histogram: dict
 
 
-def _direct_pair_count(
-    m: int, mask1: np.ndarray, mask2: np.ndarray
-) -> int:
-    """Ordered representations m = n1 + n2 with each n in its mask set."""
-    count = 0
-    for n1 in range(1, m):
-        if n1 < len(mask1) and mask1[n1] and 0 < m - n1 < len(mask2) and mask2[m - n1]:
-            count += 1
-    return count
+def _direct_pair_count(m: int, mask1: np.ndarray, mask2: np.ndarray) -> int:
+    """Ordered representations m = n1 + n2 with each n in its bool mask
+    set; the masks cover 0..N and m <= N + 1."""
+    return int(np.count_nonzero(mask1[1:m] & mask2[m - 1 : 0 : -1]))
 
 
 def exceptional_scan(
@@ -203,6 +195,8 @@ def exceptional_scan(
     """
     if N < 4 or sample_count < 1:
         raise ValueError(f"need N >= 4 and samples >= 1, got N={N}, samples={sample_count}")
+    if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
+        raise ValueError(f"roughness exponents must be finite, got {alpha1}, {alpha2}")
     table = table or default_table(max(N + 2, 1_100_000))
 
     def threshold(alpha):
@@ -214,22 +208,14 @@ def exceptional_scan(
     z1, c1 = threshold(alpha1)
     z2, c2 = threshold(alpha2)
 
-    omega = None
-    if k1 != math.inf or k2 != math.inf:
-        omega = _omega_counts(N + 2, table, True)
-    a1 = _almost_twin_support(N, k1, z1, table, omega).astype(np.int64)
-    a2 = _almost_twin_support(N, k2, z2, table, omega).astype(np.int64)
-    del omega  # free it before the transform, where memory peaks
-    seq1 = ArithSequence(N=N, values=a1, kind="ind1")
-    seq2 = ArithSequence(N=N, values=a2, kind="ind2")
+    mask1 = _almost_twin_support(N, k1, z1, table)
+    mask2 = _almost_twin_support(N, k2, z2, table)
+    seq1 = ArithSequence(N=N, values=mask1.astype(np.int64), kind="ind1")
+    seq2 = ArithSequence(N=N, values=mask2.astype(np.int64), kind="ind2")
     counts = convolve(seq1, seq2, "exact").values
 
-    candidates = np.arange(4, N + 1, 6)
-    exceptional = [int(m) for m in candidates if counts[m] == 0]
-    verified = all(
-        _direct_pair_count(m, a1.astype(bool), a2.astype(bool)) == 0
-        for m in exceptional
-    )
+    exceptional = (np.nonzero(counts[4 : N + 1 : 6] == 0)[0] * 6 + 4).tolist()
+    verified = all(_direct_pair_count(m, mask1, mask2) == 0 for m in exceptional)
 
     plain = k1 == math.inf and k2 == math.inf and z1 <= 1 and z2 <= 1
     rng = np.random.default_rng(seed)

@@ -59,10 +59,13 @@ def solve_linear_sieve_functions(s_max: float, h: float) -> LinearSieveFunctions
     beyond the closed windows come from trapezoidal integration of
     sF(s) = 3F(3) + int_3^s f(u-1) du and sf(s) = 4f(4) + int_4^s F(u-1) du.
     """
-    if s_max > 20:
-        raise ValueError("s_max capped at 20")
-    if s_max < 4:
-        raise ValueError(f"s_max={s_max} below 4: the junction check integrates up to s = 4")
+    if not 4 <= s_max <= 20:
+        raise ValueError(
+            f"s_max={s_max} outside [4, 20]: capped at 20, and the junction"
+            " check integrates up to s = 4"
+        )
+    if not 0 < h <= 1:
+        raise ValueError(f"step h={h} outside (0, 1]")
     if h > 1e-3:
         warnings.warn(f"step h={h} is coarse; accuracy targets assume h <= 1e-3")
     steps_per_unit = round(1.0 / h)

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .arith import PrimeTable, _divisors, default_table
+from .arith import PrimeTable, _divisors, default_table, omega_counts
 
 __all__ = [
     "SieveWeights",
@@ -191,21 +191,6 @@ def rho_range(N: int, w: float, z: float, table: PrimeTable) -> np.ndarray:
     return out
 
 
-def _omega_counts(N: int, table: PrimeTable, multiplicity: bool) -> np.ndarray:
-    """Omega(n) (or omega(n) without multiplicity) for n = 0..N."""
-    counts = np.zeros(N + 1, dtype=np.int16)
-    for p in table.primes_upto(N):
-        p = int(p)
-        if multiplicity:
-            pk = p
-            while pk <= N:
-                counts[pk::pk] += 1
-                pk *= p
-        else:
-            counts[p::p] += 1
-    return counts
-
-
 def curly_V(w: SieveWeights, g: LocalDensity | None = None) -> float:
     """Main-term functional sum of lambda_d * g(d) (default g = 1/phi)."""
     if g is None:
@@ -325,7 +310,7 @@ def p3_pointwise_check(
     vals = p3_minorant_range(N, eps, P, n_max, table)
     rho_P = rho_range(n_max, 1, P, table).astype(float)
     rho_z = rho_range(n_max, 1, z, table).astype(float)
-    in_p3 = (_omega_counts(n_max, table, count_multiplicity) <= 3).astype(float)
+    in_p3 = (omega_counts(np.arange(n_max + 1), table, count_multiplicity) <= 3).astype(float)
     lhs = vals * rho_P
     rhs = rho_z * in_p3
     bad = np.nonzero(lhs[1:] > rhs[1:] + 1e-9)[0] + 1

@@ -20,6 +20,8 @@ from twinsieve.arith import (
     lambda_e3star,
     lambda_weight,
     mobius,
+    omega_counts,
+    omega_distinct,
     radical,
     rough_indicator,
     smooth_rough_split,
@@ -211,6 +213,20 @@ def test_agreement_with_sieve_oracles_at_scale(table):
         assert big_omega(fac) == omega[n], n
         assert tau_k(fac, 2) == tau[n], n
         assert euler_phi2(fac) == phi2[n], n
+
+
+def test_omega_kernel_matches_factorize(small_table):
+    n = np.arange(10**4 + 1)
+    facs = [factorize(int(x), small_table) for x in n[1:]]
+    big = omega_counts(n, small_table)
+    distinct = omega_counts(n, small_table, multiplicity=False)
+    assert big[0] == distinct[0] == 0
+    assert np.array_equal(big[1:], [big_omega(f) for f in facs])
+    assert np.array_equal(distinct[1:], [omega_distinct(f) for f in facs])
+    # unsorted, with repeats and the empty products 0 and 1
+    idx = np.array([9973, 0, 1024, 1, 1024, 210, 9973, 12])
+    assert omega_counts(idx, small_table).tolist() == [1, 0, 10, 0, 10, 4, 1, 3]
+    assert omega_counts(idx, small_table, False).tolist() == [1, 0, 1, 0, 1, 4, 1, 2]
 
 
 def test_smooth_rough_split(small_table):

@@ -204,6 +204,13 @@ def test_config_file_overrides(tmp_path, capsys):
     ["convolve", "--N", "0", "--kind1", "Lambda0", "--kind2", "Lambda0"],
     ["bv", "--N", "500", "--Q", "0"],
     ["bv", "--N", "500", "--Q", "5", "--P-list", "0"],
+    ["sievefn", "--h", "0"],
+    ["sievefn", "--h", "2"],
+    ["sievefn", "--h", "-0.001"],
+    ["sievefn", "--smax", "nan"],
+    ["scan", "--N", "500", "--k1", "0", "--k2", "3"],
+    ["convolve", "--N", "500", "--kind1", "Lambda_k", "--kind2", "Lambda0", "--k", "0"],
+    ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "nan,0.1"],
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2

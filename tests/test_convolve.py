@@ -153,7 +153,6 @@ def test_exceptional_scan_small(table):
 def test_scan_supports_match_pointwise_weight(table, N, alpha1, alpha2):
     from twinsieve.arith import lambda_almost_twin
     from twinsieve.convolve import _almost_twin_support
-    from twinsieve.sieves import _omega_counts
 
     def pointwise(k, alpha):
         return np.array(
@@ -162,16 +161,27 @@ def test_scan_supports_match_pointwise_weight(table, N, alpha1, alpha2):
 
     rep = exceptional_scan(N, 2, 3, alpha1, alpha2, table, sample_count=8)
     assert rep.clamped == (N ** alpha2 < 3)
-    omega = _omega_counts(N + 2, table, True)
     masks = []
     for k, alpha, z in ((2, alpha1, rep.z1), (3, alpha2, rep.z2)):
         seq = build_sequence("Lambda_k", N, table, k=k, alpha=alpha, indicator=True)
         assert np.array_equal(seq.values != 0, pointwise(k, alpha))
         # a z raised to 3 sieves by {2, 3}, as N^alpha = 3.5 does
         want = pointwise(k, alpha if z > 3 else math.log(3.5) / math.log(N))
-        assert np.array_equal(_almost_twin_support(N, k, z, table, omega), want)
+        assert np.array_equal(_almost_twin_support(N, k, z, table), want)
         masks.append(want.astype(np.int64))
     assert np.array_equal(rep.counts[2:], np.convolve(masks[0][1:], masks[1][1:]))
+
+
+def test_e3star_sequence_matches_pointwise(table):
+    from twinsieve.arith import lambda_e3star
+
+    # eps = 0.05 puts primes in [N^(1/3 - eps), N^(1/3)], so both windows fill
+    N, eps = 20_000, 0.05
+    want = np.array([lambda_e3star(n, N, table, eps=eps) for n in range(N + 1)])
+    seq = build_sequence("Lambda_E3star", N, table, eps=eps)
+    assert np.array_equal(seq.values, want)
+    hit = np.flatnonzero(want)
+    assert set(np.round(want[hit] / np.log(hit), 9)) == {0.5, 1.0}
 
 
 def test_exceptional_scan_plain_goldbach(table):

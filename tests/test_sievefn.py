@@ -110,3 +110,12 @@ def test_chen_margin_report(fns):
 def test_coarse_grid_warns():
     with pytest.warns(UserWarning):
         solve_linear_sieve_functions(6.0, 0.01)
+
+
+@pytest.mark.parametrize("s_max, h, name", [
+    (6.0, 0.0, "h="), (6.0, 2.0, "h="), (6.0, -0.001, "h="),
+    (math.nan, 1e-3, "s_max="), (21.0, 1e-3, "s_max="), (3.0, 1e-3, "s_max="),
+])
+def test_out_of_range_grid_names_the_value(s_max, h, name):
+    with pytest.raises(ValueError, match=name):
+        solve_linear_sieve_functions(s_max, h)
