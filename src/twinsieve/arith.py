@@ -522,7 +522,9 @@ def heath_brown_terms(n: int, J: int, table: PrimeTable | None = None) -> float:
     Computes -sum_{1<=j<=J} (-1)^j C(J,j) sum over n = n_1...n_{2j} with
     n_i < n^(1/J) for i > j of log(n_1) mu(n_{j+1})...mu(n_{2j}).  The
     result must equal Lambda(n); the Mobius-restricted variables are
-    folded by Dirichlet convolution over the divisor lattice of n.
+    folded by Dirichlet convolution over the divisor lattice of n, held as
+    the exponent grid (e_1+1, ..., e_k+1): convolving with 1 is a cumsum
+    along each axis, with the restricted mu a few shifted adds.
 
     Every term is an integer combination of log p over p | n, so the
     bookkeeping runs on exact integer coefficient vectors and only the
@@ -533,56 +535,41 @@ def heath_brown_terms(n: int, J: int, table: PrimeTable | None = None) -> float:
     table = table or default_table()
     if n < 2 or n > table.limit:
         raise ValueError(f"n={n} outside [2, {table.limit}]")
-    primes = list(factorize(n, table).primes)
-    npr = len(primes)
-    divs = sorted(_divisors(factorize(n, table).pairs))
-    idx = {d: i for i, d in enumerate(divs)}
-    nd = len(divs)
-    # d < n^(1/J) decided exactly as d^J < n to avoid float boundary slips
-    mu_cut = np.array(
-        [mobius(factorize(d, table)) if d**J < n else 0 for d in divs],
-        dtype=np.int64,
-    )
-    # log d as the exponent vector of d over the primes of n
-    logvec = np.zeros((nd, npr), dtype=np.int64)
-    for i, d in enumerate(divs):
-        for t, (p, e) in enumerate(factorize(d, table).pairs):
-            logvec[i, primes.index(p)] = e
+    pairs = factorize(n, table).pairs
+    primes = [p for p, _ in pairs]
+    # divisors d of n on their exponent grid: log d is the grid coordinate
+    # (as a vector over the primes of n) and n / d is the flipped index
+    shape = tuple(e + 1 for _, e in pairs)
+    k = len(shape)
+    # restricted mu lives on the squarefree corner {0, 1}^k; d < n^(1/J) is
+    # decided exactly as d^J < n to avoid float boundary slips
+    mu_cut = {}
+    for a in np.ndindex((2,) * k):
+        if math.prod(p**ai for p, ai in zip(primes, a)) ** J < n:
+            mu_cut[a] = (-1) ** sum(a)
 
-    def dconv_scalar(a, b):
-        out = np.zeros(nd, dtype=np.int64)
-        for i, d in enumerate(divs):
-            if a[i] == 0:
-                continue
-            for jj, e in enumerate(divs):
-                if b[jj] == 0:
-                    continue
-                pos = idx.get(d * e)
-                if pos is not None:
-                    out[pos] += a[i] * b[jj]
-        return out
-
-    def dconv_vec_by_ones(A):
-        # convolve a vector-valued array with the all-ones scalar array
+    def conv_mu(A):
         out = np.zeros_like(A)
-        for i, d in enumerate(divs):
-            if not A[i].any():
-                continue
-            for jj, e in enumerate(divs):
-                pos = idx.get(d * e)
-                if pos is not None:
-                    out[pos] += A[i]
+        for a, sign in mu_cut.items():
+            dst = tuple(slice(ai, None) for ai in a)
+            out[dst] += sign * A[tuple(slice(m - ai) for m, ai in zip(shape, a))]
         return out
 
-    total_vec = np.zeros(npr, dtype=np.int64)
-    m_conv = None  # j-fold convolution of restricted mu (integer)
-    l_conv = None  # j-fold convolution of (log, 1, 1, ...) as coefficient rows
+    def conv_ones(A):
+        for axis in range(k):
+            A = np.cumsum(A, axis=axis)
+        return A
+
+    flip = (slice(None, None, -1),) * k
+    total_vec = np.zeros(k, dtype=np.int64)
+    m_conv = np.zeros(shape, dtype=np.int64)  # j-fold convolution of restricted mu
+    m_conv[(0,) * k] = 1
+    # j-fold convolution of (log, 1, 1, ...) as coefficient rows, from log d
+    l_conv = np.moveaxis(np.indices(shape, dtype=np.int64), 0, -1)
     for j in range(1, J + 1):
-        m_conv = mu_cut if m_conv is None else dconv_scalar(m_conv, mu_cut)
-        l_conv = logvec.copy() if l_conv is None else dconv_vec_by_ones(l_conv)
-        inner = np.zeros(npr, dtype=np.int64)
-        for i, d in enumerate(divs):
-            if m_conv[i]:
-                inner += m_conv[i] * l_conv[idx[n // d]]
+        m_conv = conv_mu(m_conv)
+        if j > 1:
+            l_conv = conv_ones(l_conv)
+        inner = np.tensordot(m_conv, l_conv[flip], axes=k)
         total_vec -= (-1) ** j * math.comb(J, j) * inner
     return float(sum(int(c) * math.log(p) for c, p in zip(total_vec, primes)))

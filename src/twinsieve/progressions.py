@@ -121,28 +121,35 @@ def char_sum_table(
     return CharSumTable(N=N, P=P, weight=weight, entries=entries, characters=chars)
 
 
-def _discrepancies(R: np.ndarray, q: int, P: float) -> np.ndarray:
-    """disc[a] = sum_n w(n) u_P(n a^-1; q) for every residue a mod q.
+def _discrepancies(R: np.ndarray, q: int, P_list) -> np.ndarray:
+    """disc[i, a] = sum_n w(n) u_P(n a^-1; q) with P = P_list[i], all a mod q.
 
-    ``R`` holds the residue sums of w mod q.  Each character mod q with
-    conductor f <= P (f a divisor of q) contributes its induced sum
-    restricted to n coprime to q (the imprimitivity correction is exact:
-    the value table of the induced character vanishes on non-units).
+    ``R`` holds the residue sums of w mod q and ``P_list`` is increasing.
+    Each character mod q with conductor f <= P (f a divisor of q)
+    contributes its induced sum restricted to n coprime to q (the
+    imprimitivity correction is exact: the value table of the induced
+    character vanishes on non-units).  One walk over the conductors in
+    increasing order adds each correction once and snapshots a row per P.
     Non-units a get 0.
     """
     r = np.arange(q)
     coprime = np.gcd(r, q) == 1
     phi = int(np.count_nonzero(coprime))
     corr = np.zeros(q, dtype=complex)
-    for f in sorted(_divisors(_factor_pp(q))):
-        if f > P:
-            break
-        for chi_star in primitive_characters(f):
-            induced = np.where(coprime, _value_table(chi_star)[r % f], 0)
-            corr += np.conj(induced) * np.dot(induced, R)
-    if np.any(np.abs(corr.imag) >= 1e-6 * (np.abs(corr.real) + 1)):
-        raise ValueError(f"character correction mod {q} is not real")
-    return np.where(coprime, R - corr.real / phi, 0.0)
+    conductors = iter(sorted(_divisors(_factor_pp(q))))
+    f = next(conductors)
+    rows = []
+    for P in P_list:
+        while f is not None and f <= P:
+            rf = r % f
+            for chi_star in primitive_characters(f):
+                induced = np.where(coprime, _value_table(chi_star)[rf], 0)
+                corr += np.conj(induced) * np.dot(induced, R)
+            f = next(conductors, None)
+        if np.any(np.abs(corr.imag) >= 1e-6 * (np.abs(corr.real) + 1)):
+            raise ValueError(f"character correction mod {q} is not real")
+        rows.append(np.where(coprime, R - corr.real / phi, 0.0))
+    return np.array(rows)
 
 
 def bv_discrepancy(
@@ -161,7 +168,7 @@ def bv_discrepancy(
         w = weight_array(weight, N, table)
     if q == 1:
         return 0.0
-    return float(_discrepancies(_residue_sums(w, q), q, P)[a % q])
+    return float(_discrepancies(_residue_sums(w, q), q, [P])[0, a % q])
 
 
 def bv_profile(
@@ -188,8 +195,7 @@ def bv_profile(
             continue
         R = _residue_sums(w, q)
         units = np.nonzero(np.gcd(np.arange(q), q) == 1)[0]
-        for P in P_list:
-            disc = _discrepancies(R, q, P)
+        for P, disc in zip(P_list, _discrepancies(R, q, P_list)):
             best = units[np.argmax(np.abs(disc[units]))]
             rows.append(
                 {

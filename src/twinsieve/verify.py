@@ -210,32 +210,31 @@ def _festi_sweep(pp_max: int = 125) -> dict:
         while p**alpha <= pp_max:
             moduli.append((p, alpha))
             alpha += 1
-    bad = []
+    bad = 0
     for p, alpha in moduli:
         q = p**alpha
         chars = character_group(q)
-        a = np.arange(q)
-        coprime = np.gcd(a, q) == 1
+        coprime = np.gcd(np.arange(q), q) == 1
         Econj = np.conjugate(_phase_matrix(q))
-        cvecs = {}
-        for idx, chi in enumerate(chars):
-            for j in (1, p):
-                cvecs[(idx, j)] = _restricted_c_all(chi, j)
-        for i1, chi1 in enumerate(chars):
-            for i2, chi2 in enumerate(chars):
-                conj_pair = chi1 == chi2.conjugate()
-                for j1 in (1, p):
-                    for j2 in (1, p):
-                        prod = cvecs[(i1, j1)] * cvecs[(i2, j2)]
-                        prod = np.where(coprime, prod, 0)
-                        F_all = Econj @ prod
-                        bound = _festi_bound(p, alpha, j1, j2, conj_pair)
-                        if np.any(np.abs(F_all) > bound + 1e-6):
-                            bad.append((q, i1, i2, j1, j2))
+        index = {chi: k for k, chi in enumerate(chars)}
+        conj = [index[chi.conjugate()] for chi in chars]
+        conj_pair = np.eye(len(chars), dtype=bool)[conj]  # chi1 == conj(chi2)
+        # (phi, q) stacks of restricted sums; F for every pair is one product
+        C = {j: np.array([_restricted_c_all(chi, j) for chi in chars]) for j in (1, p)}
+        for j1 in (1, p):
+            C1 = np.where(coprime, C[j1], 0)
+            for j2 in (1, p):
+                F_all = (C1[:, None] * C[j2][None]) @ Econj
+                bound = np.where(
+                    conj_pair[:, :, None],
+                    _festi_bound(p, alpha, j1, j2, True),
+                    _festi_bound(p, alpha, j1, j2, False),
+                )
+                bad += int(np.any(np.abs(F_all) > bound + 1e-6, axis=2).sum())
     return _check(
         "restricted-kernel magnitude bounds at prime powers <= 125",
         not bad,
-        f"{len(bad)} violations" if bad else "all pairs within bounds",
+        f"{bad} violations" if bad else "all pairs within bounds",
     )
 
 

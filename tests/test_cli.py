@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,28 @@ def run_cli(args):
 def load_report(out_dir, command):
     with open(Path(out_dir) / f"{command}.json") as fh:
         return json.load(fh)
+
+
+def test_cli_imports_numpy_and_the_standard_library_only():
+    # every CLI launch pays for its imports; a quadrature library here once
+    # cost half of a one-second scan
+    import twinsieve
+
+    src = str(Path(twinsieve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import twinsieve.cli\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'twinsieve'}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_scan_subcommand(tmp_path):

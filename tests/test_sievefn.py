@@ -67,10 +67,18 @@ def test_p3_margin_positive(fns):
 
 
 def test_chen_constants_identity():
-    c = chen_constants(1e-3)
-    assert c.c_B1 > 0 and c.c_B2 > 0
-    assert c.c_E3star == 0.5 * c.c_B1 + c.c_B2
-    assert c.quad_error <= 1e-6
+    # pinned values from an adaptive 2-D quadrature (epsabs = epsrel = 1e-12)
+    pinned = {
+        1e-3: (0.4987702495909776, 2.025013657962366e-05),
+        5e-3: (0.5292591048557737, 0.0005063351107800683),
+    }
+    for eps, (c_b1, c_b2) in pinned.items():
+        c = chen_constants(eps)
+        assert c.c_B1 > 0 and c.c_B2 > 0
+        assert c.c_E3star == 0.5 * c.c_B1 + c.c_B2
+        assert c.quad_error <= 1e-6
+        assert c.c_B1 == pytest.approx(c_b1, rel=1e-12, abs=0)
+        assert c.c_B2 == pytest.approx(c_b2, rel=1e-12, abs=0)
 
 
 def test_chen_constants_vs_monte_carlo():
