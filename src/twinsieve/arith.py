@@ -116,9 +116,7 @@ def build_prime_table(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> PrimeTa
     rest = np.nonzero(spf[2:] == 0)[0] + 2
     spf[rest] = rest
     spf[1] = 1
-    primes = np.nonzero(spf == np.arange(limit + 1, dtype=np.int64))[0]
-    primes = primes[primes >= 2]
-    return PrimeTable(limit=limit, primes=primes, spf=spf)
+    return PrimeTable(limit=limit, primes=rest, spf=spf)
 
 
 @lru_cache(maxsize=4)

@@ -2,7 +2,8 @@
 
 Every subcommand writes a JSON report {command, config, results,
 provenance: {version, seed, runtime_ms}} plus subcommand-specific CSV
-artifacts.  All computation is deterministic under a fixed seed; the
+artifacts; scan adds a top-level ``trace`` with the engine facts of its
+exact product.  All computation is deterministic under a fixed seed; the
 thread-count knob is accepted for interface stability (the engines are
 deterministic regardless of it), so artifacts are byte-stable apart from
 the volatile runtime_ms field.
@@ -55,7 +56,7 @@ def _write_csv(path: Path, header: list[str], rows, enabled: bool = True) -> Non
 
 
 def _write_report(out_dir: Path, command: str, config: dict, results: dict,
-                  seed: int, t0: float) -> Path:
+                  seed: int, t0: float, trace: dict | None = None) -> Path:
     report = {
         "command": command,
         "config": config,
@@ -66,6 +67,8 @@ def _write_report(out_dir: Path, command: str, config: dict, results: dict,
             "runtime_ms": int((time.perf_counter() - t0) * 1000),
         },
     }
+    if trace is not None:
+        report["trace"] = trace
     path = out_dir / f"{command}.json"
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -258,7 +261,7 @@ def _cmd_scan(args, out_dir: Path, t0: float) -> int:
         "rough": args.rough, "exact": args.exact, "cutoff": args.cutoff,
         "samples": args.samples, "threads": args.threads,
     }
-    _write_report(out_dir, "scan", config, results, args.seed, t0)
+    _write_report(out_dir, "scan", config, results, args.seed, t0, trace=rep.trace)
     return 0
 
 

@@ -3,7 +3,9 @@
 Sequences live on [1, N] as dense arrays; convolutions land on [2, 2N].
 Exact mode (bit-exact integer counts) backs the exceptional scans: an m
 is only declared representation-free after the integer count is zero AND
-a direct prime-pair search confirms it.
+a direct prime-pair search confirms it.  Every prime n > 3 is 1 or 5 mod
+6, so the scans convolve only those residue-class slices, packed into one
+sequence per side, and add n in {2, 3} as shifted copies.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import PrimeTable, default_table, lambda_e3star, omega_counts
+from .arith import PrimeTable, default_table, omega_counts
 from .ntt import exact_convolve, float_convolve, roundoff_bound
 from .singular import classical_goldbach_series, singular_series
 from .progressions import weight_array
@@ -100,9 +102,7 @@ def build_sequence(
         support = _almost_twin_support(N, k, N**alpha if alpha > 0 else 1.0, table)
         vals = np.where(support, weight_array("Lambda", N, table), 0.0)
     elif kind == "Lambda_E3star":
-        vals = np.zeros(N + 1)
-        for n in np.nonzero(omega_counts(np.arange(N + 1), table) == 3)[0]:
-            vals[n] = lambda_e3star(int(n), N, table, eps=eps)
+        vals = _e3star_values(N, eps, table)
     elif kind == "sieve_twisted":
         if weights is None:
             raise ValueError("sieve_twisted needs weights")
@@ -114,6 +114,44 @@ def build_sequence(
     if indicator:
         vals = (vals != 0).astype(np.int64)
     return ArithSequence(N=N, values=vals, kind=kind + ("_ind" if indicator else ""))
+
+
+def _e3star_values(N: int, eps: float, table: PrimeTable) -> np.ndarray:
+    """``arith.lambda_e3star`` at every n in 0..N.  The Omega = 3 entries
+    n = q1 q2 q3 (q1 <= q2 <= q3, peeled off with spf) meet the windows
+    with the same float expressions; the cofactor p3 is tried as q1, q2,
+    q3 in that order and the first match wins."""
+    n = np.flatnonzero(omega_counts(np.arange(N + 1), table) == 3)
+    q1 = table.spf[n].astype(np.int64)
+    q2 = table.spf[n // q1].astype(np.int64)
+    q3 = n // q1 // q2
+    t10 = N ** (1.0 / 10.0)
+    t13 = N ** (1.0 / 3.0 - eps)
+    cls = np.zeros(len(n), dtype=np.int8)
+    rough = q1 >= t10  # every factor >= N^(1/10); q1 is the least
+    for p1, p2 in ((q2, q3), (q1, q3), (q1, q2)):  # cofactor q1, q2, q3
+        top = rough & (cls == 0) & (p2 <= np.sqrt(N / p1))
+        cls[top & (t10 <= p1) & (p1 < t13) & (t13 < p2)] = 1
+        cls[top & (t13 <= p1) & (p1 <= p2)] = 2
+    vals = np.zeros(N + 1)
+    for c, w in ((1, 0.5), (2, 1.0)):
+        hit = n[cls == c]
+        vals[hit] = [w * math.log(m) for m in hit.tolist()]
+    return vals
+
+
+def _exact_counts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Bit-exact convolution of two nonnegative integer arrays: the float
+    FFT rounded to integers when ``ntt.roundoff_bound`` certifies it (below
+    1/4), else the NTT.  Also returns the engine facts: which engine ran,
+    its power-of-two transform length and the bound."""
+    bound = roundoff_bound(a, b)
+    if bound < 0.25:
+        conv, engine = np.rint(float_convolve(a, b)).astype(np.int64), "float"
+    else:
+        conv, engine = exact_convolve(a, b), "ntt"
+    size = 1 << max(len(a) + len(b) - 2, 0).bit_length()
+    return conv, {"engine": engine, "transform_len": size, "roundoff_bound": bound}
 
 
 def convolve(f: ArithSequence, g: ArithSequence, mode: str = "float") -> ArithSequence:
@@ -133,10 +171,7 @@ def convolve(f: ArithSequence, g: ArithSequence, mode: str = "float") -> ArithSe
         a, b = f.values[1:], g.values[1:]
         if np.any(a < 0) or np.any(b < 0):
             raise ValueError("exact mode expects nonnegative integer inputs")
-        if roundoff_bound(a, b) < 0.25:
-            conv = np.rint(float_convolve(a, b)).astype(np.int64)
-        else:
-            conv = exact_convolve(a, b)
+        conv = _exact_counts(a, b)[0]
     elif mode == "float":
         conv = float_convolve(f.values[1:], g.values[1:])
     else:
@@ -165,6 +200,59 @@ class ScanReport:
     ratios: np.ndarray = field(repr=False)
     fitted_constant: float
     ratio_histogram: dict
+    trace: dict
+
+
+def _class_counts(mask1: np.ndarray, mask2: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Pair counts c[m] = #{n1 + n2 = m : mask1[n1], mask2[n2]} on 0..2N for
+    two bool masks on 0..N supported on {2, 3} and n = +-1 mod 6.
+
+    n in {2, 3} enter as shifted copies of the other mask.  The classes r in
+    (1, 5) that either mask uses are packed into one sequence per mask, with
+    stride s = 1 for one class and 3 for two: n = 6i + r_c sits at s*i + c.
+    Slot sums c1 + c2 <= 2 < s never collide, so output s*j + c1 + c2 holds
+    m = 6j + r_c1 + r_c2, and one certified exact product (``_exact_counts``)
+    of a third to a sixth the full length gives every count.  Returns the
+    counts and that product's engine facts, with the classes and stride
+    (engine None and length 0 when neither mask holds an n > 3).
+    """
+    N = len(mask1) - 1
+    if len(mask2) != N + 1:
+        raise ValueError("masks must share N")
+    for mask in (mask1, mask2):  # n = 0, 4 mod 6, or 2, 3 mod 6 past 3
+        if mask[0::6].any() or mask[4::6].any() or mask[8::6].any() or mask[9::6].any():
+            raise ValueError("mask support must lie in {2, 3} and n = +-1 mod 6")
+    counts = np.zeros(2 * N + 1, dtype=np.int64)
+    small1 = [n for n in (2, 3) if n <= N and mask1[n]]
+    small2 = [n for n in (2, 3) if n <= N and mask2[n]]
+    for n in small1:
+        counts[n : n + N + 1] += mask2
+    for n in small2:
+        counts[n : n + N + 1] += mask1
+    for n1 in small1:  # the (2|3, 2|3) pairs were added by both loops
+        for n2 in small2:
+            counts[n1 + n2] -= 1
+    classes = [r for r in (1, 5) if mask1[r::6].any() or mask2[r::6].any()]
+    trace = {"classes": classes, "stride": 0, "engine": None,
+             "transform_len": 0, "roundoff_bound": 0.0}
+    if not classes:
+        return counts, trace
+    s = 1 if len(classes) == 1 else 3
+    slots = len(range(classes[0], N + 1, 6))
+    packed = []
+    for mask in (mask1, mask2):
+        x = np.zeros(s * slots, dtype=np.int64)
+        for c, r in enumerate(classes):
+            col = mask[r::6]
+            x[c::s][: len(col)] = col
+        packed.append(x)
+    conv, facts = _exact_counts(*packed)
+    for t in range(2 * len(classes) - 1):  # slot sum t lands on m = 2 r_0 + 4t mod 6
+        dest, src = counts[2 * classes[0] + 4 * t :: 6], conv[t::s]
+        n = min(len(dest), len(src))  # src past 2N holds no pairs
+        dest[:n] += src[:n]
+    trace.update(stride=s, **facts)
+    return counts, trace
 
 
 def _direct_pair_count(m: int, mask1: np.ndarray, mask2: np.ndarray) -> int:
@@ -186,9 +274,13 @@ def exceptional_scan(
 ) -> ScanReport:
     """Scan m = 4 mod 6 up to N for missing two-prime representations.
 
-    Convolves the two indicator sequences (primes n with n+2 almost-prime
-    and rough past N^alpha_i) in exact mode; every m with zero count is
-    re-verified by a direct pair search.  Prediction ratios against the
+    Counts the pairs of the two indicator masks (primes n with n+2
+    almost-prime and rough past N^alpha_i) exactly on 0..2N with
+    ``_class_counts``: one certified product of the packed +-1 mod 6
+    slices (class 5 only once n+2 is rough past 3), plus n in {2, 3} as
+    shifted copies.  Every m with zero count is re-verified by a direct
+    pair search.  ``trace`` holds the product's engine facts and the
+    number of m re-verified.  Prediction ratios against the
     appropriate singular series times m/log^2 m are attached for a seeded
     sample of m (all even m in a plain scan, else m = 4 mod 6); the
     proportionality constant is fitted, not assumed.
@@ -210,12 +302,11 @@ def exceptional_scan(
 
     mask1 = _almost_twin_support(N, k1, z1, table)
     mask2 = _almost_twin_support(N, k2, z2, table)
-    seq1 = ArithSequence(N=N, values=mask1.astype(np.int64), kind="ind1")
-    seq2 = ArithSequence(N=N, values=mask2.astype(np.int64), kind="ind2")
-    counts = convolve(seq1, seq2, "exact").values
+    counts, trace = _class_counts(mask1, mask2)
 
     exceptional = (np.nonzero(counts[4 : N + 1 : 6] == 0)[0] * 6 + 4).tolist()
-    verified = all(_direct_pair_count(m, mask1, mask2) == 0 for m in exceptional)
+    verified = sum(_direct_pair_count(m, mask1, mask2) for m in exceptional) == 0
+    trace["reverified"] = len(exceptional)
 
     plain = k1 == math.inf and k2 == math.inf and z1 <= 1 and z2 <= 1
     rng = np.random.default_rng(seed)
@@ -259,6 +350,7 @@ def exceptional_scan(
         ratios=ratios,
         fitted_constant=fitted,
         ratio_histogram={f"[{a},{b})": int(h) for a, b, h in zip(edges, edges[1:], hist)},
+        trace=trace,
     )
 
 

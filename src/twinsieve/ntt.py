@@ -145,5 +145,5 @@ def float_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     while size < out_len:
         size *= 2
     fa = np.fft.rfft(a, size)
-    fb = np.fft.rfft(b, size)
-    return np.fft.irfft(fa * fb, size)[:out_len]
+    fa *= np.fft.rfft(b, size)
+    return np.fft.irfft(fa, size)[:out_len]

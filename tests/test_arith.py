@@ -48,6 +48,13 @@ def test_prime_table_smallest_cases():
     assert list(t2.primes) == [2]
 
 
+def test_prime_table_primes_match_trial_division():
+    for limit in range(2, 201):
+        want = [n for n in range(2, limit + 1)
+                if all(n % d for d in range(2, math.isqrt(n) + 1))]
+        assert build_prime_table(limit).primes.tolist() == want, limit
+
+
 def test_prime_table_limits():
     with pytest.raises(ConfigurationError):
         build_prime_table(1)

@@ -56,6 +56,22 @@ def test_scan_subcommand(tmp_path):
     assert len(csv_text) > 1
 
 
+def test_scan_trace_names_the_engine_and_its_bound(tmp_path):
+    assert run_cli([
+        "scan", "--N", "2000", "--k1", "2", "--k2", "3",
+        "--rough", "0.0667,0.1", "--out", str(tmp_path),
+    ]) == 0
+    rep = load_report(tmp_path, "scan")
+    assert set(rep) == {"command", "config", "results", "provenance", "trace"}
+    trace = rep["trace"]
+    # the rounded float FFT is exact only under a certified bound below 1/4
+    assert trace["engine"] == "float"
+    assert 0 < trace["roundoff_bound"] < 0.25
+    assert trace["classes"] == [5] and trace["stride"] == 1
+    assert trace["transform_len"] == 1024  # 2 * 333 - 1 outputs, up to a power of two
+    assert trace["reverified"] == len(rep["results"]["exceptional"])
+
+
 def test_scan_predictions_use_the_full_cutoff(tmp_path):
     # N + 2 < cutoff: the CLI's prime table must still reach the cutoff
     from twinsieve.arith import build_prime_table

@@ -184,6 +184,59 @@ def test_e3star_sequence_matches_pointwise(table):
     assert set(np.round(want[hit] / np.log(hit), 9)) == {0.5, 1.0}
 
 
+def test_e3star_sequence_matches_pointwise_default_eps(table):
+    from twinsieve.arith import lambda_e3star
+
+    N = 100_000
+    want = np.array([lambda_e3star(n, N, table) for n in range(N + 1)])
+    assert np.count_nonzero(want)
+    assert np.array_equal(build_sequence("Lambda_E3star", N, table).values, want)
+
+
+# (k, z) of each mask; z <= 1 drops the roughness condition and z = 3 is
+# the value a clamped N^alpha is raised to
+MASKS = {
+    "rough": ((2, 5.0), (3, 3.5)),
+    "alpha0_finite_k": ((2, 1.0), (3, 1.0)),
+    "plain": ((math.inf, 1.0), (math.inf, 1.0)),
+    "mixed": ((2, 3.5), (math.inf, 1.0)),
+    "clamped": ((2, 3.0), (3, 3.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MASKS))
+def test_class_counts_match_full_convolution(table, kind):
+    from twinsieve.convolve import _almost_twin_support, _class_counts
+
+    # every N mod 6, N < 12 included, and two larger N
+    for N in [*range(4, 18), 1000, 5000]:
+        m1, m2 = (_almost_twin_support(N, k, z, table) for k, z in MASKS[kind])
+        counts, trace = _class_counts(m1, m2)
+        a, b = m1[1:].astype(np.int64), m2[1:].astype(np.int64)
+        assert counts.shape == (2 * N + 1,) and not counts[:2].any()
+        assert np.array_equal(counts[2:], exact_convolve(a, b)), (kind, N)
+        assert np.array_equal(counts[2:], np.convolve(a, b)), (kind, N)
+        assert trace["stride"] == {0: 0, 1: 1, 2: 3}[len(trace["classes"])]
+        if kind in ("rough", "clamped"):  # rough past 3 leaves class 5 only
+            assert trace["classes"] == ([5] if N >= 5 else [])
+        if kind == "plain" and N >= 7:
+            assert trace["classes"] == [1, 5]
+        if trace["classes"]:
+            assert trace["engine"] == "float" and trace["roundoff_bound"] < 0.25
+
+
+@pytest.mark.parametrize("n", [0, 4, 6, 8, 9, 12])
+def test_class_counts_reject_support_off_the_classes(n):
+    from twinsieve.convolve import _class_counts
+
+    mask = np.zeros(20, dtype=bool)
+    mask[[2, 3, 5, 7]] = True
+    _class_counts(mask, mask)
+    mask[n] = True
+    with pytest.raises(ValueError):
+        _class_counts(mask, np.zeros(20, dtype=bool))
+
+
 def test_exceptional_scan_plain_goldbach(table):
     rep = exceptional_scan(100, math.inf, math.inf, 0, 0, table)
     assert rep.verified
