@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _factor_pp, _primitive_root, _radical, _valuation, default_table, factorize
+from .arith import _factor_pp, _primitive_root, _radical, _valuation
 
 __all__ = [
     "DirichletCharacter",
@@ -632,10 +632,10 @@ class ExceptionalZeroHypothesis:
         rr = r >> t
         if t not in (0, 2, 3):
             raise ValueError(f"2-adic valuation of r must be 0, 2 or 3, got {t}")
-        fac = factorize(rr, default_table(max(rr, 10)))
-        if any(e > 1 for _, e in fac.pairs):
+        pairs = _factor_pp(rr)
+        if any(e > 1 for _, e in pairs):
             raise ValueError("odd part of r must be squarefree")
-        odd = tuple(_OddPart(p, 1, (p - 1) // 2) for p, _ in fac.pairs)
+        odd = tuple(_OddPart(p, 1, (p - 1) // 2) for p, _ in pairs)
         tp = None
         if t == 2:
             tp = _TwoPart(2, 1, 0)

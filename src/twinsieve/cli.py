@@ -6,7 +6,9 @@ artifacts; scan adds a top-level ``trace`` with the engine facts of its
 exact product.  All computation is deterministic under a fixed seed; the
 thread-count knob is accepted for interface stability (the engines are
 deterministic regardless of it), so artifacts are byte-stable apart from
-the volatile runtime_ms field.
+the volatile runtime_ms field.  argparse is the one parser and checker of
+flag values, for the command line and ``--config`` files alike; every bad
+value is a single ``error:`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -45,9 +47,7 @@ def _memory_budget() -> int:
     return max(int(raw) // 4, 1024)  # int32 entries
 
 
-def _write_csv(path: Path, header: list[str], rows, enabled: bool = True) -> None:
-    if not enabled:
-        return
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -55,46 +55,92 @@ def _write_csv(path: Path, header: list[str], rows, enabled: bool = True) -> Non
             writer.writerow([_fmt(x) for x in row])
 
 
-def _write_report(out_dir: Path, command: str, config: dict, results: dict,
-                  seed: int, t0: float, trace: dict | None = None) -> Path:
+# namespace entries reported elsewhere: the top-level command, provenance's
+# seed, and the directory the report itself is written to
+_NOT_ECHOED = ("command", "seed", "out")
+
+
+def _write_report(out_dir: Path, args: argparse.Namespace, results: dict,
+                  t0: float, trace: dict | None = None) -> None:
+    config = {
+        key: "inf" if value == math.inf else value
+        for key, value in vars(args).items()
+        if key not in _NOT_ECHOED
+    }
     report = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "results": results,
         "provenance": {
             "version": __version__,
-            "seed": seed,
+            "seed": args.seed,
             "runtime_ms": int((time.perf_counter() - t0) * 1000),
         },
     }
     if trace is not None:
         report["trace"] = trace
-    path = out_dir / f"{command}.json"
-    with open(path, "w") as fh:
+    with open(out_dir / f"{args.command}.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors reach main() as one ValueError, not usage and exit."""
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def _parse_k(text: str) -> float:
     if text in ("inf", "infinity", "none"):
         return math.inf
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'inf', got {text!r}") from None
+
+
+def _comma_separated(what: str, *types):
+    """type= converter for 'x,y,...': one field per type, or any number of ints."""
+
+    def convert(text: str) -> list:
+        parts = text.split(",")
+        kinds = types or (int,) * len(parts)
+        if len(parts) == len(kinds):
+            try:
+                return [kind(part) for kind, part in zip(kinds, parts)]
+            except ValueError:
+                pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return convert
+
+
+def _config_flags(path: str) -> list[str]:
+    """The --config file as flags: 'key = value' is --key=value, a bare 'key' is --key."""
+    flags = []
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        flag = "--" + key.strip().replace("_", "-")
+        flags.append(f"{flag}={value.strip()}" if eq else flag)
+    return flags
 
 
 def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory for artifacts")
-    sub.add_argument("--format", choices=["csv", "json"], default="csv",
-                     help="primary artifact format (JSON report always written)")
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     sub.add_argument("--threads", type=int, default=1,
                      help="worker count (accepted for config stability; engines are deterministic)")
     sub.add_argument("--config", default=None,
-                     help="key=value file overriding command-line flags")
+                     help="file of 'key = value' and bare 'flag' lines, applied after "
+                     "the command line's flags")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twinsieve",
         description="Desk-scale verification lab for binary Goldbach convolutions "
         "with almost twin primes.",
@@ -112,7 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k1", type=_parse_k, required=True, help="factor bound for n1+2 ('inf' allowed)")
     p.add_argument("--k2", type=_parse_k, required=True)
-    p.add_argument("--rough", default=None, help="a1,a2 roughness exponents (default off)")
+    p.add_argument("--rough", type=_comma_separated("two comma-separated exponents a1,a2",
+                                                     float, float),
+                   default=None, help="a1,a2 roughness exponents (default off)")
     p.add_argument("--exact", action="store_true",
                    help="accepted for config stability; counts are always exact (the "
                    "float FFT rounded under a certified roundoff bound, else the "
@@ -148,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--cutoff", type=int, default=100_000)
-    p.add_argument("--hyp", default=None, help="r,beta synthetic exceptional zero")
+    p.add_argument("--hyp", type=_comma_separated("r,beta (an integer and a number)", int, float),
+                   default=None, help="r,beta synthetic exceptional zero")
     p.add_argument("--N", type=int, default=10_000)
     p.add_argument("--P", type=int, default=100)
     _add_common(p)
@@ -160,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         + ", ".join(sorted(SUITES)) + ", or 'all'. Exit status is nonzero "
         "if any check fails. Artifact: verify.json pass report.",
     )
-    p.add_argument("--suite", default="all")
+    p.add_argument("--suite", choices=["all", *sorted(SUITES)], default="all")
     p.add_argument("--fast", action="store_true", help="reduced sweep sizes")
     p.add_argument("--weights-csv", default=None,
                    help="also export the sieve weights used by the sieves suite as CSV (d, lambda_d)")
@@ -187,49 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--P-list", default="1,10,100", dest="P_list")
+    p.add_argument("--P-list", type=_comma_separated("comma-separated integers"),
+                   default="1,10,100", dest="P_list")
     p.add_argument("--weight", choices=["Lambda", "mu"], default="mu")
     _add_common(p)
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Override args from the --config file, converting each value as its flag would."""
-    if not getattr(args, "config", None):
-        return
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in subs.choices[args.command]._actions}
-    for line in Path(args.config).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        action = actions.get(key)
-        if action is None or not hasattr(args, key):
-            raise ValueError(f"config file sets unknown key {key!r}")
-        if action.nargs == 0:  # store_true flag
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-            continue
-        try:
-            converted = action.type(value) if action.type else value
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
-            raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
-        if action.choices is not None and converted not in action.choices:
-            raise ValueError(
-                f"config key {key!r}: {value!r} is not one of {list(action.choices)}"
-            )
-        setattr(args, key, converted)
-
-
 def _cmd_scan(args, out_dir: Path, t0: float) -> int:
-    a1 = a2 = 0.0
-    if args.rough:
-        parts = args.rough.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"--rough takes two comma-separated exponents, got {args.rough!r}")
-        a1, a2 = float(parts[0]), float(parts[1])
+    a1, a2 = args.rough or (0.0, 0.0)
     table = build_prime_table(max(args.N + 2, args.cutoff, 1000), budget=_memory_budget())
     rep = exceptional_scan(
         args.N,
@@ -246,8 +261,7 @@ def _cmd_scan(args, out_dir: Path, t0: float) -> int:
         (int(m), int(rep.counts[int(m)]), float(p), float(r))
         for m, p, r in zip(rep.sampled_m, rep.predictions, rep.ratios)
     ]
-    _write_csv(out_dir / "scan.csv", ["m", "count", "prediction", "ratio"], rows,
-               enabled=args.format == "csv")
+    _write_csv(out_dir / "scan.csv", ["m", "count", "prediction", "ratio"], rows)
     results = {
         "exceptional": rep.exceptional,
         "exceptional_verified": rep.verified,
@@ -256,12 +270,7 @@ def _cmd_scan(args, out_dir: Path, t0: float) -> int:
         "ratio_histogram": rep.ratio_histogram,
         "samples": len(rows),
     }
-    config = {
-        "N": args.N, "k1": str(args.k1), "k2": str(args.k2),
-        "rough": args.rough, "exact": args.exact, "cutoff": args.cutoff,
-        "samples": args.samples, "threads": args.threads,
-    }
-    _write_report(out_dir, "scan", config, results, args.seed, t0, trace=rep.trace)
+    _write_report(out_dir, args, results, t0, trace=rep.trace)
     return 0
 
 
@@ -271,32 +280,20 @@ def _cmd_convolve(args, out_dir: Path, t0: float) -> int:
     s2 = build_sequence(args.kind2, args.N, table, k=args.k, indicator=args.indicator)
     conv = convolve(s1, s2, "exact" if args.exact else "float")
     ms = range(2, min(2 * args.N, args.limit * 2) + 1, 2)
-    _write_csv(
-        out_dir / "convolve.csv",
-        ["m", "value"],
-        [(m, conv.values[m]) for m in ms],
-        enabled=args.format == "csv",
-    )
+    _write_csv(out_dir / "convolve.csv", ["m", "value"], [(m, conv.values[m]) for m in ms])
     results = {
         "total_mass": float(conv.values.sum()),
         "max_value": float(conv.values.max()),
         "rows_written": len(list(ms)),
     }
-    config = {
-        "N": args.N, "kind1": args.kind1, "kind2": args.kind2,
-        "indicator": args.indicator, "exact": args.exact, "threads": args.threads,
-    }
-    _write_report(out_dir, "convolve", config, results, args.seed, t0)
+    _write_report(out_dir, args, results, t0)
     return 0
 
 
 def _cmd_sseries(args, out_dir: Path, t0: float) -> int:
     table = build_prime_table(max(args.cutoff, args.m + 4, 1000), budget=_memory_budget())
     sval = singular_series(args.m, args.cutoff, table)
-    hyp = None
-    if args.hyp:
-        r_str, beta_str = args.hyp.split(",")
-        hyp = ExceptionalZeroHypothesis.build(int(r_str), float(beta_str))
+    hyp = ExceptionalZeroHypothesis.build(*args.hyp) if args.hyp else None
     partial_primes = {2} | (set(hyp.odd_primes()) if hyp else set())
     s_partial = partial_singular_series(args.m, partial_primes, table)
     rep = main_term_M(args.m, args.N, args.P, hyp)
@@ -311,11 +308,7 @@ def _cmd_sseries(args, out_dir: Path, t0: float) -> int:
             k: v for k, v in rep.components.items() if not isinstance(v, dict)
         },
     }
-    config = {
-        "m": args.m, "cutoff": args.cutoff, "hyp": args.hyp,
-        "N": args.N, "P": args.P, "threads": args.threads,
-    }
-    _write_report(out_dir, "sseries", config, results, args.seed, t0)
+    _write_report(out_dir, args, results, t0)
     return 0
 
 
@@ -331,25 +324,15 @@ def _cmd_verify(args, out_dir: Path, t0: float) -> int:
         from .sieves import linear_sieve
 
         w = linear_sieve(10**4, 100, 10, "lower")
-        _write_csv(
-            Path(args.weights_csv),
-            ["d", "lambda_d"],
-            sorted(w.coefficients.items()),
-        )
+        _write_csv(Path(args.weights_csv), ["d", "lambda_d"], sorted(w.coefficients.items()))
     results = {"suite": args.suite, "passed": res["passed"], "checks": res["checks"]}
-    config = {"suite": args.suite, "fast": args.fast, "threads": args.threads}
-    _write_report(out_dir, "verify", config, results, args.seed, t0)
+    _write_report(out_dir, args, results, t0)
     return 0 if res["passed"] else 1
 
 
 def _cmd_sievefn(args, out_dir: Path, t0: float) -> int:
     fns = solve_linear_sieve_functions(args.smax, args.h)
-    _write_csv(
-        out_dir / "sievefn.csv",
-        ["s", "f", "F"],
-        zip(fns.s, fns.f, fns.F),
-        enabled=args.format == "csv",
-    )
+    _write_csv(out_dir / "sievefn.csv", ["s", "f", "F"], zip(fns.s, fns.f, fns.F))
     consts = chen_constants(args.eps)
     margins = chen_margin(fns, consts, args.eps)
     results = {
@@ -361,34 +344,22 @@ def _cmd_sievefn(args, out_dir: Path, t0: float) -> int:
         "quad_error": consts.quad_error,
         "chen_margins": margins,
     }
-    config = {"smax": args.smax, "h": args.h, "eps": args.eps, "threads": args.threads}
-    _write_report(out_dir, "sievefn", config, results, args.seed, t0)
+    _write_report(out_dir, args, results, t0)
     return 0
 
 
 def _cmd_bv(args, out_dir: Path, t0: float) -> int:
-    P_list = [int(x) for x in args.P_list.split(",")]
     table = build_prime_table(max(args.N, 1000), budget=_memory_budget())
-    rows = bv_profile(args.N, args.Q, P_list, args.weight, table)
+    rows = bv_profile(args.N, args.Q, args.P_list, args.weight, table)
     _write_csv(
         out_dir / "bv.csv",
         ["P", "q", "a_max", "discrepancy"],
         [(r["P"], r["q"], r["a_max"], r["discrepancy"]) for r in rows],
-        enabled=args.format == "csv",
     )
     totals = profile_totals(rows)
-    _write_csv(
-        out_dir / "bv_profile.csv",
-        ["P", "total"],
-        sorted(totals.items()),
-        enabled=args.format == "csv",
-    )
+    _write_csv(out_dir / "bv_profile.csv", ["P", "total"], sorted(totals.items()))
     results = {"totals": {str(k): v for k, v in sorted(totals.items())}}
-    config = {
-        "N": args.N, "Q": args.Q, "P_list": args.P_list,
-        "weight": args.weight, "threads": args.threads,
-    }
-    _write_report(out_dir, "bv", config, results, args.seed, t0)
+    _write_report(out_dir, args, results, t0)
     return 0
 
 
@@ -404,10 +375,12 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    t0 = time.perf_counter()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _apply_config_file(parser, args)
+        args = parser.parse_args(argv)
+        if args.config:  # appended last, so the file's values win
+            args = parser.parse_args(argv + _config_flags(args.config))
+        t0 = time.perf_counter()
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](args, out_dir, t0)

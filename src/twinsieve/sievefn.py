@@ -116,6 +116,13 @@ def _junction_error(s, f, F, h, steps_per_unit) -> float:
     return max(err_f, err_F)
 
 
+def _weighted_lower(fns: LinearSieveFunctions, s: float, upper: float, nodes: int) -> float:
+    """f(s) - (1/2) int_1^upper F(s - t)/t dt, trapezoid rule on ``nodes`` points."""
+    grid = np.linspace(1.0, upper, nodes)
+    vals = np.array([fns.F_at(s - t) / t for t in grid])
+    return fns.f_at(s) - 0.5 * float(np.trapezoid(vals, grid))
+
+
 def p3_margin(
     fns: LinearSieveFunctions,
     z_exp: float = 0.1,
@@ -129,10 +136,7 @@ def p3_margin(
         raise ValueError("margin parameters leave the computed grid")
     if upper <= 1.0:
         return fns.f_at(s)
-    grid = np.linspace(1.0, upper, 2001)
-    vals = np.array([fns.F_at(s - t) / t for t in grid])
-    integral = float(np.trapezoid(vals, grid))
-    return fns.f_at(s) - 0.5 * integral
+    return _weighted_lower(fns, s, upper, 2001)
 
 
 @dataclass(frozen=True)
@@ -197,16 +201,20 @@ def chen_constants_monte_carlo(
             results += [(0.0, 0.0)]
             continue
         t1 = rng.uniform(t1_lo, t1_hi, samples)
-        if which == "b1":
-            lo = np.full(samples, 1.0 / 3.0 - eps)
-        else:
-            lo = t1
+        lo = 1.0 / 3.0 - eps if which == "b1" else t1
         hi = np.minimum((1.0 - t1) / 2.0, 0.9 - t1)
-        t2_min = float(lo.min())
+        t2_min = float(np.min(lo))
         t2_max = float(hi.max())
         t2 = rng.uniform(t2_min, t2_max, samples)
         mask = (t2 >= lo) & (t2 <= hi)
-        vals = np.where(mask, 1.0 / (t1 * t2 * (1.0 - t1 - t2)), 0.0)
+        del hi, lo
+        # 1 / (t1 t2 (1 - t1 - t2)) in place: the same floats with fewer
+        # sample-sized temporaries alive at once
+        vals = t1 * t2
+        vals *= 1.0 - t1 - t2
+        del t1, t2
+        np.divide(1.0, vals, out=vals)
+        vals[~mask] = 0.0
         area = (t1_hi - t1_lo) * (t2_max - t2_min)
         mean = float(vals.mean())
         std = float(vals.std(ddof=1)) / math.sqrt(samples)
@@ -231,9 +239,7 @@ def chen_margin(
     """
     s = (0.5 - eps) * 15.0
     upper = (1.0 / 3.0 - eps) * 15.0
-    grid = np.linspace(1.0, upper, 4001)
-    vals = np.array([fns.F_at(s - t) / t for t in grid])
-    f_part = fns.f_at(s) - 0.5 * float(np.trapezoid(vals, grid))
+    f_part = _weighted_lower(fns, s, upper, 4001)
     return {
         "f_part": f_part,
         "margin_F4": f_part - consts.c_E3star * fns.F_at(4.0),

@@ -132,14 +132,8 @@ def _fmult_sweep(q_max: int = 200) -> dict:
             (quadratic_character(q), quadratic_character(q)),
         ]
         js = _all_j_divisors(q)
-        # all unitary splits q = q1 * q2 with q1 > 1, q2 > 1
-        splits = []
-        for mask in range(1, 2 ** len(fac) - 1):
-            q1 = 1
-            for i, (p, _) in enumerate(fac):
-                if mask >> i & 1:
-                    q1 *= p
-            splits.append((q1, q // q1))
+        # all unitary splits q = q1 * q2 with q1 > 1, q2 > 1 (1 and q come first and last)
+        splits = [(q1, q // q1) for q1 in _divisors(fac)[1:-1]]
         for chi1, chi2 in pairs:
             for j1 in js:
                 for j2 in js:
@@ -204,8 +198,7 @@ def _gauss_formula_sweep(q_max: int = 300) -> dict:
 
 def _festi_sweep(pp_max: int = 125) -> dict:
     moduli = []
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-              67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113):
+    for p in default_table().primes_upto(pp_max).tolist():
         alpha = 1
         while p**alpha <= pp_max:
             moduli.append((p, alpha))
@@ -367,9 +360,7 @@ def suite_sieves(full: bool = True) -> list[dict]:
     for _ in range(500):
         k = rng.randrange(1, 7)
         P_set = sorted(rng.sample(primes_pool, k))
-        divs = [1]
-        for p in P_set:
-            divs += [d * p for d in divs]
+        divs = _divisors((p, 1) for p in P_set)
         coeffs = {d: rng.uniform(-1, 1) for d in divs if rng.random() < 0.7}
         coeffs[1] = coeffs.get(1, 1.0)
         lam = SieveWeights(coeffs, level=max(divs), primes=frozenset(P_set))

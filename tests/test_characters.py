@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from twinsieve.arith import default_table
 from twinsieve.characters import (
     DirichletCharacter,
     ExceptionalZeroHypothesis,
@@ -311,6 +312,18 @@ def test_exceptional_hypothesis_validation():
     assert conductor(hyp.chi) == 15
     sq = hyp.chi * hyp.chi
     assert sq.is_principal
+
+
+def test_exceptional_hypothesis_keeps_the_shared_table_cached():
+    # factoring r must not key default_table's small LRU cache by r, which
+    # evicted and rebuilt the shared table
+    table = default_table()
+    for r in range(3, 98):
+        try:
+            ExceptionalZeroHypothesis.build(r, 0.9)
+        except ValueError:
+            pass  # t = 1 or a square in the odd part
+    assert default_table() is table
 
 
 def test_u_P_examples():

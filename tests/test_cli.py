@@ -226,11 +226,51 @@ def test_config_file_overrides(tmp_path, capsys):
     assert run_cli(scan + ["--config", str(cfg)]) == 0
     assert load_report(tmp_path, "scan")["config"]["k1"] == "inf"
     bv = ["bv", "--N", "500", "--Q", "5", "--out", str(tmp_path)]
-    for line, argv in [("N = abc", scan), ("weight = foo", bv), ("bogus = 1", scan)]:
+    for line, argv in [("N = abc", scan), ("weight = foo", bv), ("bogus = 1", scan),
+                       ("exact = true", scan)]:
         cfg.write_text(line + "\n")
         capsys.readouterr()
         assert run_cli(argv + ["--config", str(cfg)]) == 2, line
-        assert capsys.readouterr().err.startswith("error:"), line
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, line
+
+
+def test_config_file_lines_are_flags(tmp_path):
+    # 'key = value' is --key=value (so a leading minus is a value, not a flag)
+    # and a bare 'key' is --key; both override the command line
+    cfg = tmp_path / "cfg"
+    cfg.write_text("# scan settings\n\nrough = -0.1,0.1\nexact\n")
+    assert run_cli(["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "0.2,0.2",
+                    "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    config = load_report(tmp_path, "scan")["config"]
+    assert config["rough"] == [-0.1, 0.1]
+    assert config["exact"] is True
+    cfg.write_text("P_list = 1,2\n")  # the flag --P-list
+    assert run_cli(["bv", "--N", "500", "--Q", "5", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 0
+    assert load_report(tmp_path, "bv")["config"]["P_list"] == [1, 2]
+
+
+def test_report_config_echoes_the_parsed_flags(tmp_path):
+    assert run_cli(["scan", "--N", "500", "--k1", "inf", "--k2", "3", "--seed", "4",
+                    "--out", str(tmp_path)]) == 0
+    rep = load_report(tmp_path, "scan")
+    assert rep["config"] == {
+        "N": 500, "k1": "inf", "k2": 3, "rough": None, "exact": False, "cutoff": 10_000,
+        "samples": 512, "threads": 1, "config": None,
+    }
+    assert rep["provenance"]["seed"] == 4
+    assert run_cli(["sseries", "--m", "16", "--cutoff", "1000", "--hyp", "3,0.99",
+                    "--out", str(tmp_path)]) == 0
+    assert load_report(tmp_path, "sseries")["config"]["hyp"] == [3, 0.99]
+
+
+@pytest.mark.parametrize("command", ["scan", "convolve", "sseries", "verify", "sievefn", "bv"])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: twinsieve {command}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -252,11 +292,35 @@ def test_config_file_overrides(tmp_path, capsys):
     ["scan", "--N", "500", "--k1", "0", "--k2", "3"],
     ["convolve", "--N", "500", "--kind1", "Lambda_k", "--kind2", "Lambda0", "--k", "0"],
     ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "nan,0.1"],
+    ["scan", "--N", "abc", "--k1", "2", "--k2", "3"],
+    ["bv", "--N", "500", "--Q", "5", "--weight", "foo"],
+    ["scan", "--N", "500", "--k1", "x", "--k2", "3"],
+    ["bv", "--N", "500", "--Q", "5", "--P-list", "1,x"],
+    ["sseries", "--m", "4", "--hyp", "3"],
+    ["sseries", "--m", "4", "--hyp", "3.5,0.9"],
+    ["scan", "--N", "500", "--k1", "2"],
+    ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--bogus", "1"],
+    ["bogus"],
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--N", ["scan", "--N", "abc", "--k1", "2", "--k2", "3"]),
+    ("--k1", ["scan", "--N", "500", "--k1", "x", "--k2", "3"]),
+    ("--rough", ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "0.1,x"]),
+    ("--weight", ["bv", "--N", "500", "--Q", "5", "--weight", "foo"]),
+    ("--P-list", ["bv", "--N", "500", "--Q", "5", "--P-list", "1,x"]),
+    ("--hyp", ["sseries", "--m", "4", "--hyp", "3"]),
+    ("--suite", ["verify", "--suite", "bogus"]),
+])
+def test_bad_flag_values_name_the_flag(tmp_path, capsys, flag, argv):
+    # argparse converts and checks every flag, so the message names it
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
 
 
 def _mask_runtime(text: str) -> str:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twinsieve.arith import build_prime_table
+from twinsieve.arith import build_prime_table, lambda0
 from twinsieve.convolve import (
     ArithSequence,
     T_sums,
@@ -14,11 +14,25 @@ from twinsieve.convolve import (
     exp_sum,
 )
 from twinsieve.ntt import ReconstructionOverflow, exact_convolve, roundoff_bound
+from twinsieve.sieves import apply_sieve, linear_sieve
 
 
 @pytest.fixture(scope="module")
 def table():
     return build_prime_table(1_100_000)
+
+
+def test_build_sieve_twisted_matches_pointwise(table):
+    # Lambda0(n) times the sieve weight omega(n + 2), summed divisor by divisor
+    w = linear_sieve(1e4, 100, 10, "lower")
+    N = 2000
+    seq = build_sequence("sieve_twisted", N, table, weights=w)
+    assert seq.values[0] == 0.0
+    for n in range(1, N + 1):
+        assert seq.values[n] == lambda0(n, table) * apply_sieve(w, n + 2), n
+    assert np.count_nonzero(seq.values) > 0
+    with pytest.raises(ValueError):
+        build_sequence("sieve_twisted", N, table)
 
 
 def test_build_lambda0(table):
