@@ -85,7 +85,14 @@ def _write_report(out_dir: Path, args: argparse.Namespace, results: dict,
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose errors reach main() as one ValueError, not usage and exit."""
+    """argparse whose errors reach main() as one ValueError, not usage and exit.
+
+    Flags must be spelled in full: main() reads --config out of the command
+    line itself, and an abbreviation such as --conf would escape it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise ValueError(message)
@@ -98,6 +105,15 @@ def _parse_k(text: str) -> float:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer or 'inf', got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _comma_separated(what: str, *types):
@@ -116,6 +132,17 @@ def _comma_separated(what: str, *types):
     return convert
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The last --config PATH or --config=PATH on the command line, if any."""
+    path = None
+    for flag, value in zip(argv, argv[1:] + [None]):
+        if flag == "--config":
+            path = value
+        elif flag.startswith("--config="):
+            path = flag.partition("=")[2]
+    return path
+
+
 def _config_flags(path: str) -> list[str]:
     """The --config file as flags: 'key = value' is --key=value, a bare 'key' is --key."""
     flags = []
@@ -132,7 +159,7 @@ def _config_flags(path: str) -> list[str]:
 def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory for artifacts")
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-    sub.add_argument("--threads", type=int, default=1,
+    sub.add_argument("--threads", type=_positive_int, default=1,
                      help="worker count (accepted for config stability; engines are deterministic)")
     sub.add_argument("--config", default=None,
                      help="file of 'key = value' and bare 'flag' lines, applied after "
@@ -377,9 +404,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if args.config:  # appended last, so the file's values win
-            args = parser.parse_args(argv + _config_flags(args.config))
+        path = _config_path(argv)
+        # the file's flags go last, so its values win over the command line's
+        args = parser.parse_args(argv + (_config_flags(path) if path else []))
         t0 = time.perf_counter()
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -251,6 +251,24 @@ def test_config_file_lines_are_flags(tmp_path):
     assert load_report(tmp_path, "bv")["config"]["P_list"] == [1, 2]
 
 
+def test_config_file_supplies_required_flags(tmp_path, capsys):
+    # the file is read before the one parse, so it can carry --N, --k1, --k2
+    cfg = tmp_path / "cfg"
+    cfg.write_text("N = 500\nk1 = 2\nk2 = 3\n")
+    flags = tmp_path / "flags"
+    assert run_cli(["scan", "--N", "500", "--k1", "2", "--k2", "3", "--out", str(flags)]) == 0
+    for argv in (["--config", str(cfg)], [f"--config={cfg}"]):
+        out = tmp_path / "file"
+        assert run_cli(["scan", *argv, "--out", str(out)]) == 0
+        assert (out / "scan.csv").read_bytes() == (flags / "scan.csv").read_bytes()
+    # a missing file, or --config abbreviated, is one error line
+    for argv in (["--config", str(tmp_path / "missing")], ["--conf", str(cfg)]):
+        capsys.readouterr()
+        assert run_cli(["scan", *argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
 def test_report_config_echoes_the_parsed_flags(tmp_path):
     assert run_cli(["scan", "--N", "500", "--k1", "inf", "--k2", "3", "--seed", "4",
                     "--out", str(tmp_path)]) == 0
@@ -316,6 +334,8 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     ("--P-list", ["bv", "--N", "500", "--Q", "5", "--P-list", "1,x"]),
     ("--hyp", ["sseries", "--m", "4", "--hyp", "3"]),
     ("--suite", ["verify", "--suite", "bogus"]),
+    ("--threads", ["sievefn", "--smax", "6", "--h", "0.001", "--threads", "0"]),
+    ("--threads", ["sievefn", "--smax", "6", "--h", "0.001", "--threads", "-3"]),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, capsys, flag, argv):
     # argparse converts and checks every flag, so the message names it

@@ -6,6 +6,8 @@ import pytest
 from twinsieve.arith import build_prime_table, factorize, mobius, von_mangoldt
 from twinsieve.characters import u_P
 from twinsieve.progressions import (
+    _discrepancies,
+    _residue_sum_table,
     _residue_sums,
     bv_discrepancy,
     bv_profile,
@@ -209,3 +211,40 @@ def test_weighted_level_sum(table):
     assert weighted_level_sum(mob, N, 15, "mu", a=1, table=table) == pytest.approx(
         0.0, abs=1e-6
     )
+
+
+def test_mu_sieve_matches_factorization(table):
+    mu = weight_array("mu", 10**5, table)
+    assert mu.dtype == np.int32
+    assert mu[0] == 0
+    assert mu[1:].tolist() == [mobius(factorize(n, table)) for n in range(1, 10**5 + 1)]
+    for N in range(5):
+        assert weight_array("mu", N, table).tolist() == mu[: N + 1].tolist(), N
+
+
+@pytest.mark.parametrize("weight", ["mu", "Lambda"])
+@pytest.mark.parametrize("N", [1, 2, 3, 10, 97, 1000, 5000])
+def test_residue_sum_table_matches_residue_sums(table, weight, N):
+    # Q = N and N // 2 include moduli with q(q+1) > len(w), which are not paired
+    w = weight_array(weight, N, table)
+    for Q in sorted({1, 2, 3, N // 2, N}):
+        got = list(_residue_sum_table(w, Q))
+        assert sorted(q for q, _ in got) == list(range(2, Q + 1)), Q
+        if weight == "Lambda":  # the per-q route, in increasing q
+            assert [q for q, _ in got] == list(range(2, Q + 1)), Q
+        for q, R in got:
+            assert R.dtype == w.dtype
+            assert np.array_equal(R, _residue_sums(w, q)), (Q, q)
+
+
+@pytest.mark.parametrize("weight", ["mu", "Lambda"])
+def test_bv_profile_rows_match_a_per_q_drive(table, weight):
+    N, Q, P_list = 10**5, 300, [1, 10, 100]
+    w = weight_array(weight, N, table)
+    want = [{"P": P, "q": 1, "a_max": 1, "discrepancy": 0.0} for P in P_list]
+    for q in range(2, Q + 1):
+        units = np.nonzero(np.gcd(np.arange(q), q) == 1)[0]
+        for P, disc in zip(P_list, _discrepancies(_residue_sums(w, q), q, P_list)):
+            best = units[np.argmax(np.abs(disc[units]))]
+            want.append({"P": P, "q": q, "a_max": int(best), "discrepancy": float(disc[best])})
+    assert bv_profile(N, Q, P_list, weight, table) == want
