@@ -7,6 +7,7 @@ construction and safe to share across workers; all functions are pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -519,14 +520,11 @@ def heath_brown_terms(n: int, J: int, table: PrimeTable | None = None) -> float:
 
     Computes -sum_{1<=j<=J} (-1)^j C(J,j) sum over n = n_1...n_{2j} with
     n_i < n^(1/J) for i > j of log(n_1) mu(n_{j+1})...mu(n_{2j}).  The
-    result must equal Lambda(n); the Mobius-restricted variables are
-    folded by Dirichlet convolution over the divisor lattice of n, held as
-    the exponent grid (e_1+1, ..., e_k+1): convolving with 1 is a cumsum
-    along each axis, with the restricted mu a few shifted adds.
-
-    Every term is an integer combination of log p over p | n, so the
-    bookkeeping runs on exact integer coefficient vectors and only the
-    final assembly touches floats (no cancellation noise).
+    result must equal Lambda(n).  Every term is an integer combination of
+    log p over p | n; the integer coefficients depend only on the exponent
+    shape of n, the cut below and J, so ``_hb_coefficients`` computes them
+    once per key and only the final assembly touches floats (no
+    cancellation noise).
     """
     if not 1 <= J <= 7:
         raise ValueError("J must be in [1, 7]")
@@ -535,16 +533,35 @@ def heath_brown_terms(n: int, J: int, table: PrimeTable | None = None) -> float:
         raise ValueError(f"n={n} outside [2, {table.limit}]")
     pairs = factorize(n, table).pairs
     primes = [p for p, _ in pairs]
-    # divisors d of n on their exponent grid: log d is the grid coordinate
-    # (as a vector over the primes of n) and n / d is the flipped index
     shape = tuple(e + 1 for _, e in pairs)
-    k = len(shape)
     # restricted mu lives on the squarefree corner {0, 1}^k; d < n^(1/J) is
     # decided exactly as d^J < n to avoid float boundary slips
-    mu_cut = {}
-    for a in np.ndindex((2,) * k):
-        if math.prod(p**ai for p, ai in zip(primes, a)) ** J < n:
-            mu_cut[a] = (-1) ** sum(a)
+    cut = tuple(
+        math.prod(p**ai for p, ai in zip(primes, a)) ** J < n
+        for a in itertools.product((0, 1), repeat=len(shape))
+    )
+    coeffs = _hb_coefficients(shape, cut, J)
+    return float(sum(c * math.log(p) for c, p in zip(coeffs, primes)))
+
+
+@lru_cache(maxsize=1024)
+def _hb_coefficients(shape: tuple[int, ...], cut: tuple[bool, ...], J: int) -> tuple[int, ...]:
+    """Integer coefficients of log p_1, ..., log p_k in heath_brown_terms.
+
+    The divisors of n = p_1^(e_1) ... p_k^(e_k) are held as the exponent
+    grid ``shape`` = (e_1+1, ..., e_k+1): log d is the grid coordinate (a
+    vector over the primes) and n / d the flipped index.  The Mobius-
+    restricted variables are folded by Dirichlet convolution over that
+    grid: convolving with 1 is a cumsum along each axis, with the
+    restricted mu a few shifted adds over the squarefree corners a kept by
+    ``cut`` (in ``itertools.product`` order).
+    """
+    k = len(shape)
+    mu_cut = {
+        a: (-1) ** sum(a)
+        for a, keep in zip(itertools.product((0, 1), repeat=k), cut)
+        if keep
+    }
 
     def conv_mu(A):
         out = np.zeros_like(A)
@@ -570,4 +587,4 @@ def heath_brown_terms(n: int, J: int, table: PrimeTable | None = None) -> float:
             l_conv = conv_ones(l_conv)
         inner = np.tensordot(m_conv, l_conv[flip], axes=k)
         total_vec -= (-1) ** j * math.comb(J, j) * inner
-    return float(sum(int(c) * math.log(p) for c, p in zip(total_vec, primes)))
+    return tuple(int(c) for c in total_vec)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -144,6 +144,23 @@ class DirichletCharacter:
     def is_real(self) -> bool:
         return self.order() <= 2
 
+    @cached_property
+    def conductor(self) -> int:
+        """The conductor, from the component exponents; computed once per object."""
+        out = 1
+        for part in self.odd_parts:
+            if part.exponent == 0:
+                continue
+            d = part.phi // math.gcd(part.phi, part.exponent)
+            out *= part.p ** (1 + _valuation(d, part.p))
+        tp = self.two_part
+        if tp is not None:
+            if tp.e_five:
+                out *= 2 ** (tp.alpha - _valuation(tp.e_five, 2))
+            elif tp.e_minus:
+                out *= 4
+        return out
+
     def conjugate(self) -> "DirichletCharacter":
         odd = tuple(
             _OddPart(p.p, p.alpha, (-p.exponent) % p.phi) for p in self.odd_parts
@@ -250,19 +267,7 @@ def character_group(q: int) -> tuple[DirichletCharacter, ...]:
 
 
 def conductor(chi: DirichletCharacter) -> int:
-    out = 1
-    for part in chi.odd_parts:
-        if part.exponent == 0:
-            continue
-        d = part.phi // math.gcd(part.phi, part.exponent)
-        out *= part.p ** (1 + _valuation(d, part.p))
-    tp = chi.two_part
-    if tp is not None:
-        if tp.e_five:
-            out *= 2 ** (tp.alpha - _valuation(tp.e_five, 2))
-        elif tp.e_minus:
-            out *= 4
-    return out
+    return chi.conductor
 
 
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
@@ -299,30 +304,35 @@ def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     return DirichletCharacter(f, tuple(odd), new_tp)
 
 
-@lru_cache(maxsize=4096)
-def _value_table(chi: DirichletCharacter) -> np.ndarray:
-    """chi(r) for every residue r mod q (0 on non-units)."""
-    q = chi.q
-    out = np.zeros(q, dtype=np.complex128)
-    if q == 1:
-        out[0] = 1.0
-        return out
-    r = np.arange(q)
-    coprime = np.gcd(r, q) == 1
-    frac = np.zeros(q)
+def _unit_values(chi: DirichletCharacter, r):
+    """chi(r) at a unit r mod q, or at an int array of units: the one evaluator.
+
+    The phase adds, per prime-power component, exponent * dlog(r) / phi
+    (at 2^a: the exponents on -1 and 5 against the (s, t) decomposition).
+    """
+    frac = np.zeros(np.shape(r))
     for part in chi.odd_parts:
-        dl = _dlog_table(part.p, part.alpha)[r % part.modulus]
-        frac += part.exponent * np.where(dl >= 0, dl, 0) / part.phi
+        frac = frac + part.exponent * _dlog_table(part.p, part.alpha)[r % part.modulus] / part.phi
     tp = chi.two_part
     if tp is not None and tp.alpha >= 2:
         rr = r % tp.modulus
         if tp.alpha == 2:
-            frac += tp.e_minus * np.where(rr == 3, 0.5, 0.0)
+            frac = frac + tp.e_minus * ((rr == 3) * 0.5)
         else:
             s_tab, t_tab = _two_decomp_table(tp.alpha)
-            frac += tp.e_minus * np.where(s_tab[rr] >= 0, s_tab[rr], 0) / 2
-            frac += tp.e_five * np.where(t_tab[rr] >= 0, t_tab[rr], 0) / 2 ** (tp.alpha - 2)
-    out[coprime] = np.exp(2j * np.pi * frac[coprime])
+            frac = frac + tp.e_minus * s_tab[rr] / 2
+            frac = frac + tp.e_five * t_tab[rr] / 2 ** (tp.alpha - 2)
+    return np.exp(2j * np.pi * frac)
+
+
+@lru_cache(maxsize=4096)
+def _value_table(chi: DirichletCharacter) -> np.ndarray:
+    """chi(r) for every residue r mod q (0 on non-units)."""
+    q = chi.q
+    r = np.arange(q)
+    coprime = np.gcd(r, q) == 1
+    out = np.zeros(q, dtype=np.complex128)
+    out[coprime] = _unit_values(chi, r[coprime])
     return out
 
 
@@ -358,7 +368,8 @@ def _phi_pp(p: int, alpha: int) -> int:
     return 1 if alpha == 0 else (p - 1) * p ** (alpha - 1)
 
 
-def _components_with_meta(chi: DirichletCharacter):
+@lru_cache(maxsize=128)
+def _components_with_meta(chi: DirichletCharacter) -> tuple:
     """Per prime power: (p, alpha, modulus, chi_component, chi*, alpha0)."""
     out = []
     parts: list[tuple[int, int, int]] = []
@@ -372,7 +383,7 @@ def _components_with_meta(chi: DirichletCharacter):
         alpha0 = _valuation(conductor(comp), p)
         star = primitive_part(comp)
         out.append((p, alpha, mod, comp, star, alpha0))
-    return out
+    return tuple(out)
 
 
 def gauss_sum_formula(chi: DirichletCharacter, a: int) -> complex:
@@ -456,15 +467,20 @@ def modified_gauss_sum(chi: DirichletCharacter, a: int, j: int) -> complex:
     return complex(np.sum(vals[keep] * np.exp(2j * np.pi * (a % q) * b[keep] / q)))
 
 
+@lru_cache(maxsize=128)
 def _restricted_c_all(chi: DirichletCharacter, j: int) -> np.ndarray:
-    """c_chi(a, j) for all a mod q (vectorized; j=0 means unrestricted)."""
+    """c_chi(a, j) for all a mod q by direct summation (j=0 means
+    unrestricted), as a read-only array."""
     q = chi.q
     if q == 1:
-        return np.ones(1, dtype=np.complex128)
-    vals = _value_table(chi)
-    if j != 0:
-        vals = np.where(_restriction_mask(q, j), vals, 0)
-    return _phase_matrix(q) @ vals
+        out = np.ones(1, dtype=np.complex128)
+    else:
+        vals = _value_table(chi)
+        if j != 0:
+            vals = np.where(_restriction_mask(q, j), vals, 0)
+        out = _phase_matrix(q) @ vals
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +600,9 @@ def F_factored(
         if j != 0 and rad % j != 0:
             raise ValueError(f"j={j} does not divide rad(q)={rad}")
     out = 1 + 0j
-    for p, alpha, mod, comp1, star1, a1 in _components_with_meta(chi1):
-        comp2 = chi2.component(mod)
-        a2 = _valuation(conductor(comp2), p)
+    for (p, alpha, mod, comp1, _, a1), (_, _, _, comp2, _, a2) in zip(
+        _components_with_meta(chi1), _components_with_meta(chi2)
+    ):
         jl1 = 0 if j1 == 0 else (p if j1 % p == 0 else 1)
         jl2 = 0 if j2 == 0 else (p if j2 % p == 0 else 1)
         if alpha > 1 and (a1 < alpha or a2 < alpha):
@@ -723,7 +739,8 @@ def u_P(n: int, a: int, q: int, P: float) -> float:
 
     Equals 1_{n = a mod q} - (1/phi(q)) sum over characters mod q with
     conductor <= P of psi(n / a); vanishing mean over units, and 0 when
-    every character is included (P >= q).
+    every character is included (P >= q).  Each character is evaluated at
+    x = n / a alone, with no value table.
     """
     if math.gcd(a, q) != 1:
         raise ValueError("a must be coprime to q")
@@ -734,9 +751,10 @@ def u_P(n: int, a: int, q: int, P: float) -> float:
     chars = character_group(q)
     phi = len(chars)
     total = 0j
+    unit = math.gcd(x, q) == 1  # every character vanishes off the units
     for chi in chars:
-        if conductor(chi) <= P:
-            total += chi.value(x)
+        if conductor(chi) <= P and unit:
+            total += complex(_unit_values(chi, x))
     val = (1.0 if x == 1 else 0.0) - total.real / phi
     return val
 

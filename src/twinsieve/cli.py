@@ -225,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=100_000)
     p.add_argument("--hyp", type=_comma_separated("r,beta (an integer and a number)", int, float),
                    default=None, help="r,beta synthetic exceptional zero")
-    p.add_argument("--N", type=int, default=10_000)
-    p.add_argument("--P", type=int, default=100)
+    p.add_argument("--N", type=_positive_int, default=10_000)
+    p.add_argument("--P", type=_positive_int, default=100)
     _add_common(p)
 
     p = subs.add_parser(

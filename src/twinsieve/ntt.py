@@ -3,8 +3,9 @@ whose roundoff ``roundoff_bound`` bounds a priori.
 
 The NTT's two word-sized primes p = c * 2^27 + 1 support transform lengths
 up to 2^27; true convolution values are recovered by CRT as long as they
-stay below p1 * p2 ~ 4.6e18.  All butterflies run vectorized on int64
-(products stay under 2^63 because both primes are < 2^31.1).
+stay below p1 * p2 ~ 4.6e18, and by p1 alone below p1.  All butterflies
+run vectorized on int64 (products stay under 2^63 because both primes are
+< 2^31.1).
 """
 
 from __future__ import annotations
@@ -76,21 +77,26 @@ def _ntt(a: np.ndarray, p: int, invert: bool) -> np.ndarray:
     return a
 
 
+def _forward(a: np.ndarray, p: int, size: int) -> np.ndarray:
+    f = np.zeros(size, dtype=np.int64)
+    f[: len(a)] = a % p
+    return _ntt(f, p, invert=False)
+
+
 def _convolve_mod(a: np.ndarray, b: np.ndarray, p: int, size: int) -> np.ndarray:
-    fa = np.zeros(size, dtype=np.int64)
-    fb = np.zeros(size, dtype=np.int64)
-    fa[: len(a)] = a % p
-    fb[: len(b)] = b % p
-    fa = _ntt(fa, p, invert=False)
-    fb = _ntt(fb, p, invert=False)
+    """a * b mod p; ``b is a`` (a square) takes one forward transform."""
+    fa = _forward(a, p, size)
+    fb = fa if b is a else _forward(b, p, size)
     return _ntt(fa * fb % p, p, invert=True)
 
 
 def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bit-exact nonnegative-integer convolution of two int arrays.
 
-    Result length len(a) + len(b) - 1.  Raises ReconstructionOverflow when
-    an a-priori bound on the output exceeds the CRT range.
+    Result length len(a) + len(b) - 1.  The a-priori output bound
+    min(len) * max(a) * max(b) picks the primes: below P1 one prime gives
+    the values directly, else two are combined by CRT, and past the CRT
+    range ReconstructionOverflow is raised.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -113,7 +119,11 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         size *= 2
     if size > MAX_TRANSFORM:
         raise ValueError("transform size exceeds 2^27")
+    if np.array_equal(a, b):
+        b = a  # a square: one forward transform per prime
     r1 = _convolve_mod(a, b, P1, size)[:out_len]
+    if bound < P1:
+        return r1  # every output lies in [0, bound] within [0, P1): no CRT
     r2 = _convolve_mod(a, b, P2, size)[:out_len]
     # CRT: x = r1 + P1 * ((r2 - r1) * inv(P1) mod P2); all interim products
     # stay below 2^62

@@ -333,6 +333,28 @@ def test_heath_brown_identity_examples(small_table):
         heath_brown_terms(7, 8, small_table)
 
 
+
+def test_heath_brown_memo_key_carries_the_cut(small_table):
+    # 6 = 2 * 3 and 10 = 2 * 5 share the exponent shape (2, 2); at J = 3 the
+    # corner d = 2 is kept for 10 (8 < 10) and cut for 6 (8 >= 6)
+    from twinsieve.arith import _hb_coefficients
+
+    _hb_coefficients.cache_clear()
+    for n in (6, 10):
+        assert heath_brown_terms(n, 3, small_table) == pytest.approx(
+            von_mangoldt(n, small_table), abs=1e-12
+        )
+    info = _hb_coefficients.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)  # two keys, neither served from the other
+    cut6 = (True, False, False, False)  # corners 1, 3, 2, 6 in product order
+    cut10 = (True, False, True, False)  # corners 1, 5, 2, 10
+    assert _hb_coefficients((2, 2), cut6, 3) == _hb_coefficients((2, 2), cut10, 3) == (0, 0)
+    assert _hb_coefficients.cache_info().hits == 2
+    # the lattice work reads the cut: without the corner d = 1, which every
+    # n keeps, the identity fails
+    assert _hb_coefficients((2, 2), (False, True, False, False), 3) == (-3, 0)
+
+
 def _heath_brown_bruteforce(n, J):
     # literal ordered-tuple enumeration of the decomposition
     import itertools

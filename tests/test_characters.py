@@ -113,6 +113,26 @@ def test_conductor_definitional():
             assert not smaller
 
 
+
+def test_conductor_matches_definition_on_value_tables():
+    # the least f | q with chi(n) = 1 for every unit n = 1 mod f, read off
+    # the value table, for every character mod q <= 120
+    from twinsieve.characters import _value_table
+
+    for q in range(1, 121):
+        r = np.arange(q)
+        units = np.gcd(r, q) == 1
+        divisors = [d for d in range(1, q + 1) if q % d == 0]
+        for chi in character_group(q):
+            vals = _value_table(chi)
+            want = next(
+                d for d in divisors
+                if np.all(np.abs(vals[units & (r % d == 1 % d)] - 1) < 1e-9)
+            )
+            assert conductor(chi) == want, (q, chi)
+            assert vars(chi)["conductor"] == want  # computed once, kept on the object
+
+
 def test_primitive_part_induces():
     for q in (12, 16, 36, 45, 40):
         for chi in character_group(q):
@@ -341,6 +361,32 @@ def test_u_P_zero_mean():
     for q in (7, 9, 12, 20):
         total = sum(u_P(n, 1, q, 2) for n in range(1, q + 1) if math.gcd(n, q) == 1)
         assert abs(total) < 1e-9
+
+
+
+def test_u_P_evaluates_only_the_residue_it_needs():
+    from twinsieve.characters import _value_table
+
+    before = _value_table.cache_info()
+    assert u_P(2, 1, 2003, 2003) == pytest.approx(0, abs=1e-10)
+    after = _value_table.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
+def test_u_P_equals_the_value_table_sum():
+    from twinsieve.characters import _value_table
+
+    for q in range(2, 61):
+        chars = character_group(q)
+        for a in {1, q - 1}:
+            abar = pow(a, -1, q)
+            for P in (1, 3, q):
+                kept = [_value_table(chi) for chi in chars if conductor(chi) <= P]
+                for n in range(q):
+                    x = n * abar % q
+                    total = sum((complex(vals[x]) for vals in kept), 0j)
+                    want = (1.0 if x == 1 else 0.0) - total.real / len(chars)
+                    assert u_P(n, a, q, P) == pytest.approx(want, abs=1e-12), (q, a, P, n)
 
 
 def test_festi_bounds_small():

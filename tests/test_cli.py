@@ -336,6 +336,8 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     ("--suite", ["verify", "--suite", "bogus"]),
     ("--threads", ["sievefn", "--smax", "6", "--h", "0.001", "--threads", "0"]),
     ("--threads", ["sievefn", "--smax", "6", "--h", "0.001", "--threads", "-3"]),
+    ("--P", ["sseries", "--m", "4", "--N", "1000", "--P", "0", "--hyp", "3,0.9"]),
+    ("--N", ["sseries", "--m", "4", "--N", "0"]),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, capsys, flag, argv):
     # argparse converts and checks every flag, so the message names it

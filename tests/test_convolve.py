@@ -13,6 +13,7 @@ from twinsieve.convolve import (
     exceptional_scan,
     exp_sum,
 )
+from twinsieve import ntt
 from twinsieve.ntt import ReconstructionOverflow, exact_convolve, roundoff_bound
 from twinsieve.sieves import apply_sieve, linear_sieve
 
@@ -140,6 +141,61 @@ def test_uncertified_inputs_fall_back_to_ntt():
     got = convolve(seq, seq, "exact").values
     py = np.array([int(v) for v in vals[1:]], dtype=object)
     assert got[2:].tolist() == np.convolve(py, py).tolist()
+
+
+
+def _spy_ntt(monkeypatch):
+    """Record (prime, invert) for every transform ntt._ntt runs."""
+    calls = []
+    real = ntt._ntt
+
+    def spy(a, p, invert):
+        calls.append((p, invert))
+        return real(a, p, invert)
+
+    monkeypatch.setattr(ntt, "_ntt", spy)
+    return calls
+
+
+@pytest.mark.parametrize("top_a, primes", [
+    (3840, {ntt.P1}),  # bound 3840 * 512 * 1024 = P1 - 1: one prime, no CRT
+    (3841, {ntt.P1, ntt.P2}),  # bound P1 + 524287: both primes and CRT
+])
+def test_exact_convolve_one_prime_bound(monkeypatch, top_a, primes):
+    calls = _spy_ntt(monkeypatch)
+    rng = np.random.default_rng(top_a)
+    n = 1024
+    inputs = [(np.full(n, top_a), np.full(n, 512))]  # the middle output is the bound
+    for _ in range(3):
+        a, b = rng.integers(0, top_a + 1, n), rng.integers(0, 513, n)
+        a[rng.integers(n)], b[rng.integers(n)] = top_a, 512
+        inputs.append((a, b))
+    for a, b in inputs:
+        calls.clear()
+        got = exact_convolve(a, b)
+        want = np.convolve(a.astype(object), b.astype(object))
+        assert got.tolist() == want.tolist()
+        assert {p for p, _ in calls} == primes
+    # the constant pair reaches the bound: P1 - 1, or past P1 on the CRT side
+    assert max(exact_convolve(*inputs[0]).tolist()) == n * top_a * 512
+
+
+def test_exact_convolve_square_takes_one_forward_transform(monkeypatch):
+    rng = np.random.default_rng(12)
+    for high in (2, 1000, 2**20):  # one-prime and two-prime bounds
+        a = rng.integers(0, high, 777)
+        for p in (ntt.P1, ntt.P2):
+            square = ntt._convolve_mod(a, a, p, 2048)
+            assert np.array_equal(square, ntt._convolve_mod(a, a.copy(), p, 2048))
+        b = a.copy()
+        calls = _spy_ntt(monkeypatch)
+        got = exact_convolve(a, b)  # equal contents, distinct arrays
+        monkeypatch.undo()
+        assert got.tolist() == np.convolve(a.astype(object), b.astype(object)).tolist()
+        primes = {p for p, _ in calls}
+        assert len(primes) == (1 if 777 * (high - 1) ** 2 < ntt.P1 else 2)
+        assert calls.count((ntt.P1, False)) == 1  # forward
+        assert len(calls) == 2 * len(primes)  # one forward and one inverse per prime
 
 
 def test_count_monotone_in_N(table):
