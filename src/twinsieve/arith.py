@@ -189,7 +189,7 @@ def factorize_extended(n: int, table: PrimeTable) -> Factorization:
     return Factorization(tuple(sorted(pairs)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _factor_pp(q: int) -> tuple[tuple[int, int], ...]:
     """Trial-division factorization (moduli here are small)."""
     pairs = []
@@ -221,7 +221,7 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _primitive_root(p: int, alpha: int) -> int:
     """Smallest primitive root mod p^alpha (odd p)."""
     mod = p**alpha

@@ -48,9 +48,15 @@ GROUP_BUDGET = 10**6
 F_BRUTE_CAP = 4096
 
 
-@lru_cache(maxsize=None)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so no caller can change what later readers get."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=512)
 def _dlog_table(p: int, alpha: int) -> np.ndarray:
-    """dl[x] with g^dl[x] = x mod p^alpha for coprime x, -1 otherwise."""
+    """dl[x] with g^dl[x] = x mod p^alpha for coprime x, -1 otherwise (read-only)."""
     mod = p**alpha
     phi = (p - 1) * p ** (alpha - 1)
     g = _primitive_root(p, alpha)
@@ -59,12 +65,12 @@ def _dlog_table(p: int, alpha: int) -> np.ndarray:
     for k in range(phi):
         table[acc] = k
         acc = acc * g % mod
-    return table
+    return _read_only(table)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _two_decomp_table(alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s, t) with x = (-1)^s 5^t mod 2^alpha for odd x (alpha >= 3)."""
+    """(s, t) with x = (-1)^s 5^t mod 2^alpha for odd x (alpha >= 3), read-only."""
     mod = 2**alpha
     half = mod // 4
     s_tab = np.full(mod, -1, dtype=np.int64)
@@ -74,7 +80,7 @@ def _two_decomp_table(alpha: int) -> tuple[np.ndarray, np.ndarray]:
         s_tab[acc], t_tab[acc] = 0, t
         s_tab[(-acc) % mod], t_tab[(-acc) % mod] = 1, t
         acc = acc * 5 % mod
-    return s_tab, t_tab
+    return _read_only(s_tab), _read_only(t_tab)
 
 
 @dataclass(frozen=True)
@@ -99,17 +105,36 @@ class _TwoPart:
     e_five: int = 0  # exponent on 5 (alpha >= 3)
 
     @property
+    def p(self) -> int:
+        return 2
+
+    @property
     def modulus(self) -> int:
         return 2**self.alpha
 
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """A character mod q given by its prime-power component exponents."""
+    """A character mod q given by its prime-power component exponents.
+
+    Most caches in this module are keyed by characters, so the hash is
+    computed on first use and kept on the object (the generated dataclass
+    hash walks the nested parts on every lookup).  The constructors
+    ``principal_character``, ``quadratic_character`` and ``component`` are
+    memoised, so equal characters they return are one object and a cache
+    lookup settles on identity before it compares fields.
+    """
 
     q: int
     odd_parts: tuple[_OddPart, ...]
     two_part: _TwoPart | None
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash((self.q, self.odd_parts, self.two_part))
+            return h
 
     # -- evaluation ---------------------------------------------------------
 
@@ -190,10 +215,12 @@ class DirichletCharacter:
                 tp = _TwoPart(tp1.alpha, (tp1.e_minus + tp2.e_minus) % 2, 0)
         return DirichletCharacter(self.q, odd, tp)
 
+    @lru_cache(maxsize=2048)
     def component(self, modulus: int) -> "DirichletCharacter":
         """The character mod ``modulus`` in the factorization over prime powers.
 
-        ``modulus`` must be a product of full prime-power parts of q.
+        ``modulus`` must be a product of full prime-power parts of q.  Memoised:
+        the same (character, modulus) gives the same object.
         """
         if self.q % modulus != 0 or math.gcd(modulus, self.q // modulus) != 1:
             raise ValueError(f"{modulus} is not a unitary divisor of {self.q}")
@@ -208,6 +235,7 @@ def _two_part_for(alpha: int, e_minus: int = 0, e_five: int = 0) -> _TwoPart | N
     return _TwoPart(alpha, e_minus if alpha >= 2 else 0, e_five if alpha >= 3 else 0)
 
 
+@lru_cache(maxsize=1024)
 def principal_character(q: int) -> DirichletCharacter:
     odd, a2 = [], 0
     for p, a in _factor_pp(q):
@@ -218,6 +246,7 @@ def principal_character(q: int) -> DirichletCharacter:
     return DirichletCharacter(q, tuple(odd), _two_part_for(a2))
 
 
+@lru_cache(maxsize=1024)
 def quadratic_character(q: int) -> DirichletCharacter:
     """Real character mod q: Legendre component at each odd prime, principal at 2."""
     odd, a2 = [], 0
@@ -325,15 +354,21 @@ def _unit_values(chi: DirichletCharacter, r):
     return np.exp(2j * np.pi * frac)
 
 
-@lru_cache(maxsize=4096)
-def _value_table(chi: DirichletCharacter) -> np.ndarray:
-    """chi(r) for every residue r mod q (0 on non-units)."""
-    q = chi.q
+@lru_cache(maxsize=64)
+def _unit_residues(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, units): the residues r mod q coprime to q, as a read-only mask and array."""
     r = np.arange(q)
     coprime = np.gcd(r, q) == 1
-    out = np.zeros(q, dtype=np.complex128)
-    out[coprime] = _unit_values(chi, r[coprime])
-    return out
+    return _read_only(coprime), _read_only(r[coprime])
+
+
+@lru_cache(maxsize=4096)
+def _value_table(chi: DirichletCharacter) -> np.ndarray:
+    """chi(r) for every residue r mod q (0 on non-units), read-only."""
+    coprime, units = _unit_residues(chi.q)
+    out = np.zeros(chi.q, dtype=np.complex128)
+    out[coprime] = _unit_values(chi, units)
+    return _read_only(out)
 
 
 @lru_cache(maxsize=128)
@@ -346,11 +381,21 @@ def primitive_characters(f: int) -> tuple[DirichletCharacter, ...]:
 # Gauss sums
 
 
-@lru_cache(maxsize=48)
+@lru_cache(maxsize=16)
 def _phase_matrix(q: int) -> np.ndarray:
-    """e_q(a*b) as a q x q matrix (kept small; used by the brute-force oracles)."""
+    """e_q(a*b) as a read-only q x q matrix (used by the brute-force oracles).
+
+    Each entry is the q-th root of unity at a*b mod q: q complex
+    exponentials instead of q^2, and the argument is reduced exactly.
+    """
     a = np.arange(q)
-    return np.exp(2j * np.pi * np.outer(a, a) / q)
+    return _read_only(np.exp(2j * np.pi * a / q)[np.outer(a, a) % q])
+
+
+@lru_cache(maxsize=16)
+def _conj_phase_matrix(q: int) -> np.ndarray:
+    """e_q(-a*b): the conjugate of _phase_matrix(q), kept once per q, read-only."""
+    return _read_only(np.conjugate(_phase_matrix(q)))
 
 
 def gauss_sum(chi: DirichletCharacter, a: int) -> complex:
@@ -368,21 +413,19 @@ def _phi_pp(p: int, alpha: int) -> int:
     return 1 if alpha == 0 else (p - 1) * p ** (alpha - 1)
 
 
+def _parts(chi: DirichletCharacter) -> tuple:
+    """chi's prime-power parts: the odd ones in order, then the part at 2."""
+    return chi.odd_parts if chi.two_part is None else chi.odd_parts + (chi.two_part,)
+
+
 @lru_cache(maxsize=128)
 def _components_with_meta(chi: DirichletCharacter) -> tuple:
-    """Per prime power: (p, alpha, modulus, chi_component, chi*, alpha0)."""
+    """Per prime power: (p, alpha, chi_component, alpha0), p^alpha0 the
+    component's conductor."""
     out = []
-    parts: list[tuple[int, int, int]] = []
-    for part in chi.odd_parts:
-        parts.append((part.p, part.alpha, part.modulus))
-    tp = chi.two_part
-    if tp is not None:
-        parts.append((2, tp.alpha, tp.modulus))
-    for p, alpha, mod in parts:
-        comp = chi.component(mod)
-        alpha0 = _valuation(conductor(comp), p)
-        star = primitive_part(comp)
-        out.append((p, alpha, mod, comp, star, alpha0))
+    for part in _parts(chi):
+        comp = chi.component(part.modulus)
+        out.append((part.p, part.alpha, comp, _valuation(conductor(comp), part.p)))
     return tuple(out)
 
 
@@ -391,17 +434,24 @@ def gauss_sum_formula(chi: DirichletCharacter, a: int) -> complex:
     return complex(gauss_sum_formula_all(chi)[a % chi.q])
 
 
-def _component_gauss_formula_all(
-    p: int, alpha: int, star: DirichletCharacter, alpha0: int
-) -> np.ndarray:
-    """Closed-form c values for every residue mod p^alpha, by v_p class.
+@lru_cache(maxsize=4096)
+def _component_gauss_formula_all(part: _OddPart | _TwoPart) -> np.ndarray:
+    """Closed-form c values for every residue mod p^alpha, by v_p class (read-only).
 
-    The conductor reduction gives c(r) with v = v_p(r) as
+    ``part`` is one prime-power part of a character: the component
+    character mod p^alpha.  With chi* its primitive part and p^alpha0 its
+    conductor, the conductor reduction gives c(r) with v = v_p(r) as
     conj(chi*)(r / p^v) mu(p^k) phi(p^alpha) / phi(p^(alpha-v)) tau(chi*),
     k = alpha - v - alpha0; it vanishes when k < 0, when k >= 2, and when
     k = 1 with a non-principal chi* (chi*(p) = 0).
     """
-    mod = p**alpha
+    p, alpha, mod = part.p, part.alpha, part.modulus
+    if isinstance(part, _OddPart):
+        comp = DirichletCharacter(mod, (part,), None)
+    else:
+        comp = DirichletCharacter(mod, (), part)
+    star = primitive_part(comp)
+    alpha0 = _valuation(conductor(comp), p)
     out = np.zeros(mod, dtype=np.complex128)
     tau = _tau_primitive(star)
     conj_vals = _value_table(star.conjugate())
@@ -423,35 +473,40 @@ def _component_gauss_formula_all(
         r = u * p**v
         lead = conj_vals[u % star.q] if alpha0 >= 1 else np.ones(len(u))
         out[r] = lead * mu_k * phi_ratio * tau
+    return _read_only(out)
+
+
+def _gauss_formula_rows(chars) -> np.ndarray:
+    """c_chi(a) for every shift a mod q, one row per character of ``chars`` (all mod q).
+
+    Each row is assembled from the prime-power closed forms of
+    _component_gauss_formula_all, glued with the twisted-argument
+    multiplicativity c(a) = prod_i c_i(inv(q/q_i) * a), one gather per
+    prime power for all rows at once.
+    """
+    q = chars[0].q
+    out = np.ones((len(chars), q), dtype=np.complex128)
+    a = np.arange(q)
+    for i, part in enumerate(_parts(chars[0])):
+        mod = part.modulus
+        inv = pow(q // mod, -1, mod)
+        local = np.stack([_component_gauss_formula_all(_parts(chi)[i]) for chi in chars])
+        out *= local[:, (inv * a) % mod]
     return out
 
 
+@lru_cache(maxsize=256)
 def gauss_sum_formula_all(chi: DirichletCharacter) -> np.ndarray:
-    """c_chi(a) for every shift a mod q, assembled from prime-power closed forms.
-
-    Components are glued with the twisted-argument multiplicativity
-    c(a) = prod_i c_i(inv(q/q_i) * a).
-    """
-    q = chi.q
-    if q == 1:
-        return np.ones(1, dtype=np.complex128)
-    result = np.ones(q, dtype=np.complex128)
-    a = np.arange(q)
-    for p, alpha, mod, _comp, star, alpha0 in _components_with_meta(chi):
-        local = _component_gauss_formula_all(p, alpha, star, alpha0)
-        cof = q // mod
-        inv = pow(cof, -1, mod)
-        result *= local[(inv * a) % mod]
-    return result
+    """c_chi(a) for every shift a mod q from the closed forms: one row of
+    _gauss_formula_rows, cached and read-only."""
+    return _read_only(_gauss_formula_rows((chi,))[0])
 
 
 @lru_cache(maxsize=64)
 def _restriction_mask(q: int, j: int) -> np.ndarray:
     """Residues b mod q with (b+2, rad q) = (j, rad q), as a read-only mask."""
     rad = _radical(q)
-    mask = np.gcd(np.arange(q) + 2, rad) == math.gcd(j, rad)
-    mask.flags.writeable = False
-    return mask
+    return _read_only(np.gcd(np.arange(q) + 2, rad) == math.gcd(j, rad))
 
 
 def modified_gauss_sum(chi: DirichletCharacter, a: int, j: int) -> complex:
@@ -463,8 +518,10 @@ def modified_gauss_sum(chi: DirichletCharacter, a: int, j: int) -> complex:
         return 1 + 0j
     vals = _value_table(chi)
     b = np.arange(q)
-    keep = np.ones(q, dtype=bool) if j == 0 else _restriction_mask(q, j)
-    return complex(np.sum(vals[keep] * np.exp(2j * np.pi * (a % q) * b[keep] / q)))
+    if j != 0:
+        keep = _restriction_mask(q, j)
+        vals, b = vals[keep], b[keep]
+    return complex(np.sum(vals * np.exp(2j * np.pi * (a % q) * b / q)))
 
 
 @lru_cache(maxsize=128)
@@ -479,8 +536,7 @@ def _restricted_c_all(chi: DirichletCharacter, j: int) -> np.ndarray:
         if j != 0:
             vals = np.where(_restriction_mask(q, j), vals, 0)
         out = _phase_matrix(q) @ vals
-    out.flags.writeable = False
-    return out
+    return _read_only(out)
 
 
 # ---------------------------------------------------------------------------
@@ -511,22 +567,19 @@ def F_bruteforce_all_m(
     q = chi1.q
     if q == 1:
         return np.ones(1, dtype=np.complex128)
-    c1 = _restricted_c_all(chi1, j1)
-    c2 = _restricted_c_all(chi2, j2)
-    a = np.arange(q)
-    prod = c1 * c2
-    prod[np.gcd(a, q) != 1] = 0
-    return np.conjugate(_phase_matrix(q)) @ prod
+    prod = _restricted_c_all(chi1, j1) * _restricted_c_all(chi2, j2)
+    prod[~_unit_residues(q)[0]] = 0
+    return _conj_phase_matrix(q) @ prod
 
 
+@lru_cache(maxsize=1024)
 def _F_local_odd_prime(
     chi1: DirichletCharacter,
     chi2: DirichletCharacter,
     j1: int,
     j2: int,
-    m: int,
-) -> complex:
-    """F at an odd prime modulus p via O(p) Gauss-sum reductions.
+) -> np.ndarray:
+    """F at an odd prime modulus p for every m mod p, via Gauss-sum reductions.
 
     Each restricted slot is expanded through c(a,1) = c(a) - c(a,p) into the
     three primitive pieces:
@@ -534,8 +587,13 @@ def _F_local_odd_prime(
       F(-,-,m) = tau(chi1) tau(chi2) c_{conj(chi1 chi2)}(-m)
       F(-,p,m) = chi2(-2) (p chi1(m+2) - (p-1) [chi1 principal])
       F(p,p,m) = chi1 chi2(-2) c_p(-(m+4))
+
+    Each piece is read off for all m at once: from gauss_sum_formula_all,
+    the value tables and the Ramanujan sum c_p.  The p-vector is cached
+    and read-only; F_factored indexes it at m mod p.
     """
     p = chi1.q
+    m = np.arange(p)
 
     def pieces(j):
         if j == 0:
@@ -544,24 +602,22 @@ def _F_local_odd_prime(
             return [("-", 1), ("p", -1)]
         return [("p", 1)]
 
-    def F_unrestricted() -> complex:
-        prod = chi1 * chi2
-        t1 = _tau_primitive(chi1)
-        t2 = _tau_primitive(chi2)
-        return t1 * t2 * gauss_sum_formula(prod.conjugate(), -m)
+    def F_unrestricted() -> np.ndarray:
+        tau = _tau_primitive(chi1) * _tau_primitive(chi2)
+        return tau * gauss_sum_formula_all((chi1 * chi2).conjugate())[(-m) % p]
 
-    def F_second_restricted(ca: DirichletCharacter, cb: DirichletCharacter) -> complex:
+    def F_second_restricted(ca: DirichletCharacter, cb: DirichletCharacter) -> np.ndarray:
         # gcd condition on cb's slot only
-        val = p * ca.value(m + 2)
+        val = p * _value_table(ca)[(m + 2) % p]
         if ca.is_principal:
             val -= p - 1
-        return cb.value(-2) * val
+        return _value_table(cb)[-2 % p] * val
 
-    def F_both_restricted() -> complex:
-        ram = (p - 1) if (m + 4) % p == 0 else -1
-        return chi1.value(-2) * chi2.value(-2) * ram
+    def F_both_restricted() -> np.ndarray:
+        ram = np.where((m + 4) % p == 0, p - 1, -1)
+        return _value_table(chi1)[-2 % p] * _value_table(chi2)[-2 % p] * ram
 
-    total = 0j
+    total = np.zeros(p, dtype=np.complex128)
     for s1, sign1 in pieces(j1):
         for s2, sign2 in pieces(j2):
             if s1 == "-" and s2 == "-":
@@ -573,7 +629,7 @@ def _F_local_odd_prime(
             else:
                 term = F_both_restricted()
             total += sign1 * sign2 * term
-    return total
+    return _read_only(total)
 
 
 def F_factored(
@@ -586,7 +642,8 @@ def F_factored(
     """F as a product of prime-power local values.
 
     Local dispatch: exact zero when a square prime power is not matched by
-    both conductors; closed O(p) evaluation at odd prime moduli; literal
+    both conductors; a lookup in the cached all-m table of
+    _F_local_odd_prime at odd prime moduli; literal
     summation for the remaining small prime-power cases.  Prime-power
     components beyond F_BRUTE_CAP with surviving primitive pairs are
     rejected (no closed form is implemented for that corner).
@@ -600,7 +657,7 @@ def F_factored(
         if j != 0 and rad % j != 0:
             raise ValueError(f"j={j} does not divide rad(q)={rad}")
     out = 1 + 0j
-    for (p, alpha, mod, comp1, _, a1), (_, _, _, comp2, _, a2) in zip(
+    for (p, alpha, comp1, a1), (_, _, comp2, a2) in zip(
         _components_with_meta(chi1), _components_with_meta(chi2)
     ):
         jl1 = 0 if j1 == 0 else (p if j1 % p == 0 else 1)
@@ -608,8 +665,8 @@ def F_factored(
         if alpha > 1 and (a1 < alpha or a2 < alpha):
             return 0j  # vanishing at unmatched square prime powers
         if p != 2 and alpha == 1:
-            local = _F_local_odd_prime(comp1, comp2, jl1, jl2, m)
-        elif mod <= F_BRUTE_CAP:
+            local = complex(_F_local_odd_prime(comp1, comp2, jl1, jl2)[m % p])
+        elif comp1.q <= F_BRUTE_CAP:
             local = F_bruteforce(comp1, comp2, jl1, jl2, m)
         else:
             raise ValueError(
@@ -734,29 +791,33 @@ def local_sigma(
 # character-corrected progression indicator and the Festi-type bounds
 
 
-def u_P(n: int, a: int, q: int, P: float) -> float:
+def u_P(n: int | np.ndarray, a: int, q: int, P: float) -> float | np.ndarray:
     """Progression indicator minus its low-conductor character expansion.
 
     Equals 1_{n = a mod q} - (1/phi(q)) sum over characters mod q with
     conductor <= P of psi(n / a); vanishing mean over units, and 0 when
-    every character is included (P >= q).  Each character is evaluated at
-    x = n / a alone, with no value table.
+    every character is included (P >= q).  ``n`` is an int (a float comes
+    back) or an int array (an array of the same shape comes back).  Each
+    kept character is evaluated once, at the units among x = n / a alone,
+    with no value table.
     """
     if math.gcd(a, q) != 1:
         raise ValueError("a must be coprime to q")
     if q == 1:
-        return 0.0
-    abar = pow(a, -1, q)
-    x = n * abar % q
+        return 0.0 if np.ndim(n) == 0 else np.zeros(np.shape(n))
+    x = np.asarray(n % q * pow(a, -1, q) % q)  # an int n of any size reduces exactly
     chars = character_group(q)
-    phi = len(chars)
-    total = 0j
-    unit = math.gcd(x, q) == 1  # every character vanishes off the units
-    for chi in chars:
-        if conductor(chi) <= P and unit:
-            total += complex(_unit_values(chi, x))
-    val = (1.0 if x == 1 else 0.0) - total.real / phi
-    return val
+    unit = np.gcd(x, q) == 1  # every character vanishes off the units
+    xu = x[unit]
+    if x.ndim == 0 and xu.size:
+        xu = int(xu[0])  # numpy's scalar arithmetic is cheaper than 1-element arrays
+    total = np.zeros(np.shape(xu), dtype=np.complex128)
+    for chi in chars if np.size(xu) else ():
+        if conductor(chi) <= P:
+            total += _unit_values(chi, xu)
+    val = np.where(x == 1, 1.0, 0.0)
+    val[unit] -= total.real / len(chars)
+    return float(val) if x.ndim == 0 else val
 
 
 def _festi_bound(p: int, alpha: int, j1: int, j2: int, conj_pair: bool) -> np.ndarray:

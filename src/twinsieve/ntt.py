@@ -38,6 +38,7 @@ def _bit_reverse_permutation(n: int) -> np.ndarray:
     for _ in range(bits):
         rev = (rev << 1) | (idx & 1)
         idx >>= 1
+    rev.flags.writeable = False  # cached: no caller may change it
     return rev
 
 

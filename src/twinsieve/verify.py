@@ -25,12 +25,14 @@ from .characters import (
     ExceptionalZeroHypothesis,
     F_bruteforce_all_m,
     F_factored,
+    _conj_phase_matrix,
     _festi_bound,
-    _restricted_c_all,
+    _gauss_formula_rows,
     _phase_matrix,
+    _restricted_c_all,
+    _unit_residues,
     _value_table,
     character_group,
-    gauss_sum_formula_all,
     local_sigma,
     principal_character,
     quadratic_character,
@@ -133,16 +135,25 @@ def _fmult_sweep(q_max: int = 200) -> dict:
         js = _all_j_divisors(q)
         # all unitary splits q = q1 * q2 with q1 > 1, q2 > 1 (1 and q come first and last)
         splits = [(q1, q // q1) for q1 in _divisors(fac)[1:-1]]
+        m = np.arange(q)
+        # The literal F of a component pair depends on j only through
+        # gcd(j, q_i) (j >= 1 here), so each is summed once per q; the
+        # literal F of the whole modulus is summed for every (pair, j1, j2).
+        local: dict = {}
+
+        def component_F(chi1, chi2, qi, j1, j2):
+            key = (chi1.component(qi), chi2.component(qi), math.gcd(j1, qi), math.gcd(j2, qi))
+            if key not in local:
+                local[key] = F_bruteforce_all_m(*key)
+            return local[key]
+
         for chi1, chi2 in pairs:
             for j1 in js:
                 for j2 in js:
                     whole = F_bruteforce_all_m(chi1, chi2, j1, j2)
                     for q1, q2 in splits:
-                        c11, c21 = chi1.component(q1), chi2.component(q1)
-                        c12, c22 = chi1.component(q2), chi2.component(q2)
-                        f1 = F_bruteforce_all_m(c11, c21, j1, j2)
-                        f2 = F_bruteforce_all_m(c12, c22, j1, j2)
-                        m = np.arange(q)
+                        f1 = component_F(chi1, chi2, q1, j1, j2)
+                        f2 = component_F(chi1, chi2, q2, j1, j2)
                         split_vals = f1[m % q1] * f2[m % q2]
                         total += q
                         if np.max(np.abs(whole - split_vals)) > 1e-6 * q * q:
@@ -173,26 +184,21 @@ def _fsimple_sweep(q_max: int = 200) -> dict:
 
 
 def _gauss_formula_sweep(q_max: int = 300) -> dict:
+    name = "prime-power Gauss sum formula vs direct summation (q <= 300)"
     worst = 0.0
     arg = None
     for q in range(1, q_max + 1):
-        for chi in character_group(q):
-            formula = gauss_sum_formula_all(chi)
-            direct = _restricted_c_all(chi, 0)
-            dev = float(np.max(np.abs(formula - direct)))
-            if dev > worst:
-                worst, arg = dev, q
-            if dev > 1e-8 * max(q, 1):
-                return _check(
-                    "prime-power Gauss sum formula vs direct summation (q <= 300)",
-                    False,
-                    f"deviation {dev:.2e} at q={q}",
-                )
-    return _check(
-        "prime-power Gauss sum formula vs direct summation (q <= 300)",
-        True,
-        f"max |formula - direct| = {worst:.2e} (at q={arg})",
-    )
+        chars = character_group(q)
+        # the direct sums of all phi(q) characters as one product
+        direct = np.stack([_value_table(chi) for chi in chars]) @ _phase_matrix(q)
+        formula = _gauss_formula_rows(chars)
+        devs = np.max(np.abs(formula - direct), axis=1)
+        over = np.flatnonzero(devs > 1e-8 * q)
+        if over.size:
+            return _check(name, False, f"deviation {devs[over[0]]:.2e} at q={q}")
+        if devs.max() > worst:
+            worst, arg = float(devs.max()), q
+    return _check(name, True, f"max |formula - direct| = {worst:.2e} (at q={arg})")
 
 
 def _festi_sweep(pp_max: int = 125) -> dict:
@@ -206,8 +212,8 @@ def _festi_sweep(pp_max: int = 125) -> dict:
     for p, alpha in moduli:
         q = p**alpha
         chars = character_group(q)
-        coprime = np.gcd(np.arange(q), q) == 1
-        Econj = np.conjugate(_phase_matrix(q))
+        coprime = _unit_residues(q)[0]
+        Econj = _conj_phase_matrix(q)
         index = {chi: k for k, chi in enumerate(chars)}
         conj = [index[chi.conjugate()] for chi in chars]
         conj_pair = np.eye(len(chars), dtype=bool)[conj]  # chi1 == conj(chi2)
@@ -276,13 +282,12 @@ def _orthogonality_sweep(q_max: int = 200) -> dict:
 def _uP_sweep(q_max: int = 100) -> dict:
     bad = []
     for q in range(2, q_max + 1):
-        total = sum(u_P(n, 1, q, 3) for n in range(1, q + 1) if math.gcd(n, q) == 1)
-        if abs(total) > 1e-9:
+        units = _unit_residues(q)[1]
+        if abs(u_P(units, 1, q, 3).sum()) > 1e-9:
             bad.append((q, "mean"))
     for q in (7, 12, 20, 36, 100):
-        for n in range(1, q + 1):
-            if math.gcd(n, q) == 1 and abs(u_P(n, 1, q, q)) > 1e-10:
-                bad.append((q, n))
+        units = _unit_residues(q)[1]
+        bad.extend((q, int(n)) for n in units[np.abs(u_P(units, 1, q, q)) > 1e-10])
     return _check(
         "u_P collapses at P >= q and has zero unit mean (q <= 100)",
         not bad,
@@ -641,9 +646,7 @@ def suite_bv(full: bool = True) -> list[dict]:
                 if math.gcd(a, q) != 1:
                     continue
                 got = bv_discrepancy(N, q, a, P, "Lambda", table, w=wl)
-                u = np.array(
-                    [u_P(r, a, q, P) if math.gcd(r, q) == 1 else 0.0 for r in range(q)]
-                )
+                u = u_P(np.arange(q), a, q, P)  # 0 off the units
                 want = float(np.dot(wl[1:], u[np.arange(1, N + 1) % q]))
                 worst = max(worst, abs(got - want))
                 if abs(got - want) > 1e-6:

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from twinsieve.arith import default_table
+from twinsieve.arith import _factor_pp, default_table
 from twinsieve.characters import (
     DirichletCharacter,
     ExceptionalZeroHypothesis,
@@ -250,6 +250,24 @@ def test_F_factored_vs_bruteforce_sweep():
                     assert abs(a - b) <= 1e-6 * q * q, (q, j1, j2, m)
 
 
+def test_F_factored_vs_bruteforce_all_pairs_all_m():
+    # every pair of characters mod p, so the all-m local tables are read at
+    # (-m) % p and (m + 2) % p for complex characters too
+    for p in (3, 5, 7, 11, 13):
+        m = np.arange(p)
+        chars = character_group(p)
+        for chi1 in chars:
+            for chi2 in chars:
+                for j1 in (0, 1, p):
+                    for j2 in (0, 1, p):
+                        literal = F_bruteforce_all_m(chi1, chi2, j1, j2)
+                        factored = np.array(
+                            [F_factored(chi1, chi2, j1, j2, int(k)) for k in m]
+                        )
+                        gap = np.max(np.abs(factored - literal))
+                        assert gap <= 1e-9 * p * p, (p, chi1, chi2, j1, j2, gap)
+
+
 def test_F_multiplicativity():
     rng = random.Random(29)
     for q1, q2 in [(3, 5), (5, 7), (3, 7), (4, 3), (8, 5), (9, 5)]:
@@ -373,6 +391,19 @@ def test_u_P_evaluates_only_the_residue_it_needs():
     assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
+def test_u_P_array_equals_scalar():
+    for q in range(2, 31):
+        n = np.arange(-1, q + 2)
+        for a in {1, q - 1}:
+            for P in (1, 3, q):
+                got = u_P(n, a, q, P)
+                assert got.shape == n.shape
+                want = [u_P(int(k), a, q, P) for k in n]
+                assert got.tolist() == want, (q, a, P)
+    assert u_P(np.arange(4).reshape(2, 2), 1, 1, 1).shape == (2, 2)
+    assert u_P(7 * 10**20 + 3, 1, 7, 1) == u_P(3, 1, 7, 1)
+
+
 def test_u_P_equals_the_value_table_sum():
     from twinsieve.characters import _value_table
 
@@ -408,3 +439,57 @@ def test_festi_bounds_small():
         festi_bound_check(
             principal_character(6), principal_character(6), 1, 1, 0
         )
+
+
+def test_equal_characters_are_shared():
+    for q in (5, 12, 15, 16, 45, 105):
+        assert principal_character(q) is principal_character(q)
+        assert quadratic_character(q) is quadratic_character(q)
+        chi = quadratic_character(q)
+        for p, a in _factor_pp(q):
+            assert chi.component(p**a) is chi.component(p**a)
+        group = character_group(q)
+        for named in (principal_character(q), quadratic_character(q)):
+            (same,) = [c for c in group if c == named]
+            assert same is not named
+            assert hash(same) == hash(named)
+            assert {same: 1}[named] == 1
+
+
+def test_cached_arrays_are_read_only():
+    from twinsieve import characters as ch
+    from twinsieve import ntt
+
+    chi = character_group(7)[1]
+    arrays = [
+        ch._value_table(chi),
+        ch._phase_matrix(7),
+        ch._conj_phase_matrix(7),
+        ch._dlog_table(7, 2),
+        *ch._two_decomp_table(4),
+        ch._unit_residues(12)[0],
+        ch._unit_residues(12)[1],
+        ch._restriction_mask(15, 3),
+        ch._restricted_c_all(chi, 1),
+        ch.gauss_sum_formula_all(chi),
+        ch._component_gauss_formula_all(chi.odd_parts[0]),
+        ch._F_local_odd_prime(chi, chi, 1, 7),
+        ntt._bit_reverse_permutation(16),
+    ]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+
+
+def test_caches_are_bounded():
+    from twinsieve import arith, ntt
+    from twinsieve import characters as ch
+
+    funcs = [
+        f for mod in (arith, ch, ntt) for f in vars(mod).values()
+        if hasattr(f, "cache_info") and f.__module__ == mod.__name__
+    ]
+    funcs.append(ch.DirichletCharacter.component)
+    assert len(funcs) > 10
+    for f in funcs:
+        assert f.cache_info().maxsize is not None, f.__name__

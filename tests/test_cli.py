@@ -163,6 +163,17 @@ def test_verify_subcommand(tmp_path, capsys):
     assert rep["results"]["passed"] is True
 
 
+def test_verify_all_fast_reports_the_benchmark_checks(tmp_path):
+    # the benchmark's verify-fast workload compares these names with its
+    # reference; a renamed or dropped check fails here first
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify-fast.json"
+    want = set(json.loads(reference.read_text())["checks"])
+    assert run_cli(["verify", "--suite", "all", "--fast", "--out", str(tmp_path)]) == 0
+    rep = load_report(tmp_path, "verify")
+    assert rep["results"]["passed"] is True
+    assert {c["check"] for c in rep["results"]["checks"]} == want
+
+
 def test_verify_unknown_suite_is_error(tmp_path):
     rc = run_cli(["verify", "--suite", "bogus", "--out", str(tmp_path)])
     assert rc == 2

@@ -95,7 +95,7 @@ def test_char_sum_table(table):
 
 
 def test_bv_discrepancy_definitional(table):
-    # against the literal u_P double loop
+    # against the literal sum of w(n) u_P(n), u_P evaluated at every n
     N = 2000
     for weight in ("Lambda", "mu"):
         w = weight_array(weight, N, table)
@@ -105,9 +105,7 @@ def test_bv_discrepancy_definitional(table):
                     if math.gcd(a, q) != 1:
                         continue
                     got = bv_discrepancy(N, q, a, P, weight, table)
-                    want = sum(
-                        w[n] * u_P(n, a, q, P) for n in range(1, N + 1)
-                    )
+                    want = float(np.dot(w[1:], u_P(np.arange(1, N + 1), a, q, P)))
                     assert got == pytest.approx(want, abs=1e-6), (weight, q, P, a)
 
 
