@@ -23,22 +23,16 @@ __all__ = [
     "factorize_extended",
     "mobius",
     "euler_phi",
-    "euler_phi2",
     "tau_k",
     "big_omega",
     "omega_distinct",
     "omega_counts",
-    "radical",
-    "arith_value",
-    "smooth_rough_split",
     "rough_indicator",
     "almost_prime_indicator",
-    "V_product",
     "von_mangoldt",
     "lambda0",
     "lambda_almost_twin",
     "lambda_e3star",
-    "lambda_weight",
     "heath_brown_terms",
 ]
 
@@ -268,21 +262,6 @@ def euler_phi(fac: Factorization) -> int:
     return out
 
 
-def euler_phi2(fac: Factorization) -> int:
-    """Modified totient: p^e(1 - 2/p) at odd p, phi(2^e) at p = 2.
-
-    Counts residues b mod n avoiding two classes per odd prime; at p = 2
-    only one class is excluded, so the 2-part falls back to phi.
-    """
-    out = 1
-    for p, e in fac.pairs:
-        if p == 2:
-            out *= 2 ** (e - 1)
-        else:
-            out *= (p - 2) * p ** (e - 1)
-    return out
-
-
 def tau_k(fac: Factorization, k: int) -> int:
     """k-fold divisor function: number of ordered k-factorizations."""
     if k < 1:
@@ -301,49 +280,6 @@ def omega_distinct(fac: Factorization) -> int:
     return len(fac.pairs)
 
 
-def radical(fac: Factorization) -> int:
-    out = 1
-    for p, _ in fac.pairs:
-        out *= p
-    return out
-
-
-_KINDS = {"mu", "phi", "phi2", "tau_k", "big_omega", "rad"}
-
-
-def arith_value(kind: str, n: int, table: PrimeTable | None = None, k: int = 2):
-    """Dispatch a named arithmetic function at n (exact integer values)."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
-    table = table or default_table()
-    fac = factorize(n, table)
-    if kind == "mu":
-        return mobius(fac)
-    if kind == "phi":
-        return euler_phi(fac)
-    if kind == "phi2":
-        return euler_phi2(fac)
-    if kind == "tau_k":
-        return tau_k(fac, k)
-    if kind == "big_omega":
-        return big_omega(fac)
-    return radical(fac)
-
-
-def smooth_rough_split(n: int, P: int, table: PrimeTable) -> tuple[int, int]:
-    """Split n = n_smooth * n_rough at threshold P.
-
-    Every prime of n_smooth is <= P, every prime of n_rough is > P.
-    """
-    if n < 1 or P < 2:
-        raise ValueError("need n >= 1 and P >= 2")
-    smooth = 1
-    for p, e in factorize(n, table).pairs:
-        if p <= P:
-            smooth *= p**e
-    return smooth, n // smooth
-
-
 def rough_indicator(n: int, w: float, z: float, table: PrimeTable) -> int:
     """1 iff n has no prime factor p with w < p <= z (rho(n, w, z))."""
     if w > z:
@@ -354,33 +290,11 @@ def rough_indicator(n: int, w: float, z: float, table: PrimeTable) -> int:
     return 1
 
 
-def almost_prime_indicator(
-    n: int, k: int, table: PrimeTable, count_multiplicity: bool = True
-) -> int:
-    """1 iff n has at most k prime factors.
-
-    ``count_multiplicity`` selects between Omega(n) <= k (default, Chen's
-    convention) and the distinct-prime count omega(n) <= k.  Both
-    conventions appear in the literature and they genuinely differ on
-    prime powers; see almost-prime notes in the sieve module.
-    """
+def almost_prime_indicator(n: int, k: int, table: PrimeTable) -> int:
+    """1 iff Omega(n) <= k (prime factors counted with multiplicity, Chen's convention)."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    fac = factorize(n, table)
-    count = big_omega(fac) if count_multiplicity else omega_distinct(fac)
-    return 1 if count <= k else 0
-
-
-def V_product(primes: Iterable[int]) -> float:
-    """prod over the set of (1 - 1/(p-1)); empty product is 1.
-
-    p = 2 makes the factor vanish, so the value is 0 (not an error): the
-    sieve density 1/(p-1) saturates the single residue class mod 2.
-    """
-    out = 1.0
-    for p in primes:
-        out *= 1.0 - 1.0 / (p - 1)
-    return out
+    return 1 if big_omega(factorize(n, table)) <= k else 0
 
 
 # ---------------------------------------------------------------------------
@@ -480,35 +394,6 @@ def lambda_e3star(n: int, N: int, table: PrimeTable, eps: float = 1e-3) -> float
     if cls == 2:
         return math.log(n)
     return 0.0
-
-
-def lambda_weight(
-    kind: str,
-    n: int,
-    N: int,
-    table: PrimeTable | None = None,
-    k: int | None = None,
-    alpha: float | None = None,
-    eps: float = 1e-3,
-) -> float:
-    """Dispatch the log-type weights by name.
-
-    kind in {"vonMangoldt", "Lambda0", "Lambda_k", "Lambda_E3star"}.
-    """
-    if n > N:
-        raise ValueError(f"n={n} exceeds N={N}")
-    table = table or default_table()
-    if kind == "vonMangoldt":
-        return von_mangoldt(n, table)
-    if kind == "Lambda0":
-        return lambda0(n, table)
-    if kind == "Lambda_k":
-        if k is None:
-            raise ValueError("Lambda_k needs k")
-        return lambda_almost_twin(n, k, N, table, alpha=alpha)
-    if kind == "Lambda_E3star":
-        return lambda_e3star(n, N, table, eps=eps)
-    raise ValueError(f"unknown weight kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,9 @@ from .sieves import SieveWeights, apply_sieve_range
 __all__ = [
     "ArithSequence",
     "ScanReport",
-    "ArcClassification",
     "build_sequence",
     "convolve",
     "exceptional_scan",
-    "exp_sum",
-    "classify_arc",
-    "T_sums",
 ]
 
 FLOAT_N_CAP = 1 << 27
@@ -352,71 +348,3 @@ def exceptional_scan(
         ratio_histogram={f"[{a},{b})": int(h) for a, b, h in zip(edges, edges[1:], hist)},
         trace=trace,
     )
-
-
-def exp_sum(f: ArithSequence, alpha: float, y: int | None = None) -> complex:
-    """sum_{n <= y} f(n) e(alpha n) by direct summation."""
-    y = f.N if y is None else y
-    if y > f.N:
-        raise ValueError("y exceeds the sequence range")
-    n = np.arange(1, y + 1)
-    return complex(np.sum(f.values[1 : y + 1] * np.exp(2j * np.pi * alpha * n)))
-
-
-@dataclass(frozen=True)
-class ArcClassification:
-    alpha: float
-    is_major: bool
-    b: int | None = None
-    q: int | None = None
-    distance: float | None = None
-
-
-def classify_arc(alpha: float, N: int, P, c0: float = 1.0 / 1000.0) -> ArcClassification:
-    """Major/minor classification with denominator cutoff P^c0, width 1/Q.
-
-    Q = N / P^c0; the arcs are closed: |alpha - b/q| = 1/Q counts as
-    major.  P may be a big integer (the cutoff is computed in log space).
-    """
-    if not 0 <= alpha < 1:
-        raise ValueError("alpha must lie in [0, 1)")
-    cutoff = math.exp(c0 * math.log(P))
-    if cutoff > 10**7:
-        raise ValueError(f"denominator cutoff {cutoff:.3g} beyond the scan budget")
-    Q = N / cutoff
-    best = None
-    # the cutoff is a tiny power of P, so a linear scan over q suffices;
-    # only the floor/ceil fractions at each q can be within range
-    for q in range(1, int(cutoff) + 1):
-        for b in {math.floor(alpha * q), math.ceil(alpha * q)}:
-            if b < 0 or b > q or math.gcd(b, q) != 1:
-                continue
-            dist = abs(alpha - b / q)
-            if dist <= 1.0 / Q and (best is None or dist < best[2]):
-                best = (b, q, dist)
-    if best is None:
-        return ArcClassification(alpha=alpha, is_major=False)
-    return ArcClassification(
-        alpha=alpha, is_major=True, b=best[0], q=best[1], distance=best[2]
-    )
-
-
-def T_sums(eta: float, N: int, beta: float | None = None) -> tuple[complex, complex]:
-    """Geometric sum T(eta) and the beta-weighted companion T~(eta).
-
-    T = sum_{n<=N} e(eta n) via the closed form; T~ = -sum n^(beta-1)
-    e(eta n) by direct summation (equal to -T when beta = 1).
-    """
-    if abs(eta) > 0.5:
-        raise ValueError("eta must lie in [-1/2, 1/2]")
-    if eta == 0:
-        T = complex(N)
-    else:
-        z = np.exp(2j * np.pi * eta)
-        T = z * (z**N - 1) / (z - 1)
-    if beta is None:
-        T_tilde = -T
-    else:
-        n = np.arange(1, N + 1)
-        T_tilde = -complex(np.sum(n ** (beta - 1.0) * np.exp(2j * np.pi * eta * n)))
-    return T, T_tilde

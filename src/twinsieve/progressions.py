@@ -10,22 +10,16 @@ coprime to q via per-modulus residue sums, never by bounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arith import PrimeTable, _divisors, _factor_pp, default_table
 from .characters import _value_table, primitive_characters
-from .sieves import SieveWeights
 
 __all__ = [
-    "CharSumTable",
     "weight_array",
-    "psi_progression",
-    "char_sum_table",
     "bv_discrepancy",
     "bv_profile",
-    "weighted_level_sum",
 ]
 
 
@@ -115,56 +109,6 @@ def _residue_sum_table(w: np.ndarray, Q: int):
             for d in folded.get(m, ()):
                 yield d, _residue_sums(R_m, d)
         q += len(moduli)
-
-
-def psi_progression(
-    N: int, q: int, a: int, weight: str, table: PrimeTable | None = None,
-    w: np.ndarray | None = None,
-) -> float:
-    """sum of w(n) over n <= N with n = a mod q."""
-    if math.gcd(a, q) != 1:
-        raise ValueError("a must be coprime to q")
-    if w is None:
-        w = weight_array(weight, N, table)
-    idx = np.arange(a % q if (a % q) > 0 else q, N + 1, q)
-    return float(w[idx].sum())
-
-
-@dataclass(frozen=True)
-class CharSumTable:
-    """Sums of w(n) psi(n) for every primitive psi with conductor <= P."""
-
-    N: int
-    P: int
-    weight: str
-    entries: dict = field(repr=False)  # (f, index) -> complex
-    characters: dict = field(repr=False)  # (f, index) -> DirichletCharacter
-
-    def total(self) -> float:
-        return self.entries[(1, 0)].real
-
-
-def char_sum_table(
-    N: int, P: int, weight: str, table: PrimeTable | None = None,
-    w: np.ndarray | None = None,
-) -> CharSumTable:
-    """One pass per conductor: residue sums, then dot with character values."""
-    if P > 1000:
-        raise ValueError("conductor budget is 1000")
-    if w is None:
-        w = weight_array(weight, N, table)
-    entries: dict = {}
-    chars: dict = {}
-    for f in range(1, P + 1):
-        prims = primitive_characters(f)
-        if not prims:
-            continue
-        R = _residue_sums(w, f)
-        for i, chi in enumerate(prims):
-            vals = _value_table(chi)
-            entries[(f, i)] = complex(np.dot(vals, R))
-            chars[(f, i)] = chi
-    return CharSumTable(N=N, P=P, weight=weight, entries=entries, characters=chars)
 
 
 def _discrepancies(R: np.ndarray, q: int, P_list) -> np.ndarray:
@@ -257,27 +201,3 @@ def profile_totals(rows) -> dict:
     for row in rows:
         totals[row["P"]] = totals.get(row["P"], 0.0) + abs(row["discrepancy"])
     return totals
-
-
-def weighted_level_sum(
-    lam: SieveWeights,
-    N: int,
-    P: float,
-    weight: str,
-    a: int = 1,
-    table: PrimeTable | None = None,
-) -> float:
-    """sum over the support of lambda_d times the discrepancy at modulus d.
-
-    Moduli not coprime to a are skipped (the underlying statistic carries
-    the (d, a) = 1 restriction).
-    """
-    if len(lam.coefficients) > 10**4:
-        raise ValueError("weight support budget is 10^4 moduli")
-    w = weight_array(weight, N, table)
-    total = 0.0
-    for d, coeff in sorted(lam.coefficients.items()):
-        if math.gcd(a, d) != 1:
-            continue
-        total += coeff * bv_discrepancy(N, d, a, P, weight, w=w)
-    return total

@@ -34,7 +34,6 @@ __all__ = [
     "p3_minorant_eval",
     "p3_minorant_range",
     "p3_pointwise_check",
-    "fg_exponent",
     "vector_sieve_lower",
     "sie1_identity_check",
     "fundlem_pointwise_bound",
@@ -315,17 +314,6 @@ def p3_pointwise_check(
     rhs = rho_z * in_p3
     bad = np.nonzero(lhs[1:] > rhs[1:] + 1e-9)[0] + 1
     return bad
-
-
-def fg_exponent(t: float, eps: float) -> float:
-    """Step exponent of the large-level sieve class: 4/7, 11/20, then 1/2."""
-    if not 0 <= t <= 0.5 - eps:
-        raise ValueError(f"t={t} outside [0, 1/2 - eps]")
-    if t <= 2.0 / 7.0 - eps:
-        return 4.0 / 7.0
-    if t <= 1.0 / 3.0 - eps:
-        return 11.0 / 20.0
-    return 0.5
 
 
 def vector_sieve_lower(A, B, A_plus, A_minus, B_plus, B_minus) -> float:

@@ -6,25 +6,19 @@ import pytest
 
 from twinsieve.arith import (
     ConfigurationError,
-    V_product,
     almost_prime_indicator,
-    arith_value,
     big_omega,
     build_prime_table,
     euler_phi,
-    euler_phi2,
     factorize,
     factorize_extended,
     heath_brown_terms,
     lambda_almost_twin,
     lambda_e3star,
-    lambda_weight,
     mobius,
     omega_counts,
     omega_distinct,
-    radical,
     rough_indicator,
-    smooth_rough_split,
     tau_k,
     von_mangoldt,
 )
@@ -123,21 +117,8 @@ def test_factorize_extended(small_table):
     assert factorize_extended(120, small_table).value() == 120
 
 
-def test_arith_values_explicit(small_table):
-    assert arith_value("phi2", 15, small_table) == 3
-    assert arith_value("phi2", 8, small_table) == 4
-    assert arith_value("mu", 30, small_table) == -1
-    assert arith_value("mu", 12, small_table) == 0
-    assert arith_value("phi", 12, small_table) == 4
-    assert arith_value("tau_k", 12, small_table, k=2) == 6
-    assert arith_value("big_omega", 8, small_table) == 3
-    assert arith_value("rad", 12, small_table) == 6
-    with pytest.raises(ValueError):
-        arith_value("nope", 5, small_table)
-
-
 def test_agreement_with_definitional_loops(small_table):
-    # mu, phi, phi2, tau_k, Omega from factorize vs direct definitional loops
+    # mu, phi, tau_k, Omega from factorize vs direct definitional loops
     for n in range(1, 2000):
         fac = factorize(n, small_table)
         divisors = [d for d in range(1, n + 1) if n % d == 0]
@@ -148,10 +129,6 @@ def test_agreement_with_definitional_loops(small_table):
             assert mobius(fac) == 0
         distinct = {p for p in range(2, n + 1) if small_table.spf[p] == p and n % p == 0}
         assert mobius(fac) == (0 if sq else (-1) ** len(distinct))
-        phi2_direct = n
-        for p in distinct:
-            phi2_direct = phi2_direct // p * ((p - 1) if p == 2 else (p - 2))
-        assert euler_phi2(fac) == phi2_direct
         m, count = n, 0
         while m > 1:
             m //= int(small_table.spf[m])
@@ -173,8 +150,6 @@ def test_multiplicativity(table):
         fab = factorize_extended(a * b, table)
         assert mobius(fab) == mobius(fa) * mobius(fb)
         assert euler_phi(fab) == euler_phi(fa) * euler_phi(fb)
-        assert euler_phi2(fab) == euler_phi2(fa) * euler_phi2(fb)
-        assert radical(fab) == radical(fa) * radical(fb)
         for k in (2, 3, 4):
             assert tau_k(fab, k) == tau_k(fa, k) * tau_k(fb, k)
 
@@ -206,11 +181,6 @@ def test_agreement_with_sieve_oracles_at_scale(table):
     for d in range(1, N + 1):
         tau[d::d] += 1
 
-    phi2 = np.arange(N + 1, dtype=np.int64)
-    for p in primes:
-        phi2[p::p] //= p
-        phi2[p::p] *= (p - 2) if p > 2 else 1
-
     rng = random.Random(17)
     sample = [rng.randrange(1, N + 1) for _ in range(3000)] + list(range(1, 300))
     for n in sample:
@@ -219,7 +189,6 @@ def test_agreement_with_sieve_oracles_at_scale(table):
         assert mobius(fac) == mu[n], n
         assert big_omega(fac) == omega[n], n
         assert tau_k(fac, 2) == tau[n], n
-        assert euler_phi2(fac) == phi2[n], n
 
 
 def test_omega_kernel_matches_factorize(small_table):
@@ -234,20 +203,6 @@ def test_omega_kernel_matches_factorize(small_table):
     idx = np.array([9973, 0, 1024, 1, 1024, 210, 9973, 12])
     assert omega_counts(idx, small_table).tolist() == [1, 0, 10, 0, 10, 4, 1, 3]
     assert omega_counts(idx, small_table, False).tolist() == [1, 0, 1, 0, 1, 4, 1, 2]
-
-
-def test_smooth_rough_split(small_table):
-    assert smooth_rough_split(60, 3, small_table) == (12, 5)
-    assert smooth_rough_split(7, 10, small_table) == (7, 1)
-    assert smooth_rough_split(1, 2, small_table) == (1, 1)
-    rng = random.Random(4)
-    for _ in range(200):
-        n = rng.randrange(1, 10_000)
-        P = rng.randrange(2, 50)
-        s, r = smooth_rough_split(n, P, small_table)
-        assert s * r == n
-        assert all(p <= P for p, _ in factorize(s, small_table).pairs)
-        assert all(p > P for p, _ in factorize(r, small_table).pairs)
 
 
 def test_rough_indicator(small_table):
@@ -265,26 +220,6 @@ def test_almost_prime_indicator(small_table):
     assert almost_prime_indicator(15, 2, small_table) == 1
     assert almost_prime_indicator(8, 2, small_table) == 0
     assert almost_prime_indicator(1, 1, small_table) == 1
-    # conventions differ exactly on repeated factors
-    assert almost_prime_indicator(8, 2, small_table, count_multiplicity=False) == 1
-    assert almost_prime_indicator(8, 1, small_table, count_multiplicity=False) == 1
-
-
-def test_V_product():
-    assert V_product({3, 5}) == pytest.approx(3 / 8)
-    assert V_product(set()) == 1.0
-    assert V_product({2, 3}) == 0.0
-
-
-def test_lambda_weights(small_table):
-    assert von_mangoldt(8, small_table) == pytest.approx(math.log(2))
-    assert von_mangoldt(12, small_table) == 0.0
-    assert lambda_weight("Lambda0", 8, 100, small_table) == 0.0
-    assert lambda_weight("Lambda0", 7, 100, small_table) == pytest.approx(math.log(7))
-    assert lambda_weight("vonMangoldt", 8, 100, small_table) == pytest.approx(math.log(2))
-    assert lambda_weight("Lambda_k", 9, 10**6, None, k=3) == 0.0
-    with pytest.raises(ValueError):
-        lambda_weight("Lambda0", 101, 100, small_table)
 
 
 def test_lambda_almost_twin_support(table):

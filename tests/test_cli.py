@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import twinsieve
 from twinsieve.cli import main
 
 
@@ -23,8 +25,6 @@ def load_report(out_dir, command):
 def test_cli_imports_numpy_and_the_standard_library_only():
     # every CLI launch pays for its imports; a quadrature library here once
     # cost half of a one-second scan
-    import twinsieve
-
     src = str(Path(twinsieve.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -40,6 +40,12 @@ def test_cli_imports_numpy_and_the_standard_library_only():
         check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(twinsieve.__path__)])
+def test_every_exported_name_is_defined(module):
+    # a deletion that leaves its __all__ entry behind breaks the star import
+    exec(f"from twinsieve.{module} import *", {})
 
 
 def test_scan_subcommand(tmp_path):

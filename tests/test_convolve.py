@@ -6,12 +6,9 @@ import pytest
 from twinsieve.arith import build_prime_table, lambda0
 from twinsieve.convolve import (
     ArithSequence,
-    T_sums,
     build_sequence,
-    classify_arc,
     convolve,
     exceptional_scan,
-    exp_sum,
 )
 from twinsieve import ntt
 from twinsieve.ntt import ReconstructionOverflow, exact_convolve, roundoff_bound
@@ -141,7 +138,6 @@ def test_uncertified_inputs_fall_back_to_ntt():
     got = convolve(seq, seq, "exact").values
     py = np.array([int(v) for v in vals[1:]], dtype=object)
     assert got[2:].tolist() == np.convolve(py, py).tolist()
-
 
 
 def _spy_ntt(monkeypatch):
@@ -320,67 +316,3 @@ def test_scan_prefix_consistency(table):
     # effective sieving sets agree ({2, 3}), so the m <= 10^4 prefix matches
     assert [m for m in r2.exceptional if m <= 10**4] == r1.exceptional
     assert np.all(r2.counts[2 : 10**4 + 1] >= r1.counts[2 : 10**4 + 1])
-
-
-def test_exp_sum(table):
-    seq = build_sequence("Lambda0", 100, table)
-    total = exp_sum(seq, 0.0)
-    assert total.real == pytest.approx(seq.values.sum())
-    assert abs(total.imag) < 1e-12
-    # parity split at alpha = 1/2
-    val = exp_sum(seq, 0.5)
-    direct = sum(
-        seq.values[n] * (-1) ** n for n in range(1, 101)
-    )
-    assert val.real == pytest.approx(direct, abs=1e-9)
-    assert abs(exp_sum(seq, 0.3)) <= seq.values.sum() + 1e-9
-    with pytest.raises(ValueError):
-        exp_sum(seq, 0.1, y=101)
-
-
-def test_classify_arc():
-    res = classify_arc(0.0, 10**6, 10**1000)
-    assert res.is_major and res.q == 1 and res.b == 0
-    res = classify_arc(1 / 3, 10**6, 10**3000)
-    assert res.is_major and (res.b, res.q) == (1, 3)
-    golden = (math.sqrt(5) - 1) / 2
-    res = classify_arc(golden, 10**6, 10**1000)  # cutoff 10, Q = 10^5
-    assert not res.is_major
-    # boundary |alpha - b/q| = 1/Q is major (closed arcs)
-    N, P = 10**6, 10**3000  # cutoff 10^3, Q = 10^3
-    alpha = 0.5 + 1.0 / (N / 10**3)
-    res = classify_arc(alpha, N, P)
-    assert res.is_major and res.distance <= 1 / (N / 10**3) + 1e-15
-
-
-def test_classify_arc_witness_invariant():
-    rng = np.random.default_rng(11)
-    N, P = 10**6, 10**2000  # cutoff 100
-    Q = N / 100
-    for _ in range(200):
-        alpha = float(rng.random())
-        res = classify_arc(alpha, N, P)
-        if res.is_major:
-            assert math.gcd(res.b, res.q) == 1
-            assert res.q <= 100
-            assert abs(alpha - res.b / res.q) <= 1 / Q + 1e-15
-
-
-def test_T_sums(table):
-    T, Tt = T_sums(0.0, 50)
-    assert T == 50
-    assert Tt == -50
-    _, Tt_half = T_sums(0.0, 50, beta=0.5)
-    assert Tt_half.real == pytest.approx(-sum(n**-0.5 for n in range(1, 51)))
-    T, Tt = T_sums(0.3, 100, beta=1.0)
-    assert Tt == pytest.approx(-T, abs=1e-9)
-    # closed form vs direct sum
-    n = np.arange(1, 101)
-    direct = np.sum(np.exp(2j * np.pi * 0.3 * n))
-    assert T == pytest.approx(direct, abs=1e-9)
-    # |T| <= min(N, 1/(2 eta)) style bound
-    for eta in (0.01, 0.1, 0.25):
-        T, _ = T_sums(eta, 1000)
-        assert abs(T) <= min(1000, 1 / (2 * eta)) + 1e-9
-    with pytest.raises(ValueError):
-        T_sums(0.7, 10)

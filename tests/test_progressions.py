@@ -11,13 +11,9 @@ from twinsieve.progressions import (
     _residue_sums,
     bv_discrepancy,
     bv_profile,
-    char_sum_table,
     profile_totals,
-    psi_progression,
     weight_array,
-    weighted_level_sum,
 )
-from twinsieve.sieves import SieveWeights
 
 
 @pytest.fixture(scope="module")
@@ -57,43 +53,6 @@ def test_residue_sums_match_definition(table, weight):
             assert np.array_equal(got, oracle)
 
 
-def test_psi_progression_examples(table):
-    w = weight_array("Lambda", 100, table)
-    direct = sum(
-        von_mangoldt(n, table) for n in range(1, 101) if n % 3 == 1
-    )
-    assert psi_progression(100, 3, 1, "Lambda", table) == pytest.approx(direct)
-    # Mertens M(10) = -1
-    assert psi_progression(10, 1, 1, "mu", table) == pytest.approx(-1.0)
-    # q > N: single-term sums
-    assert psi_progression(10, 50, 3, "mu", table) == pytest.approx(
-        mobius(factorize(3, table))
-    )
-    with pytest.raises(ValueError):
-        psi_progression(100, 6, 3, "Lambda", table)
-
-
-def test_char_sum_table(table):
-    t = char_sum_table(100, 3, "Lambda", table)
-    # trivial character entry is the full sum
-    w = weight_array("Lambda", 100, table)
-    assert t.total() == pytest.approx(w.sum())
-    # quadratic character mod 3 matches a direct sum
-    from twinsieve.characters import quadratic_character
-
-    chi = quadratic_character(3)
-    direct = sum(w[n] * chi.value(n).real for n in range(1, 101))
-    key = [k for k in t.entries if k[0] == 3]
-    assert len(key) == 1
-    assert t.entries[key[0]].real == pytest.approx(direct, abs=1e-9)
-    # table size: sum over f <= P of #primitive(f)
-    t10 = char_sum_table(50, 10, "mu", table)
-    from twinsieve.characters import primitive_characters
-
-    want = sum(len(primitive_characters(f)) for f in range(1, 11))
-    assert len(t10.entries) == want
-
-
 def test_bv_discrepancy_definitional(table):
     # against the literal sum of w(n) u_P(n), u_P evaluated at every n
     N = 2000
@@ -128,7 +87,7 @@ def test_bv_classical_P1(table):
         got = bv_discrepancy(N, q, a, 1, "Lambda", table)
         phi = sum(1 for r in range(q) if math.gcd(r, q) == 1)
         coprime_total = sum(w[n] for n in range(1, N + 1) if math.gcd(n, q) == 1)
-        want = psi_progression(N, q, a, "Lambda", table) - coprime_total / phi
+        want = w[a::q].sum() - coprime_total / phi
         assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -165,7 +124,7 @@ def test_bv_profile(table):
         phi = len(units)
         coprime_total = sum(w[n] for n in range(1, 10**4 + 1) if math.gcd(n, q) == 1)
         best = max(
-            abs(psi_progression(10**4, q, a, "mu", table, w=w) - coprime_total / phi)
+            abs(w[a::q].sum() - coprime_total / phi)
             for a in units
         )
         classical += best
@@ -189,26 +148,6 @@ def test_bv_profile_rows_match_bv_discrepancy(table):
             assert abs(row["discrepancy"]) == pytest.approx(best, abs=1e-9), row
             if best > 1e-6:  # on vanishing rows the argmax is rounding noise
                 assert row["discrepancy"] == pytest.approx(discs[row["a_max"]], abs=1e-9)
-
-
-def test_weighted_level_sum(table):
-    N = 3000
-    lam = SieveWeights({1: 1.0}, level=1, primes=frozenset())
-    single = weighted_level_sum(lam, N, 2, "mu", a=1, table=table)
-    assert single == pytest.approx(bv_discrepancy(N, 1, 1, 2, "mu", table))
-    mob = SieveWeights(
-        {1: 1.0, 3: -1.0, 5: -1.0, 15: 1.0}, level=15, primes=frozenset({3, 5})
-    )
-    got = weighted_level_sum(mob, N, 2, "mu", a=1, table=table)
-    want = sum(
-        lamd * bv_discrepancy(N, d, 1, 2, "mu", table)
-        for d, lamd in mob.coefficients.items()
-    )
-    assert got == pytest.approx(want, abs=1e-8)
-    # P >= max modulus: vanishes
-    assert weighted_level_sum(mob, N, 15, "mu", a=1, table=table) == pytest.approx(
-        0.0, abs=1e-6
-    )
 
 
 def test_mu_sieve_matches_factorization(table):

@@ -13,7 +13,6 @@ from twinsieve.sieves import (
     apply_sieve_range,
     beta_sieve,
     curly_V,
-    fg_exponent,
     fundamental_lemma_envelope,
     fundlem_pointwise_bound,
     linear_sieve,
@@ -166,15 +165,6 @@ def test_fundamental_lemma_envelope(table):
     bad = SieveWeights({1: 1.0}, level=1, primes=frozenset({2, 3}))
     with pytest.raises(ValueError):
         fundamental_lemma_envelope(bad, 3, 10.0)
-
-
-def test_fg_exponent():
-    eps = 1e-3
-    assert fg_exponent(0.1, eps) == pytest.approx(4 / 7)
-    assert fg_exponent(0.3, eps) == pytest.approx(11 / 20)
-    assert fg_exponent(0.4, eps) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        fg_exponent(0.6, eps)
 
 
 def test_vector_sieve_examples():
