@@ -29,7 +29,6 @@ __all__ = [
     "primitive_characters",
     "principal_character",
     "quadratic_character",
-    "conductor",
     "primitive_part",
     "gauss_sum",
     "gauss_sum_formula",
@@ -140,9 +139,6 @@ class DirichletCharacter:
 
     def value(self, n: int) -> complex:
         return complex(_value_table(self)[n % self.q])
-
-    def __call__(self, n: int) -> complex:
-        return self.value(n)
 
     # -- structure ----------------------------------------------------------
 
@@ -295,13 +291,9 @@ def character_group(q: int) -> tuple[DirichletCharacter, ...]:
     return tuple(chars)
 
 
-def conductor(chi: DirichletCharacter) -> int:
-    return chi.conductor
-
-
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
-    """The primitive character inducing chi (to the modulus conductor(chi))."""
-    f = conductor(chi)
+    """The primitive character inducing chi (to the modulus chi.conductor)."""
+    f = chi.conductor
     odd = []
     for part in chi.odd_parts:
         if part.exponent == 0:
@@ -374,7 +366,7 @@ def _value_table(chi: DirichletCharacter) -> np.ndarray:
 @lru_cache(maxsize=128)
 def primitive_characters(f: int) -> tuple[DirichletCharacter, ...]:
     """All primitive characters of conductor exactly f."""
-    return tuple(chi for chi in character_group(f) if conductor(chi) == f)
+    return tuple(chi for chi in character_group(f) if chi.conductor == f)
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +384,9 @@ def _phase_matrix(q: int) -> np.ndarray:
     return _read_only(np.exp(2j * np.pi * a / q)[np.outer(a, a) % q])
 
 
-@lru_cache(maxsize=16)
-def _conj_phase_matrix(q: int) -> np.ndarray:
-    """e_q(-a*b): the conjugate of _phase_matrix(q), kept once per q, read-only."""
-    return _read_only(np.conjugate(_phase_matrix(q)))
-
-
 def gauss_sum(chi: DirichletCharacter, a: int) -> complex:
     """sum over units b mod q of chi(b) e_q(ab), by direct summation."""
     return modified_gauss_sum(chi, a, 0)
-
-
-@lru_cache(maxsize=4096)
-def _tau_primitive(chi: DirichletCharacter) -> complex:
-    """tau(chi) = c_chi(1) by direct summation."""
-    return gauss_sum(chi, 1)
 
 
 def _phi_pp(p: int, alpha: int) -> int:
@@ -425,7 +405,7 @@ def _components_with_meta(chi: DirichletCharacter) -> tuple:
     out = []
     for part in _parts(chi):
         comp = chi.component(part.modulus)
-        out.append((part.p, part.alpha, comp, _valuation(conductor(comp), part.p)))
+        out.append((part.p, part.alpha, comp, _valuation(comp.conductor, part.p)))
     return tuple(out)
 
 
@@ -451,9 +431,9 @@ def _component_gauss_formula_all(part: _OddPart | _TwoPart) -> np.ndarray:
     else:
         comp = DirichletCharacter(mod, (), part)
     star = primitive_part(comp)
-    alpha0 = _valuation(conductor(comp), p)
+    alpha0 = _valuation(comp.conductor, p)
     out = np.zeros(mod, dtype=np.complex128)
-    tau = _tau_primitive(star)
+    tau = gauss_sum(star, 1)
     conj_vals = _value_table(star.conjugate())
     for v in range(alpha + 1):
         alpha_m = v
@@ -495,11 +475,10 @@ def _gauss_formula_rows(chars) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=256)
 def gauss_sum_formula_all(chi: DirichletCharacter) -> np.ndarray:
     """c_chi(a) for every shift a mod q from the closed forms: one row of
-    _gauss_formula_rows, cached and read-only."""
-    return _read_only(_gauss_formula_rows((chi,))[0])
+    _gauss_formula_rows."""
+    return _gauss_formula_rows((chi,))[0]
 
 
 @lru_cache(maxsize=64)
@@ -514,8 +493,6 @@ def modified_gauss_sum(chi: DirichletCharacter, a: int, j: int) -> complex:
     q = chi.q
     if j != 0 and _radical(q) % j != 0:
         raise ValueError(f"j={j} does not divide rad(q)={_radical(q)}")
-    if q == 1:
-        return 1 + 0j
     vals = _value_table(chi)
     b = np.arange(q)
     if j != 0:
@@ -529,14 +506,10 @@ def _restricted_c_all(chi: DirichletCharacter, j: int) -> np.ndarray:
     """c_chi(a, j) for all a mod q by direct summation (j=0 means
     unrestricted), as a read-only array."""
     q = chi.q
-    if q == 1:
-        out = np.ones(1, dtype=np.complex128)
-    else:
-        vals = _value_table(chi)
-        if j != 0:
-            vals = np.where(_restriction_mask(q, j), vals, 0)
-        out = _phase_matrix(q) @ vals
-    return _read_only(out)
+    vals = _value_table(chi)
+    if j != 0:
+        vals = np.where(_restriction_mask(q, j), vals, 0)
+    return _read_only(_phase_matrix(q) @ vals)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +542,8 @@ def F_bruteforce_all_m(
         return np.ones(1, dtype=np.complex128)
     prod = _restricted_c_all(chi1, j1) * _restricted_c_all(chi2, j2)
     prod[~_unit_residues(q)[0]] = 0
-    return _conj_phase_matrix(q) @ prod
+    # sum of e_q(-am) prod(a) as conj(E @ conj(prod)): the same floats with one E per q
+    return np.conj(_phase_matrix(q) @ np.conj(prod))
 
 
 @lru_cache(maxsize=1024)
@@ -603,7 +577,7 @@ def _F_local_odd_prime(
         return [("p", 1)]
 
     def F_unrestricted() -> np.ndarray:
-        tau = _tau_primitive(chi1) * _tau_primitive(chi2)
+        tau = gauss_sum(chi1, 1) * gauss_sum(chi2, 1)
         return tau * gauss_sum_formula_all((chi1 * chi2).conjugate())[(-m) % p]
 
     def F_second_restricted(ca: DirichletCharacter, cb: DirichletCharacter) -> np.ndarray:
@@ -813,7 +787,7 @@ def u_P(n: int | np.ndarray, a: int, q: int, P: float) -> float | np.ndarray:
         xu = int(xu[0])  # numpy's scalar arithmetic is cheaper than 1-element arrays
     total = np.zeros(np.shape(xu), dtype=np.complex128)
     for chi in chars if np.size(xu) else ():
-        if conductor(chi) <= P:
+        if chi.conductor <= P:
             total += _unit_values(chi, xu)
     val = np.where(x == 1, 1.0, 0.0)
     val[unit] -= total.real / len(chars)

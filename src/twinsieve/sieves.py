@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .arith import PrimeTable, _divisors, default_table, omega_counts
+from .arith import PrimeTable, _divisors, default_table, factorize, omega_counts, tau_k
 
 __all__ = [
     "SieveWeights",
@@ -415,8 +415,6 @@ def fundlem_pointwise_bound(
     indicator = 0.0 if any(p <= z for p in fac) else 1.0
     lhs = abs(theta_n - indicator)
     # tau(n)^2 over all of n, not only the sieve range
-    from .arith import factorize, tau_k
-
     tau_sq = tau_k(factorize(n, table), 2) ** 2
     ratio = (beta - 1.0) / (beta + 1.0)
     r0 = math.floor((s - beta - 1.0) / 2.0) + 1

@@ -25,7 +25,6 @@ from .characters import (
     ExceptionalZeroHypothesis,
     F_bruteforce_all_m,
     F_factored,
-    _conj_phase_matrix,
     _festi_bound,
     _gauss_formula_rows,
     _phase_matrix,
@@ -51,6 +50,7 @@ from .sievefn import (
 from .sieves import (
     LocalDensity,
     SieveWeights,
+    admissible_pre_sieve,
     apply_sieve_range,
     beta_sieve,
     fundamental_lemma_envelope,
@@ -189,8 +189,7 @@ def _gauss_formula_sweep(q_max: int = 300) -> dict:
     arg = None
     for q in range(1, q_max + 1):
         chars = character_group(q)
-        # the direct sums of all phi(q) characters as one product
-        direct = np.stack([_value_table(chi) for chi in chars]) @ _phase_matrix(q)
+        direct = np.stack([_restricted_c_all(chi, 0) for chi in chars])
         formula = _gauss_formula_rows(chars)
         devs = np.max(np.abs(formula - direct), axis=1)
         over = np.flatnonzero(devs > 1e-8 * q)
@@ -213,22 +212,23 @@ def _festi_sweep(pp_max: int = 125) -> dict:
         q = p**alpha
         chars = character_group(q)
         coprime = _unit_residues(q)[0]
-        Econj = _conj_phase_matrix(q)
+        E = _phase_matrix(q)
         index = {chi: k for k, chi in enumerate(chars)}
         conj = [index[chi.conjugate()] for chi in chars]
         conj_pair = np.eye(len(chars), dtype=bool)[conj]  # chi1 == conj(chi2)
-        # (phi, q) stacks of restricted sums; F for every pair is one product
+        # (phi, q) stacks of restricted sums; |F| for every pair is one product,
+        # |X @ conj(E)| = |conj(X) @ E| with the one phase matrix E
         C = {j: np.array([_restricted_c_all(chi, j) for chi in chars]) for j in (1, p)}
         for j1 in (1, p):
             C1 = np.where(coprime, C[j1], 0)
             for j2 in (1, p):
-                F_all = (C1[:, None] * C[j2][None]) @ Econj
+                F_abs = np.abs(np.conj(C1[:, None] * C[j2][None]) @ E)
                 bound = np.where(
                     conj_pair[:, :, None],
                     _festi_bound(p, alpha, j1, j2, True),
                     _festi_bound(p, alpha, j1, j2, False),
                 )
-                bad += int(np.any(np.abs(F_all) > bound + 1e-6, axis=2).sum())
+                bad += int(np.any(F_abs > bound + 1e-6, axis=2).sum())
     return _check(
         "restricted-kernel magnitude bounds at prime powers <= 125",
         not bad,
@@ -268,13 +268,13 @@ def _ffactored_sweep(q_max: int = 200, m_samples: int = 6) -> dict:
 def _orthogonality_sweep(q_max: int = 200) -> dict:
     for q in range(1, q_max + 1):
         chars = character_group(q)
-        V = np.stack([_value_table(chi) for chi in chars]) if q > 1 else np.ones((1, 1))
+        V = np.stack([_value_table(chi) for chi in chars])
         sums = V.sum(axis=0)
         want = np.zeros(q, dtype=complex)
         want[1 % q] = len(chars)
         r = np.arange(q)
         want[np.gcd(r, q) != 1] = 0
-        if np.max(np.abs(sums - want)) > 1e-9 * max(len(chars), 1):
+        if np.max(np.abs(sums - want)) > 1e-9 * len(chars):
             return _check("character orthogonality (q <= 200)", False, f"q={q}")
     return _check("character orthogonality (q <= 200)", True, "")
 
@@ -407,8 +407,6 @@ def suite_sieves(full: bool = True) -> list[dict]:
         if vector_sieve_lower(A, B, A_plus, A_minus, B_plus, B_minus) > A * B + 1e-9:
             vec_ok = False
     out.append(_check("vector-sieve inequality on 1e4 random tuples", vec_ok, ""))
-
-    from .sieves import admissible_pre_sieve
 
     w = admissible_pre_sieve(3, 3**1000, 3, "upper", table=table)
     ratio, bound, ok = fundamental_lemma_envelope(w, 3, 3**1000)

@@ -6,16 +6,11 @@ the contract; sweep sizes are the full ones (no reduced smoke variants).
 """
 
 import json
-import math
 import time
 
-import numpy as np
 import pytest
 
-from twinsieve.arith import build_prime_table, heath_brown_terms, von_mangoldt
-from twinsieve.characters import ExceptionalZeroHypothesis, local_sigma
 from twinsieve.cli import main as cli_main
-from twinsieve.singular import exceptional_sums, main_term_M
 from twinsieve.verify import (
     _festi_sweep,
     _feval_sweep,
@@ -23,6 +18,7 @@ from twinsieve.verify import (
     _fsimple_sweep,
     _gauss_formula_sweep,
     suite_bv,
+    suite_convolution,
     suite_scan,
     suite_sieves,
     suite_sievefn,
@@ -130,12 +126,17 @@ def test_criterion_09_linear_sieve_functions():
             "; ".join(checks[n]["detail"] for n in names if checks[n]["detail"]))
 
 
-def test_criterion_10_convolution_exactness():
-    from twinsieve.verify import suite_convolution
-
+@pytest.fixture(scope="module")
+def convolution_checks():
     t0 = time.time()
     checks = {c["check"]: c for c in suite_convolution(full=True)}
-    elapsed = time.time() - t0
+    checks["_elapsed"] = time.time() - t0
+    return checks
+
+
+def test_criterion_10_convolution_exactness(convolution_checks):
+    checks = convolution_checks
+    elapsed = checks["_elapsed"]
     a = checks["modular transform vs direct convolution (50 pairs at 4096)"]
     b = checks["weighted prime convolution at m = 10"]
     key = [k for k in checks if k.startswith("float vs exact")][0]
@@ -156,19 +157,10 @@ def test_criterion_11_exceptional_scan():
             "; ".join(c["detail"] for c in keyed))
 
 
-def test_criterion_12_heath_brown_identity():
-    t0 = time.time()
-    table = build_prime_table(10_001)
-    ok = True
-    for J in (2, 3):
-        for n in range(2, 10_001):
-            got = heath_brown_terms(n, J, table)
-            want = von_mangoldt(n, table)
-            if abs(got - want) > 1e-12 * max(1.0, abs(want)):
-                ok = False
-                break
+def test_criterion_12_heath_brown_identity(convolution_checks):
+    c = convolution_checks["combinatorial decomposition equals Lambda for n <= 10000, J in 2,3"]
     _report(12, "combinatorial decomposition equals Lambda (n <= 1e4, J in {2,3})",
-            ok, time.time() - t0)
+            c["passed"], convolution_checks["_elapsed"])
 
 
 def test_criterion_13_bv_machinery():
@@ -183,17 +175,12 @@ def test_criterion_13_bv_machinery():
             elapsed, c["detail"])
 
 
-def test_criterion_14_main_term():
-    rep = main_term_M(10, 10_000, 100)
-    ok = rep.M == 1.0 and rep.E == 1.0
-    for r, beta, m in [(3, 0.99, 10), (15, 0.95, 4), (12, 0.99, 16), (24, 0.97, 16)]:
-        hyp = ExceptionalZeroHypothesis.build(r, beta)
-        a = main_term_M(m, 10_000, 100, hyp, assembly="divisor").M
-        b = main_term_M(m, 10_000, 100, hyp, assembly="grouped").M
-        ok &= abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1.0)
-    j, i = exceptional_sums(100, 10_000, 1.0)
-    ok &= j == -99 and i == 99
-    _report(14, "main term: no-hypothesis (1,1), assembly agreement, beta=1 sums", ok)
+def test_criterion_14_main_term(singular_checks):
+    a = singular_checks["main term (1, 1) without hypothesis"]
+    b = singular_checks["two main-term assembly orders agree to 1e-10"]
+    c = singular_checks["degenerate beta = 1 pair sums"]
+    _report(14, "main term: no-hypothesis (1,1), assembly agreement, beta=1 sums",
+            a["passed"] and b["passed"] and c["passed"], detail=c["detail"])
 
 
 def test_criterion_15_determinism(tmp_path):

@@ -81,13 +81,15 @@ def test_pi_of_ten_to_six(table):
 
 
 def test_spf_invariants(table):
+    # trial division up to isqrt(n) suffices: a composite n has its smallest
+    # prime factor there, and n % p == 0 leaves p = n for a prime n
     rng = random.Random(1)
     for _ in range(500):
         n = rng.randrange(2, table.limit)
         p = int(table.spf[n])
         assert n % p == 0
-        for q in range(2, p):
-            assert n % q != 0 or q >= p
+        for q in range(2, min(p, math.isqrt(n) + 1)):
+            assert n % q != 0
 
 
 def test_factorize_basic(small_table):
@@ -235,27 +237,24 @@ def test_lambda_almost_twin_support(table):
 
 
 def test_lambda_e3star_support(table):
-    N = 10**6
     eps = 1e-3
-    t10 = N ** (1 / 10)
-    hits = 0
     rng = random.Random(5)
     for _ in range(4000):
         n = rng.randrange(2, table.limit)
         val = lambda_e3star(n, table.limit, table, eps=eps)
         if val != 0.0:
-            hits += 1
             fac = factorize(n, table)
             assert big_omega(fac) == 3
             assert all(p >= table.limit ** (1 / 10) for p in fac.primes)
     # window membership is rare but must occur for products of three primes
-    n = 101 * 1009 * 1013  # hand-picked: use its own N
+    n = 11 * 151 * 409  # hand-picked: use its own N
     N_big = 2 * n
-    val = lambda_e3star(n, N_big, build_prime_table(n + 10), eps=eps)
-    # all three factors >= N_big^(1/10) ~ 4.5; windows checked directly below
+    val = lambda_e3star(n, N_big, table, eps=eps)
+    # all three factors >= N_big^(1/10) ~ 4.1, and 11 < N_big^(1/3 - eps) ~ 109
+    # < 151 <= sqrt(N_big / 11): the B1 window, weight (1/2) log n
     t13 = N_big ** (1 / 3 - eps)
-    assert 101 < t13
-    assert val != 0.0
+    assert 11 < t13 < 151
+    assert val == 0.5 * math.log(n)
 
 
 def test_heath_brown_identity_examples(small_table):

@@ -13,7 +13,6 @@ from twinsieve.characters import (
     F_bruteforce_all_m,
     F_factored,
     character_group,
-    conductor,
     festi_bound_check,
     gauss_sum,
     gauss_sum_formula,
@@ -82,11 +81,11 @@ def test_orthogonality():
 
 
 def test_conductors_explicit():
-    assert conductor(principal_character(12)) == 1
+    assert principal_character(12).conductor == 1
     # quadratic character mod 3 lifted to mod 9
     lifted = quadratic_character(9)
-    assert conductor(lifted) == 3
-    assert conductor(quadratic_character(5)) == 5
+    assert lifted.conductor == 3
+    assert quadratic_character(5).conductor == 5
     prim = primitive_part(lifted)
     assert prim.q == 3
     for n in range(20):
@@ -98,7 +97,7 @@ def test_conductor_definitional():
     # conductor is the least f | q with chi trivial on units = 1 mod f
     for q in (8, 9, 12, 16, 24, 36, 40, 45):
         for chi in character_group(q):
-            f = conductor(chi)
+            f = chi.conductor
             assert q % f == 0
 
             def trivial_on(d):
@@ -129,7 +128,7 @@ def test_conductor_matches_definition_on_value_tables():
                 d for d in divisors
                 if np.all(np.abs(vals[units & (r % d == 1 % d)] - 1) < 1e-9)
             )
-            assert conductor(chi) == want, (q, chi)
+            assert chi.conductor == want, (q, chi)
             assert vars(chi)["conductor"] == want  # computed once, kept on the object
 
 
@@ -137,8 +136,8 @@ def test_primitive_part_induces():
     for q in (12, 16, 36, 45, 40):
         for chi in character_group(q):
             star = primitive_part(chi)
-            assert star.q == conductor(chi)
-            assert conductor(star) == star.q
+            assert star.q == chi.conductor
+            assert star.conductor == star.q
             for n in range(1, q + 1):
                 if math.gcd(n, q) == 1:
                     assert cmath.isclose(chi.value(n), star.value(n), abs_tol=1e-10)
@@ -268,6 +267,42 @@ def test_F_factored_vs_bruteforce_all_pairs_all_m():
                         assert gap <= 1e-9 * p * p, (p, chi1, chi2, j1, j2, gap)
 
 
+def test_literal_F_matches_its_definition():
+    # c(a, j) and F(m) summed term by term with cmath.exp, against the
+    # phase-matrix routes, for every pair of characters mod q <= 12
+    from twinsieve.characters import _restricted_c_all
+
+    for q in range(1, 13):
+        chars = character_group(q)
+        js = [0] + _all_j(q)
+        rad = math.prod(p for p, _ in _factor_pp(q))
+
+        def e(x):
+            return cmath.exp(2j * math.pi * x / q)
+
+        c = {}
+        for chi in chars:
+            for j in js:
+                kept = [
+                    b for b in range(q)
+                    if j == 0 or math.gcd(b + 2, rad) == math.gcd(j, rad)
+                ]
+                c[chi, j] = [sum(chi.value(b) * e(a * b) for b in kept) for a in range(q)]
+                gap = np.max(np.abs(_restricted_c_all(chi, j) - c[chi, j]))
+                assert gap <= 1e-9, (q, chi, j, gap)
+        units = [a for a in range(q) if math.gcd(a, q) == 1]
+        for chi1 in chars:
+            for chi2 in chars:
+                for j1 in js:
+                    for j2 in js:
+                        want = [
+                            sum(c[chi1, j1][a] * c[chi2, j2][a] * e(-a * m) for a in units)
+                            for m in range(q)
+                        ]
+                        gap = np.max(np.abs(F_bruteforce_all_m(chi1, chi2, j1, j2) - want))
+                        assert gap <= 1e-9, (q, chi1, chi2, j1, j2, gap)
+
+
 def test_F_multiplicativity():
     rng = random.Random(29)
     for q1, q2 in [(3, 5), (5, 7), (3, 7), (4, 3), (8, 5), (9, 5)]:
@@ -347,7 +382,7 @@ def test_exceptional_hypothesis_validation():
         ExceptionalZeroHypothesis.build(15, 1.5)
     hyp = ExceptionalZeroHypothesis.build(15, 0.99)
     assert hyp.chi.is_real()
-    assert conductor(hyp.chi) == 15
+    assert hyp.chi.conductor == 15
     sq = hyp.chi * hyp.chi
     assert sq.is_principal
 
@@ -412,7 +447,7 @@ def test_u_P_equals_the_value_table_sum():
         for a in {1, q - 1}:
             abar = pow(a, -1, q)
             for P in (1, 3, q):
-                kept = [_value_table(chi) for chi in chars if conductor(chi) <= P]
+                kept = [_value_table(chi) for chi in chars if chi.conductor <= P]
                 for n in range(q):
                     x = n * abar % q
                     total = sum((complex(vals[x]) for vals in kept), 0j)
@@ -464,14 +499,12 @@ def test_cached_arrays_are_read_only():
     arrays = [
         ch._value_table(chi),
         ch._phase_matrix(7),
-        ch._conj_phase_matrix(7),
         ch._dlog_table(7, 2),
         *ch._two_decomp_table(4),
         ch._unit_residues(12)[0],
         ch._unit_residues(12)[1],
         ch._restriction_mask(15, 3),
         ch._restricted_c_all(chi, 1),
-        ch.gauss_sum_formula_all(chi),
         ch._component_gauss_formula_all(chi.odd_parts[0]),
         ch._F_local_odd_prime(chi, chi, 1, 7),
         ntt._bit_reverse_permutation(16),

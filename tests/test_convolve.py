@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twinsieve.arith import build_prime_table, lambda0
+from twinsieve.arith import almost_prime_indicator, build_prime_table, lambda0, rough_indicator
 from twinsieve.convolve import (
     ArithSequence,
     build_sequence,
@@ -43,16 +43,11 @@ def test_build_lambda0(table):
 
 
 def test_build_lambda_k_support(table):
-    N = 10**6
-    seq = build_sequence("Lambda_3", 1000, table) if False else build_sequence(
-        "Lambda_k", 1000, table, k=3, alpha=1 / 10
-    )
+    seq = build_sequence("Lambda_k", 1000, table, k=3, alpha=1 / 10)
     z = 1000 ** (1 / 10)
     for n in np.nonzero(seq.values)[0]:
         n = int(n)
         assert table.is_prime(n)
-        from twinsieve.arith import almost_prime_indicator, rough_indicator
-
         assert almost_prime_indicator(n + 2, 3, table) == 1
         assert rough_indicator(n + 2, 1, z, table) == 1
     ind = build_sequence("Lambda_k", 1000, table, k=2, indicator=True)
