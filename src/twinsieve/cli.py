@@ -2,13 +2,13 @@
 
 Every subcommand writes a JSON report {command, config, results,
 provenance: {version, seed, runtime_ms}} plus subcommand-specific CSV
-artifacts; scan adds a top-level ``trace`` with the engine facts of its
-exact product.  All computation is deterministic under a fixed seed; the
-thread-count knob is accepted for interface stability (the engines are
-deterministic regardless of it), so artifacts are byte-stable apart from
-the volatile runtime_ms field.  argparse is the one parser and checker of
-flag values, for the command line and ``--config`` files alike; every bad
-value is a single ``error:`` line and exit status 2.
+artifacts; scan and convolve add a top-level ``trace`` with the engine
+facts of their product.  All computation is deterministic under a fixed
+seed; the thread-count knob is accepted for interface stability (the
+engines are deterministic regardless of it), so artifacts are byte-stable
+apart from the volatile runtime_ms field.  argparse is the one parser and
+checker of flag values, for the command line and ``--config`` files
+alike; every bad value is a single ``error:`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .arith import DEFAULT_LIMIT_BUDGET, build_prime_table
 from .characters import ExceptionalZeroHypothesis
 from .convolve import build_sequence, convolve, exceptional_scan
 from .progressions import bv_profile, profile_totals
+from .sieves import linear_sieve
 from .sievefn import chen_constants, chen_margin, p3_margin, solve_linear_sieve_functions
 from .singular import main_term_M, partial_singular_series, singular_series
 from .verify import SUITES, run_suite
@@ -313,7 +314,7 @@ def _cmd_convolve(args, out_dir: Path, t0: float) -> int:
         "max_value": float(conv.values.max()),
         "rows_written": len(list(ms)),
     }
-    _write_report(out_dir, args, results, t0)
+    _write_report(out_dir, args, results, t0, trace=conv.trace)
     return 0
 
 
@@ -348,8 +349,6 @@ def _cmd_verify(args, out_dir: Path, t0: float) -> int:
             line += f" :: {check['detail']}"
         print(line)
     if args.weights_csv:
-        from .sieves import linear_sieve
-
         w = linear_sieve(10**4, 100, 10, "lower")
         _write_csv(Path(args.weights_csv), ["d", "lambda_d"], sorted(w.coefficients.items()))
     results = {"suite": args.suite, "passed": res["passed"], "checks": res["checks"]}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import PrimeTable, default_table, omega_counts
-from .ntt import exact_convolve, float_convolve, roundoff_bound
+from .ntt import exact_convolve, exact_primes, float_convolve, roundoff_bound
 from .singular import classical_goldbach_series, singular_series
 from .progressions import weight_array
 from .sieves import SieveWeights, apply_sieve_range
@@ -34,11 +34,13 @@ FLOAT_N_CAP = 1 << 27
 
 @dataclass(frozen=True)
 class ArithSequence:
-    """Dense sequence over n = 1..N (index 0 present but unused)."""
+    """Dense sequence over n = 1..N (index 0 present but unused).  A
+    convolution's ``trace`` holds the engine facts of its product."""
 
     N: int
     values: np.ndarray = field(repr=False)
     kind: str = "generic"
+    trace: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_integer(self) -> bool:
@@ -140,14 +142,19 @@ def _exact_counts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
     """Bit-exact convolution of two nonnegative integer arrays: the float
     FFT rounded to integers when ``ntt.roundoff_bound`` certifies it (below
     1/4), else the NTT.  Also returns the engine facts: which engine ran,
-    its power-of-two transform length and the bound."""
-    bound = roundoff_bound(a, b)
-    if bound < 0.25:
-        conv, engine = np.rint(float_convolve(a, b)).astype(np.int64), "float"
-    else:
-        conv, engine = exact_convolve(a, b), "ntt"
+    its power-of-two transform length and the bound, and when the NTT ran,
+    how many primes it used."""
+    facts = _float_facts(a, b)
+    if facts["roundoff_bound"] < 0.25:
+        return np.rint(float_convolve(a, b)).astype(np.int64), facts
+    facts.update(engine="ntt", primes=len(exact_primes(a, b)))
+    return exact_convolve(a, b), facts
+
+
+def _float_facts(a: np.ndarray, b: np.ndarray) -> dict:
+    """The float FFT's engine facts: its power-of-two length and bound."""
     size = 1 << max(len(a) + len(b) - 2, 0).bit_length()
-    return conv, {"engine": engine, "transform_len": size, "roundoff_bound": bound}
+    return {"engine": "float", "transform_len": size, "roundoff_bound": roundoff_bound(a, b)}
 
 
 def convolve(f: ArithSequence, g: ArithSequence, mode: str = "float") -> ArithSequence:
@@ -157,7 +164,8 @@ def convolve(f: ArithSequence, g: ArithSequence, mode: str = "float") -> ArithSe
     int64 counts: the float FFT rounded to integers when its certified
     roundoff bound (``ntt.roundoff_bound``) is below 1/4, else the NTT,
     which raises ReconstructionOverflow past its CRT range.  Float mode
-    returns the double-precision FFT as is.
+    returns the double-precision FFT as is.  The result's ``trace`` holds
+    the engine facts (see ``_exact_counts``).
     """
     if f.N != g.N:
         raise ValueError("sequences must share N")
@@ -167,15 +175,16 @@ def convolve(f: ArithSequence, g: ArithSequence, mode: str = "float") -> ArithSe
         a, b = f.values[1:], g.values[1:]
         if np.any(a < 0) or np.any(b < 0):
             raise ValueError("exact mode expects nonnegative integer inputs")
-        conv = _exact_counts(a, b)[0]
+        conv, trace = _exact_counts(a, b)
     elif mode == "float":
-        conv = float_convolve(f.values[1:], g.values[1:])
+        a, b = f.values[1:], g.values[1:]
+        conv, trace = float_convolve(a, b), _float_facts(a, b)
     else:
         raise ValueError("mode must be 'float' or 'exact'")
     # index i of conv corresponds to m = i + 2
     out = np.zeros(2 * f.N + 1, dtype=conv.dtype)
     out[2 : 2 + len(conv)] = conv
-    return ArithSequence(N=2 * f.N, values=out, kind=f"conv({f.kind},{g.kind})")
+    return ArithSequence(N=2 * f.N, values=out, kind=f"conv({f.kind},{g.kind})", trace=trace)
 
 
 @dataclass(frozen=True)

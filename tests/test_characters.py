@@ -507,7 +507,7 @@ def test_cached_arrays_are_read_only():
         ch._restricted_c_all(chi, 1),
         ch._component_gauss_formula_all(chi.odd_parts[0]),
         ch._F_local_odd_prime(chi, chi, 1, 7),
-        ntt._bit_reverse_permutation(16),
+        ntt._twiddles(ntt.P1, 16, False),
     ]
     for arr in arrays:
         with pytest.raises(ValueError):

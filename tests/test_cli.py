@@ -135,6 +135,21 @@ def test_convolve_subcommand(tmp_path):
     assert vals[10] == 3  # (3,7),(7,3),(5,5)
 
 
+def test_convolve_trace_names_the_engine_and_its_bound(tmp_path):
+    assert run_cli([
+        "convolve", "--N", "100", "--kind1", "Lambda0", "--kind2", "Lambda0",
+        "--indicator", "--exact", "--out", str(tmp_path),
+    ]) == 0
+    rep = load_report(tmp_path, "convolve")
+    assert set(rep) == {"command", "config", "results", "provenance", "trace"}
+    assert set(rep["provenance"]) == {"version", "seed", "runtime_ms"}
+    # 0/1 inputs certify the rounded float FFT, so no NTT prime count
+    assert set(rep["trace"]) == {"engine", "transform_len", "roundoff_bound"}
+    assert rep["trace"]["engine"] == "float"
+    assert rep["trace"]["transform_len"] == 256  # 2 * 100 - 1 outputs, up to a power of two
+    assert 0 < rep["trace"]["roundoff_bound"] < 0.25
+
+
 def test_sseries_subcommand(tmp_path):
     assert run_cli([
         "sseries", "--m", "4", "--cutoff", "10000", "--out", str(tmp_path),

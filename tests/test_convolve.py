@@ -130,22 +130,30 @@ def test_uncertified_inputs_fall_back_to_ntt():
     vals = (2**25 - rng.integers(0, 1000, 65)).astype(np.int64)
     assert roundoff_bound(vals[1:], vals[1:]) >= 0.25
     seq = ArithSequence(64, vals, "big")
-    got = convolve(seq, seq, "exact").values
+    conv = convolve(seq, seq, "exact")
     py = np.array([int(v) for v in vals[1:]], dtype=object)
-    assert got[2:].tolist() == np.convolve(py, py).tolist()
+    assert conv.values[2:].tolist() == np.convolve(py, py).tolist()
+    # |a|_2^2 is about 64 * 2^50, past P1: the trace names both primes
+    assert conv.trace["engine"] == "ntt" and conv.trace["primes"] == 2
 
 
 def _spy_ntt(monkeypatch):
-    """Record (prime, invert) for every transform ntt._ntt runs."""
+    """Record (prime, invert) for every transform the NTT runs."""
     calls = []
-    real = ntt._ntt
+    for name, invert in (("_dif_forward", False), ("_dit_inverse", True)):
+        real = getattr(ntt, name)
 
-    def spy(a, p, invert):
-        calls.append((p, invert))
-        return real(a, p, invert)
+        def spy(a, p, real=real, invert=invert):
+            calls.append((p, invert))
+            real(a, p)
 
-    monkeypatch.setattr(ntt, "_ntt", spy)
+        monkeypatch.setattr(ntt, name, spy)
     return calls
+
+
+def _cauchy_schwarz(a, b):
+    """isqrt(sum a^2 * sum b^2) in Python ints: no convolution value exceeds it."""
+    return math.isqrt(sum(int(x) ** 2 for x in a) * sum(int(x) ** 2 for x in b))
 
 
 @pytest.mark.parametrize("top_a, primes", [
@@ -156,19 +164,81 @@ def test_exact_convolve_one_prime_bound(monkeypatch, top_a, primes):
     calls = _spy_ntt(monkeypatch)
     rng = np.random.default_rng(top_a)
     n = 1024
-    inputs = [(np.full(n, top_a), np.full(n, 512))]  # the middle output is the bound
+    # Cauchy-Schwarz is tight on the constant pair: its middle output is the bound
+    inputs = [(np.full(n, top_a), np.full(n, 512))]
     for _ in range(3):
         a, b = rng.integers(0, top_a + 1, n), rng.integers(0, 513, n)
         a[rng.integers(n)], b[rng.integers(n)] = top_a, 512
         inputs.append((a, b))
-    for a, b in inputs:
+    for i, (a, b) in enumerate(inputs):
         calls.clear()
         got = exact_convolve(a, b)
         want = np.convolve(a.astype(object), b.astype(object))
         assert got.tolist() == want.tolist()
-        assert {p for p, _ in calls} == primes
+        if i == 0:
+            assert {p for p, _ in calls} == primes
+        else:  # the random pairs' Cauchy-Schwarz bound picks one prime, even
+            # where top_a = 3841 takes the crude bound past P1
+            bound = min(n * top_a * 512, _cauchy_schwarz(a, b))
+            assert bound < ntt.P1
+            assert {p for p, _ in calls} == {ntt.P1}
     # the constant pair reaches the bound: P1 - 1, or past P1 on the CRT side
     assert max(exact_convolve(*inputs[0]).tolist()) == n * top_a * 512
+
+
+@pytest.mark.parametrize("p", [ntt.P1, ntt.P2])
+def test_inverse_undoes_forward_at_every_size(p):
+    rng = np.random.default_rng(p % 1000)
+    for k in range(13):
+        x = rng.integers(0, p, 1 << k)
+        y = x.copy()
+        ntt._dif_forward(y, p)
+        if k >= 1:  # a length-2^k DFT of e_1 is the powers of the root, bit-reversed
+            e1 = np.zeros(1 << k, dtype=np.int64)
+            e1[1] = 1
+            ntt._dif_forward(e1, p)
+            assert sorted(e1.tolist()) == sorted(ntt._pow_array(
+                pow(ntt._ROOTS[p], (p - 1) >> k, p), 1 << k, p).tolist())
+        ntt._dit_inverse(y, p)
+        assert np.array_equal(y, x), k
+
+
+def test_exact_convolve_matches_literal_convolution_at_odd_lengths(monkeypatch):
+    rng = np.random.default_rng(13)
+    lengths = [1, 2, 3] + [2**j + d for j in range(2, 11) for d in (-1, 1)]
+    calls = _spy_ntt(monkeypatch)
+    one_prime_by_cauchy_schwarz = 0
+    for n in lengths:
+        # edge: min(len) * max^2 near 2 P1 on equal lengths, about three times
+        # the Cauchy-Schwarz bound of uniform values
+        edge = math.isqrt(2 * ntt.P1 // n)
+        for high, m in ((2, rng.choice(lengths)), (1000, rng.choice(lengths)),
+                        (2**22, rng.choice(lengths)), (edge, n)):
+            a = rng.integers(0, high, n)
+            b = rng.integers(0, high, m)
+            calls.clear()
+            got = exact_convolve(a, b)
+            want = np.convolve(a.astype(object), b.astype(object)).tolist()
+            assert got.tolist() == want, (n, m, high)
+            crude = min(n, m) * int(a.max()) * int(b.max())
+            primes = {p for p, _ in calls}
+            assert primes == ({ntt.P1} if min(crude, _cauchy_schwarz(a, b)) < ntt.P1
+                              else {ntt.P1, ntt.P2})
+            one_prime_by_cauchy_schwarz += primes == {ntt.P1} and crude >= ntt.P1
+    assert one_prime_by_cauchy_schwarz > 0
+
+
+def test_exact_convolve_past_int64_square_sums():
+    # len * max^2 >= 2^63: sum a^2 is taken in Python ints, so a wrapped
+    # int64 sum cannot shrink the bound
+    spike = np.zeros(1001, dtype=np.int64)
+    spike[[0, 500]] = 2**30
+    assert len(spike) * 2**60 >= 2**63
+    want = np.convolve(spike.astype(object), spike.astype(object)).tolist()
+    assert exact_convolve(spike, spike).tolist() == want  # every value <= 2^61
+    flat = np.full(4, 2**31, dtype=np.int64)  # sum a^2 = 2^64 wraps to 0 in int64
+    with pytest.raises(ReconstructionOverflow):
+        exact_convolve(flat, flat)
 
 
 def test_exact_convolve_square_takes_one_forward_transform(monkeypatch):
