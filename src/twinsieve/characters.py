@@ -1,10 +1,10 @@
 """Dirichlet characters, Gauss sums with gcd restriction, and the local kernel F.
 
-Characters mod q are stored through their prime-power components: a
-discrete-log exponent against the smallest primitive root for odd p^a,
-and a pair of exponents on the {-1, 5} generators for 2^a (a >= 3).
-This makes multiplication, conjugation, conductors and primitive parts
-cheap and keeps enumeration deterministic.
+Characters mod q are stored through their prime-power components: one
+exponent per cyclic generator of (Z/p^a)^x, the smallest primitive root
+for odd p and {-1, 5} at 2^a.  This makes multiplication, conjugation,
+evaluation and enumeration one loop over the generators, deterministic
+in order; only conductors and primitive parts treat 2 apart.
 
 The kernel F(chi1, chi2, j1, j2, m) couples two restricted Gauss sums
 against an additive phase.  It is computed two independent ways: literal
@@ -14,6 +14,7 @@ values, which is what the singular-series machinery consumes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -54,67 +55,68 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _dlog_table(p: int, alpha: int) -> np.ndarray:
-    """dl[x] with g^dl[x] = x mod p^alpha for coprime x, -1 otherwise (read-only)."""
+def _generator_orders(p: int, alpha: int) -> tuple[int, ...]:
+    """Orders of the generators of (Z/p^alpha)^x: a primitive root for odd p;
+    -1 (alpha >= 2) and 5 (alpha >= 3) at 2^alpha."""
+    if p != 2:
+        return ((p - 1) * p ** (alpha - 1),)
+    if alpha == 1:
+        return ()
+    if alpha == 2:
+        return (2,)
+    return (2, 2 ** (alpha - 2))
+
+
+@lru_cache(maxsize=512)
+def _dlog_tables(p: int, alpha: int) -> tuple[np.ndarray, ...]:
+    """One read-only table per generator of (Z/p^alpha)^x: dl[x] is x's exponent
+    on that generator (x = prod g_i^dl_i[x] mod p^alpha), -1 off the units."""
     mod = p**alpha
-    phi = (p - 1) * p ** (alpha - 1)
-    g = _primitive_root(p, alpha)
-    table = np.full(mod, -1, dtype=np.int64)
-    acc = 1
-    for k in range(phi):
-        table[acc] = k
-        acc = acc * g % mod
-    return _read_only(table)
-
-
-@lru_cache(maxsize=32)
-def _two_decomp_table(alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s, t) with x = (-1)^s 5^t mod 2^alpha for odd x (alpha >= 3), read-only."""
-    mod = 2**alpha
-    half = mod // 4
-    s_tab = np.full(mod, -1, dtype=np.int64)
-    t_tab = np.full(mod, -1, dtype=np.int64)
-    acc = 1
-    for t in range(half):
-        s_tab[acc], t_tab[acc] = 0, t
-        s_tab[(-acc) % mod], t_tab[(-acc) % mod] = 1, t
-        acc = acc * 5 % mod
-    return _read_only(s_tab), _read_only(t_tab)
+    orders = _generator_orders(p, alpha)
+    gens = (_primitive_root(p, alpha),) if p != 2 else (mod - 1, 5)[: len(orders)]
+    x = np.ones((), dtype=np.int64)  # x[e_1, ...] = prod g_i^e_i mod p^alpha
+    for g, o in zip(gens, orders):
+        x = np.multiply.outer(x, [pow(g, k, mod) for k in range(o)]) % mod
+    tables = [np.full(mod, -1, dtype=np.int64) for _ in orders]
+    for table, e in zip(tables, np.indices(orders)):
+        table[x] = e
+    return tuple(_read_only(t) for t in tables)
 
 
 @dataclass(frozen=True)
-class _OddPart:
+class _Part:
+    """A character's component mod p^alpha: one exponent per generator of
+    (Z/p^alpha)^x, each in [0, order) (see _generator_orders)."""
+
     p: int
     alpha: int
-    exponent: int  # in [0, phi(p^alpha))
+    exponents: tuple[int, ...]
 
     @property
     def modulus(self) -> int:
         return self.p**self.alpha
 
     @property
-    def phi(self) -> int:
-        return (self.p - 1) * self.p ** (self.alpha - 1)
+    def orders(self) -> tuple[int, ...]:
+        return _generator_orders(self.p, self.alpha)
+
+    def with_exponents(self, exponents) -> "_Part":
+        """The component at the same p^alpha with ``exponents`` reduced mod the orders."""
+        return _Part(self.p, self.alpha, tuple(e % o for e, o in zip(exponents, self.orders)))
 
 
-@dataclass(frozen=True)
-class _TwoPart:
-    alpha: int
-    e_minus: int = 0  # exponent on -1 (alpha >= 2)
-    e_five: int = 0  # exponent on 5 (alpha >= 3)
-
-    @property
-    def p(self) -> int:
-        return 2
-
-    @property
-    def modulus(self) -> int:
-        return 2**self.alpha
+@lru_cache(maxsize=1024)
+def _part_specs(q: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(p, alpha, generator orders) per prime power of q: odd primes increasing, then 2."""
+    return tuple(
+        (p, a, _generator_orders(p, a))
+        for p, a in sorted(_factor_pp(q), key=lambda pa: pa[0] == 2)
+    )
 
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """A character mod q given by its prime-power component exponents.
+    """A character mod q given by its prime-power components (odd primes first, then 2).
 
     Most caches in this module are keyed by characters, so the hash is
     computed on first use and kept on the object (the generated dataclass
@@ -125,14 +127,13 @@ class DirichletCharacter:
     """
 
     q: int
-    odd_parts: tuple[_OddPart, ...]
-    two_part: _TwoPart | None
+    parts: tuple[_Part, ...]
 
     def __hash__(self) -> int:
         try:
             return self.__dict__["_hash"]
         except KeyError:
-            h = self.__dict__["_hash"] = hash((self.q, self.odd_parts, self.two_part))
+            h = self.__dict__["_hash"] = hash((self.q, self.parts))
             return h
 
     # -- evaluation ---------------------------------------------------------
@@ -144,22 +145,13 @@ class DirichletCharacter:
 
     @property
     def is_principal(self) -> bool:
-        if any(part.exponent for part in self.odd_parts):
-            return False
-        tp = self.two_part
-        return tp is None or (tp.e_minus == 0 and tp.e_five == 0)
+        return not any(e for part in self.parts for e in part.exponents)
 
     def order(self) -> int:
         out = 1
-        for part in self.odd_parts:
-            out = math.lcm(out, part.phi // math.gcd(part.phi, part.exponent))
-        tp = self.two_part
-        if tp is not None:
-            if tp.e_minus:
-                out = math.lcm(out, 2)
-            if tp.e_five:
-                half = 2 ** (tp.alpha - 2)
-                out = math.lcm(out, half // math.gcd(half, tp.e_five))
+        for part in self.parts:
+            for o, e in zip(part.orders, part.exponents):
+                out = math.lcm(out, o // math.gcd(o, e))
         return out
 
     def is_real(self) -> bool:
@@ -169,47 +161,33 @@ class DirichletCharacter:
     def conductor(self) -> int:
         """The conductor, from the component exponents; computed once per object."""
         out = 1
-        for part in self.odd_parts:
-            if part.exponent == 0:
-                continue
-            d = part.phi // math.gcd(part.phi, part.exponent)
-            out *= part.p ** (1 + _valuation(d, part.p))
-        tp = self.two_part
-        if tp is not None:
-            if tp.e_five:
-                out *= 2 ** (tp.alpha - _valuation(tp.e_five, 2))
-            elif tp.e_minus:
-                out *= 4
+        for part in self.parts:
+            if part.p == 2:
+                e_minus, e_five = (*part.exponents, 0, 0)[:2]
+                if e_five:
+                    out *= 2 ** (part.alpha - _valuation(e_five, 2))
+                elif e_minus:
+                    out *= 4
+            elif part.exponents[0]:
+                (phi,), (e,) = part.orders, part.exponents
+                out *= part.p ** (1 + _valuation(phi // math.gcd(phi, e), part.p))
         return out
 
     def conjugate(self) -> "DirichletCharacter":
-        odd = tuple(
-            _OddPart(p.p, p.alpha, (-p.exponent) % p.phi) for p in self.odd_parts
+        return DirichletCharacter(
+            self.q, tuple(part.with_exponents(-e for e in part.exponents) for part in self.parts)
         )
-        tp = self.two_part
-        if tp is not None and tp.alpha >= 3:
-            tp = _TwoPart(tp.alpha, tp.e_minus, (-tp.e_five) % 2 ** (tp.alpha - 2))
-        return DirichletCharacter(self.q, odd, tp)
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         if self.q != other.q:
             raise ValueError("can only multiply characters to the same modulus")
-        odd = tuple(
-            _OddPart(a.p, a.alpha, (a.exponent + b.exponent) % a.phi)
-            for a, b in zip(self.odd_parts, other.odd_parts)
+        return DirichletCharacter(
+            self.q,
+            tuple(
+                a.with_exponents(x + y for x, y in zip(a.exponents, b.exponents))
+                for a, b in zip(self.parts, other.parts)
+            ),
         )
-        tp1, tp2 = self.two_part, other.two_part
-        tp = None
-        if tp1 is not None:
-            if tp1.alpha >= 3:
-                tp = _TwoPart(
-                    tp1.alpha,
-                    (tp1.e_minus + tp2.e_minus) % 2,
-                    (tp1.e_five + tp2.e_five) % 2 ** (tp1.alpha - 2),
-                )
-            else:
-                tp = _TwoPart(tp1.alpha, (tp1.e_minus + tp2.e_minus) % 2, 0)
-        return DirichletCharacter(self.q, odd, tp)
 
     @lru_cache(maxsize=2048)
     def component(self, modulus: int) -> "DirichletCharacter":
@@ -220,129 +198,78 @@ class DirichletCharacter:
         """
         if self.q % modulus != 0 or math.gcd(modulus, self.q // modulus) != 1:
             raise ValueError(f"{modulus} is not a unitary divisor of {self.q}")
-        odd = tuple(p for p in self.odd_parts if modulus % p.modulus == 0)
-        tp = self.two_part if self.two_part and modulus % 2 == 0 else None
-        return DirichletCharacter(modulus, odd, tp)
+        return DirichletCharacter(
+            modulus, tuple(part for part in self.parts if modulus % part.modulus == 0)
+        )
 
 
-def _two_part_for(alpha: int, e_minus: int = 0, e_five: int = 0) -> _TwoPart | None:
-    if alpha == 0:
-        return None
-    return _TwoPart(alpha, e_minus if alpha >= 2 else 0, e_five if alpha >= 3 else 0)
+def _character(q: int, exponents) -> DirichletCharacter:
+    """The character mod q whose part at p^a has exponents(p, generator orders)."""
+    return DirichletCharacter(
+        q, tuple(_Part(p, a, exponents(p, orders)) for p, a, orders in _part_specs(q))
+    )
 
 
 @lru_cache(maxsize=1024)
 def principal_character(q: int) -> DirichletCharacter:
-    odd, a2 = [], 0
-    for p, a in _factor_pp(q):
-        if p == 2:
-            a2 = a
-        else:
-            odd.append(_OddPart(p, a, 0))
-    return DirichletCharacter(q, tuple(odd), _two_part_for(a2))
+    return _character(q, lambda p, orders: (0,) * len(orders))
 
 
 @lru_cache(maxsize=1024)
 def quadratic_character(q: int) -> DirichletCharacter:
     """Real character mod q: Legendre component at each odd prime, principal at 2."""
-    odd, a2 = [], 0
-    for p, a in _factor_pp(q):
-        if p == 2:
-            a2 = a
-        else:
-            odd.append(_OddPart(p, a, ((p - 1) * p ** (a - 1)) // 2))
-    return DirichletCharacter(q, tuple(odd), _two_part_for(a2))
+    return _character(
+        q, lambda p, orders: (0,) * len(orders) if p == 2 else (orders[0] // 2,)
+    )
 
 
 @lru_cache(maxsize=64)
 def character_group(q: int) -> tuple[DirichletCharacter, ...]:
-    """All phi(q) characters mod q, in a fixed deterministic order."""
+    """All phi(q) characters mod q, their exponents in lexicographic order."""
     if not 1 <= q <= GROUP_BUDGET:
         raise ValueError(f"q={q} outside enumeration budget [1, {GROUP_BUDGET}]")
-    odd_specs, a2 = [], 0
-    for p, a in _factor_pp(q):
-        if p == 2:
-            a2 = a
-        else:
-            odd_specs.append((p, a, (p - 1) * p ** (a - 1)))
-    chars: list[DirichletCharacter] = []
-
-    def two_choices():
-        if a2 <= 1:
-            yield _two_part_for(a2)
-        elif a2 == 2:
-            for em in range(2):
-                yield _TwoPart(a2, em, 0)
-        else:
-            for em in range(2):
-                for ef in range(2 ** (a2 - 2)):
-                    yield _TwoPart(a2, em, ef)
-
-    def rec(i, acc):
-        if i == len(odd_specs):
-            for tp in two_choices():
-                chars.append(DirichletCharacter(q, tuple(acc), tp))
-            return
-        p, a, phi = odd_specs[i]
-        for e in range(phi):
-            rec(i + 1, acc + [_OddPart(p, a, e)])
-
-    rec(0, [])
-    return tuple(chars)
+    choices = [
+        [_Part(p, a, exps) for exps in itertools.product(*map(range, orders))]
+        for p, a, orders in _part_specs(q)
+    ]
+    return tuple(DirichletCharacter(q, parts) for parts in itertools.product(*choices))
 
 
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character inducing chi (to the modulus chi.conductor)."""
     f = chi.conductor
-    odd = []
-    for part in chi.odd_parts:
-        if part.exponent == 0:
+    parts = []
+    for part in chi.parts:
+        if not any(part.exponents):
             continue
-        beta = _valuation(f, part.p)
-        phi_new = (part.p - 1) * part.p ** (beta - 1)
-        g_new = _primitive_root(part.p, beta)
-        dl = int(_dlog_table(part.p, part.alpha)[g_new % part.modulus])
-        num = part.exponent * dl * phi_new
-        if num % part.phi != 0:
-            raise AssertionError("conductor/exponent mismatch")
-        odd.append(_OddPart(part.p, beta, (num // part.phi) % phi_new))
-    tp = chi.two_part
-    new_tp = None
-    f2 = 1
-    if tp is not None:
-        if tp.e_five:
-            v = _valuation(tp.e_five, 2)
-            beta = tp.alpha - v
-            new_tp = _TwoPart(beta, tp.e_minus, tp.e_five >> v)
-            f2 = 2**beta
-        elif tp.e_minus:
-            new_tp = _TwoPart(2, 1, 0)
-            f2 = 4
-    q_new = f2
-    for part in odd:
-        q_new *= part.modulus
-    assert q_new == f
-    return DirichletCharacter(f, tuple(odd), new_tp)
+        p, beta = part.p, _valuation(f, part.p)
+        if p == 2:
+            e_minus, e_five = (*part.exponents, 0, 0)[:2]
+            exps = (e_minus, e_five >> _valuation(e_five, 2)) if e_five else (1,)
+        else:
+            (phi,), (e,) = part.orders, part.exponents
+            phi_new = (p - 1) * p ** (beta - 1)
+            dl = int(_dlog_tables(p, part.alpha)[0][_primitive_root(p, beta) % part.modulus])
+            num = e * dl * phi_new
+            if num % phi != 0:
+                raise AssertionError("conductor/exponent mismatch")
+            exps = ((num // phi) % phi_new,)
+        parts.append(_Part(p, beta, exps))
+    assert math.prod(part.modulus for part in parts) == f
+    return DirichletCharacter(f, tuple(parts))
 
 
 def _unit_values(chi: DirichletCharacter, r):
     """chi(r) at a unit r mod q, or at an int array of units: the one evaluator.
 
-    The phase adds, per prime-power component, exponent * dlog(r) / phi
-    (at 2^a: the exponents on -1 and 5 against the (s, t) decomposition).
+    The phase adds exponent * dlog(r) / order over every generator of
+    every prime-power component; a zero exponent adds nothing and is skipped.
     """
     frac = np.zeros(np.shape(r))
-    for part in chi.odd_parts:
-        frac = frac + part.exponent * _dlog_table(part.p, part.alpha)[r % part.modulus] / part.phi
-    tp = chi.two_part
-    if tp is not None and tp.alpha >= 2:
-        rr = r % tp.modulus
-        if tp.alpha == 2:
-            frac = frac + tp.e_minus * ((rr == 3) * 0.5)
-        else:
-            s_tab, t_tab = _two_decomp_table(tp.alpha)
-            frac = frac + tp.e_minus * s_tab[rr] / 2
-            frac = frac + tp.e_five * t_tab[rr] / 2 ** (tp.alpha - 2)
+    for part in chi.parts:
+        for o, e, dl in zip(part.orders, part.exponents, _dlog_tables(part.p, part.alpha)):
+            if e:
+                frac = frac + e * dl[r % part.modulus] / o
     return np.exp(2j * np.pi * frac)
 
 
@@ -393,17 +320,12 @@ def _phi_pp(p: int, alpha: int) -> int:
     return 1 if alpha == 0 else (p - 1) * p ** (alpha - 1)
 
 
-def _parts(chi: DirichletCharacter) -> tuple:
-    """chi's prime-power parts: the odd ones in order, then the part at 2."""
-    return chi.odd_parts if chi.two_part is None else chi.odd_parts + (chi.two_part,)
-
-
 @lru_cache(maxsize=128)
 def _components_with_meta(chi: DirichletCharacter) -> tuple:
     """Per prime power: (p, alpha, chi_component, alpha0), p^alpha0 the
     component's conductor."""
     out = []
-    for part in _parts(chi):
+    for part in chi.parts:
         comp = chi.component(part.modulus)
         out.append((part.p, part.alpha, comp, _valuation(comp.conductor, part.p)))
     return tuple(out)
@@ -415,7 +337,7 @@ def gauss_sum_formula(chi: DirichletCharacter, a: int) -> complex:
 
 
 @lru_cache(maxsize=4096)
-def _component_gauss_formula_all(part: _OddPart | _TwoPart) -> np.ndarray:
+def _component_gauss_formula_all(part: _Part) -> np.ndarray:
     """Closed-form c values for every residue mod p^alpha, by v_p class (read-only).
 
     ``part`` is one prime-power part of a character: the component
@@ -426,10 +348,7 @@ def _component_gauss_formula_all(part: _OddPart | _TwoPart) -> np.ndarray:
     k = 1 with a non-principal chi* (chi*(p) = 0).
     """
     p, alpha, mod = part.p, part.alpha, part.modulus
-    if isinstance(part, _OddPart):
-        comp = DirichletCharacter(mod, (part,), None)
-    else:
-        comp = DirichletCharacter(mod, (), part)
+    comp = DirichletCharacter(mod, (part,))
     star = primitive_part(comp)
     alpha0 = _valuation(comp.conductor, p)
     out = np.zeros(mod, dtype=np.complex128)
@@ -467,10 +386,10 @@ def _gauss_formula_rows(chars) -> np.ndarray:
     q = chars[0].q
     out = np.ones((len(chars), q), dtype=np.complex128)
     a = np.arange(q)
-    for i, part in enumerate(_parts(chars[0])):
+    for i, part in enumerate(chars[0].parts):
         mod = part.modulus
         inv = pow(q // mod, -1, mod)
-        local = np.stack([_component_gauss_formula_all(_parts(chi)[i]) for chi in chars])
+        local = np.stack([_component_gauss_formula_all(chi.parts[i]) for chi in chars])
         out *= local[:, (inv * a) % mod]
     return out
 
@@ -682,13 +601,12 @@ class ExceptionalZeroHypothesis:
         pairs = _factor_pp(rr)
         if any(e > 1 for _, e in pairs):
             raise ValueError("odd part of r must be squarefree")
-        odd = tuple(_OddPart(p, 1, (p - 1) // 2) for p, _ in pairs)
-        tp = None
+        parts = [_Part(p, 1, ((p - 1) // 2,)) for p, _ in pairs]
         if t == 2:
-            tp = _TwoPart(2, 1, 0)
+            parts.append(_Part(2, 2, (1,)))
         elif t == 3:
-            tp = _TwoPart(3, 0, 1)  # the even character mod 8
-        chi = DirichletCharacter(r, odd, tp)
+            parts.append(_Part(2, 3, (0, 1)))  # the even character mod 8
+        chi = DirichletCharacter(r, tuple(parts))
         return cls(r=r, beta=beta, chi=chi)
 
     @property
@@ -696,7 +614,7 @@ class ExceptionalZeroHypothesis:
         return _valuation(self.r, 2)
 
     def odd_primes(self) -> tuple[int, ...]:
-        return tuple(p.p for p in self.chi.odd_parts)
+        return tuple(part.p for part in self.chi.parts if part.p != 2)
 
     def legendre(self, x: int, p: int) -> int:
         """chi's component at odd p, i.e. the Legendre symbol (x/p)."""

@@ -117,6 +117,14 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
+def _exponent(text: str) -> float:
+    """A finite roughness exponent >= 0 (0 turns the roughness off)."""
+    value = float(text)
+    if math.isfinite(value) and value >= 0:
+        return value
+    raise ValueError(text)
+
+
 def _comma_separated(what: str, *types):
     """type= converter for 'x,y,...': one field per type, or any number of ints."""
 
@@ -186,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k1", type=_parse_k, required=True, help="factor bound for n1+2 ('inf' allowed)")
     p.add_argument("--k2", type=_parse_k, required=True)
-    p.add_argument("--rough", type=_comma_separated("two comma-separated exponents a1,a2",
-                                                     float, float),
+    p.add_argument("--rough", type=_comma_separated("two comma-separated finite exponents "
+                                                     "a1,a2 >= 0", _exponent, _exponent),
                    default=None, help="a1,a2 roughness exponents (default off)")
     p.add_argument("--exact", action="store_true",
                    help="accepted for config stability; counts are always exact (the "
@@ -207,12 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--kind1", required=True, help="Lambda0|Lambda|Lambda_k|Lambda_E3star")
     p.add_argument("--kind2", required=True)
-    p.add_argument("--k", type=int, default=3, help="k for Lambda_k kinds")
+    p.add_argument("--k", type=_positive_int, default=3, help="k for Lambda_k kinds")
     p.add_argument("--indicator", action="store_true", help="0/1 indicator variants")
     p.add_argument("--exact", action="store_true",
                    help="exact integer counts (needs --indicator): the float FFT rounded "
                    "under a certified roundoff bound, else the integer transform")
-    p.add_argument("--limit", type=int, default=200, help="rows written to CSV")
+    p.add_argument("--limit", type=_positive_int, default=200, help="rows written to CSV")
     _add_common(p)
 
     p = subs.add_parser(
@@ -222,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pair (M, E) under an optional synthetic exceptional hypothesis. "
         "Artifact: sseries.json with {m, S, S_partial, M, E, tail_bound}.",
     )
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--cutoff", type=int, default=100_000)
     p.add_argument("--hyp", type=_comma_separated("r,beta (an integer and a number)", int, float),
                    default=None, help="r,beta synthetic exceptional zero")
@@ -319,7 +327,10 @@ def _cmd_convolve(args, out_dir: Path, t0: float) -> int:
 
 
 def _cmd_sseries(args, out_dir: Path, t0: float) -> int:
-    table = build_prime_table(max(args.cutoff, args.m + 4, 1000), budget=_memory_budget())
+    # m, m + 2 and m + 4 need only the primes up to their square root:
+    # factorize_extended trial-divides by the table's primes up to limit^2
+    table = build_prime_table(max(args.cutoff, math.isqrt(args.m + 4) + 1, 1000),
+                              budget=_memory_budget())
     sval = singular_series(args.m, args.cutoff, table)
     hyp = ExceptionalZeroHypothesis.build(*args.hyp) if args.hyp else None
     partial_primes = {2} | (set(hyp.odd_primes()) if hyp else set())
@@ -357,10 +368,10 @@ def _cmd_verify(args, out_dir: Path, t0: float) -> int:
 
 
 def _cmd_sievefn(args, out_dir: Path, t0: float) -> int:
+    # every result is computed before anything is written, so a bad value
+    # such as --eps 0 leaves no artifact behind
     fns = solve_linear_sieve_functions(args.smax, args.h)
-    _write_csv(out_dir / "sievefn.csv", ["s", "f", "F"], zip(fns.s, fns.f, fns.F))
     consts = chen_constants(args.eps)
-    margins = chen_margin(fns, consts, args.eps)
     results = {
         "junction_error": float(fns.junction_error),
         "p3_margin": p3_margin(fns),
@@ -368,8 +379,9 @@ def _cmd_sievefn(args, out_dir: Path, t0: float) -> int:
         "c_B2": consts.c_B2,
         "c_E3star": consts.c_E3star,
         "quad_error": consts.quad_error,
-        "chen_margins": margins,
+        "chen_margins": chen_margin(fns, consts, args.eps),
     }
+    _write_csv(out_dir / "sievefn.csv", ["s", "f", "F"], zip(fns.s, fns.f, fns.F))
     _write_report(out_dir, args, results, t0)
     return 0
 

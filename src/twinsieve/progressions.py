@@ -20,6 +20,7 @@ __all__ = [
     "weight_array",
     "bv_discrepancy",
     "bv_profile",
+    "profile_totals",
 ]
 
 

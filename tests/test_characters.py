@@ -25,6 +25,7 @@ from twinsieve.characters import (
     quadratic_character,
     u_P,
 )
+from twinsieve.characters import _value_table
 
 
 def test_group_sizes_and_orders():
@@ -67,6 +68,40 @@ def test_character_values_multiplicative():
                     assert abs(abs(v) - 1) < 1e-12
                 else:
                     assert v == 0
+
+
+def test_component_algebra_matches_the_value_tables():
+    # products, conjugates, orders and the principal/real flags come from the
+    # component exponents alone; the value tables are their definition.  Every
+    # q <= 128 covers each 2^a with a <= 7 and mixed moduli.
+    rng = np.random.default_rng(16)
+
+    def on_units(chars):
+        return np.stack([_value_table(chi)[units] for chi in chars])
+
+    for q in range(1, 129):
+        group = character_group(q)
+        units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+        n = len(units)
+        assert len(group) == n
+        tables = on_units(group)
+        dist2 = 2 * n - 2 * (tables @ tables.conj().T).real  # |row_i - row_j|^2
+        assert np.all(dist2[~np.eye(n, dtype=bool)] > 1e-3), q
+        for j in [*range(min(3, n)), *rng.integers(n, size=2)]:
+            prods = [chi * group[j] for chi in group]
+            assert all(prod.q == q for prod in prods)
+            assert np.allclose(on_units(prods), tables * tables[j]), (q, j)
+        assert np.allclose(on_units([chi.conjugate() for chi in group]), tables.conj())
+        orders = np.array([chi.order() for chi in group])
+        assert np.allclose(tables ** orders[:, None], 1), q
+        for ell, _ in _factor_pp(n):  # no chi^(order / ell) is principal
+            has = orders % ell == 0
+            powers = tables[has] ** (orders[has] // ell)[:, None]
+            assert np.all(np.abs(powers - 1).max(axis=1) > 1e-6), (q, ell)
+        principal = np.abs(tables - 1).max(axis=1) < 1e-9
+        real = np.abs(tables.imag).max(axis=1) < 1e-9
+        assert [chi.is_principal for chi in group] == principal.tolist()
+        assert [chi.is_real() for chi in group] == real.tolist()
 
 
 def test_orthogonality():
@@ -499,13 +534,13 @@ def test_cached_arrays_are_read_only():
     arrays = [
         ch._value_table(chi),
         ch._phase_matrix(7),
-        ch._dlog_table(7, 2),
-        *ch._two_decomp_table(4),
+        *ch._dlog_tables(7, 2),
+        *ch._dlog_tables(2, 4),
         ch._unit_residues(12)[0],
         ch._unit_residues(12)[1],
         ch._restriction_mask(15, 3),
         ch._restricted_c_all(chi, 1),
-        ch._component_gauss_formula_all(chi.odd_parts[0]),
+        ch._component_gauss_formula_all(chi.parts[0]),
         ch._F_local_odd_prime(chi, chi, 1, 7),
         ntt._twiddles(ntt.P1, 16, False),
     ]

@@ -166,6 +166,20 @@ def test_sseries_subcommand(tmp_path):
     assert rep2["results"]["E"] == pytest.approx(0.01 * math.log(50))
 
 
+def test_sseries_table_reaches_only_the_square_root(tmp_path):
+    # m, m + 2 and m + 4 are factored by trial division up to the table's
+    # limit squared, so a table to sqrt(m + 4) gives the series a larger one
+    # gives; at m = 10**12 a table to m + 4 would be over the memory budget
+    from twinsieve.arith import build_prime_table
+    from twinsieve.singular import singular_series
+
+    for m, limit in ((999_996, 10**6), (10**12, 2 * 10**6)):
+        assert run_cli(["sseries", "--m", str(m), "--out", str(tmp_path)]) == 0
+        res = load_report(tmp_path, "sseries")["results"]
+        want = singular_series(m, 100_000, build_prime_table(limit))
+        assert (res["S"], res["tail_bound"]) == (want.value, want.tail_bound), m
+
+
 def test_sseries_error_exit(tmp_path):
     # degenerate m for the hypothesis: clean nonzero exit
     assert run_cli([
@@ -209,6 +223,16 @@ def test_verify_weights_export(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "d,lambda_d"
     assert len(lines) > 2
+
+
+def test_sievefn_bad_eps_writes_nothing(tmp_path, capsys):
+    # every result is computed before the first artifact is written
+    out = tmp_path / "out"
+    assert run_cli(["sievefn", "--smax", "6", "--h", "0.001", "--eps", "0",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert list(out.iterdir()) == []
 
 
 def test_sievefn_subcommand(tmp_path):
@@ -267,16 +291,23 @@ def test_config_file_overrides(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1, line
 
 
-def test_config_file_lines_are_flags(tmp_path):
+def test_config_file_lines_are_flags(tmp_path, capsys):
     # 'key = value' is --key=value (so a leading minus is a value, not a flag)
     # and a bare 'key' is --key; both override the command line
     cfg = tmp_path / "cfg"
-    cfg.write_text("# scan settings\n\nrough = -0.1,0.1\nexact\n")
-    assert run_cli(["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "0.2,0.2",
-                    "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    scan = ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "0.2,0.2",
+            "--config", str(cfg), "--out", str(tmp_path)]
+    cfg.write_text("# scan settings\n\nrough = 0.1,0.1\nexact\n")
+    assert run_cli(scan) == 0
     config = load_report(tmp_path, "scan")["config"]
-    assert config["rough"] == [-0.1, 0.1]
+    assert config["rough"] == [0.1, 0.1]
     assert config["exact"] is True
+    # the leading minus reaches --rough's own converter, which refuses it
+    cfg.write_text("rough = -0.1,0.1\n")
+    capsys.readouterr()
+    assert run_cli(scan) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --rough: ") and err.count("\n") == 1, err
     cfg.write_text("P_list = 1,2\n")  # the flag --P-list
     assert run_cli(["bv", "--N", "500", "--Q", "5", "--config", str(cfg),
                     "--out", str(tmp_path)]) == 0
@@ -342,6 +373,12 @@ def test_help_exits_0(command, capsys):
     ["scan", "--N", "500", "--k1", "0", "--k2", "3"],
     ["convolve", "--N", "500", "--kind1", "Lambda_k", "--kind2", "Lambda0", "--k", "0"],
     ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "nan,0.1"],
+    ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough=-1,0.1"],
+    ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "0.1,inf"],
+    ["convolve", "--N", "100", "--kind1", "Lambda0", "--kind2", "Lambda0", "--limit", "0"],
+    ["convolve", "--N", "100", "--kind1", "Lambda0", "--kind2", "Lambda0", "--limit", "-3"],
+    ["convolve", "--N", "100", "--kind1", "Lambda_k", "--kind2", "Lambda0", "--k", "-1"],
+    ["sseries", "--m", "0"],
     ["scan", "--N", "abc", "--k1", "2", "--k2", "3"],
     ["bv", "--N", "500", "--Q", "5", "--weight", "foo"],
     ["scan", "--N", "500", "--k1", "x", "--k2", "3"],
@@ -370,6 +407,14 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     ("--threads", ["sievefn", "--smax", "6", "--h", "0.001", "--threads", "-3"]),
     ("--P", ["sseries", "--m", "4", "--N", "1000", "--P", "0", "--hyp", "3,0.9"]),
     ("--N", ["sseries", "--m", "4", "--N", "0"]),
+    ("--rough", ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough=-1,0.1"]),
+    ("--limit", ["convolve", "--N", "100", "--kind1", "Lambda0", "--kind2", "Lambda0",
+                 "--limit", "0"]),
+    ("--limit", ["convolve", "--N", "100", "--kind1", "Lambda0", "--kind2", "Lambda0",
+                 "--limit", "-3"]),
+    ("--k", ["convolve", "--N", "100", "--kind1", "Lambda_k", "--kind2", "Lambda0",
+             "--k", "-1"]),
+    ("--m", ["sseries", "--m", "-8"]),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, capsys, flag, argv):
     # argparse converts and checks every flag, so the message names it
