@@ -103,10 +103,16 @@ def build_prime_table(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> PrimeTa
     if limit < 2 or limit > budget:
         raise ConfigurationError(f"limit={limit} outside [2, {budget}]")
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
+    root = math.isqrt(limit)
+    small = np.ones(root + 1, dtype=bool)  # primality up to sqrt(limit)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    # a composite n has spf(n)^2 <= n, so it is written by its spf; in
+    # descending order the smallest prime writes last and no write is masked
+    for p in np.flatnonzero(small)[::-1].tolist():
+        spf[p * p :: p] = p
     # untouched entries >= 2 are prime
     rest = np.nonzero(spf[2:] == 0)[0] + 2
     spf[rest] = rest

@@ -23,9 +23,9 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .arith import DEFAULT_LIMIT_BUDGET, build_prime_table
+from .arith import DEFAULT_LIMIT_BUDGET, ConfigurationError, build_prime_table
 from .characters import ExceptionalZeroHypothesis
-from .convolve import build_sequence, convolve, exceptional_scan
+from .convolve import build_sequence, convolve, exceptional_scan, scan_peak_bytes
 from .progressions import bv_profile, profile_totals
 from .sieves import linear_sieve
 from .sievefn import chen_constants, chen_margin, p3_margin, solve_linear_sieve_functions
@@ -42,10 +42,13 @@ def _fmt(x) -> str:
 
 
 def _memory_budget() -> int:
+    """TWINSIEVE_MEMORY_BUDGET in bytes; unset, the size of the largest spf table."""
     raw = os.environ.get("TWINSIEVE_MEMORY_BUDGET")
-    if raw is None:
-        return DEFAULT_LIMIT_BUDGET
-    return max(int(raw) // 4, 1024)  # int32 entries
+    return 4 * DEFAULT_LIMIT_BUDGET if raw is None else int(raw)
+
+
+def _table_budget() -> int:
+    return max(_memory_budget() // 4, 1024)  # int32 entries
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -108,13 +111,21 @@ def _parse_k(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected an integer or 'inf', got {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_at_least(low: int):
+    """type= converter for an integer >= low."""
+
+    def convert(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return convert
+
+
+_positive_int = _int_at_least(1)
 
 
 def _exponent(text: str) -> float:
@@ -191,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         "list m = 4 mod 6 without representations. Artifacts: scan.csv "
         "(m, count, prediction, ratio for the sampled m) and scan.json.",
     )
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int_at_least(4), required=True)
     p.add_argument("--k1", type=_parse_k, required=True, help="factor bound for n1+2 ('inf' allowed)")
     p.add_argument("--k2", type=_parse_k, required=True)
     p.add_argument("--rough", type=_comma_separated("two comma-separated finite exponents "
@@ -202,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "float FFT rounded under a certified roundoff bound, else the "
                    "integer transform), and every m with count 0 is re-checked by a "
                    "direct pair search")
-    p.add_argument("--cutoff", type=int, default=10_000, help="singular-series truncation")
-    p.add_argument("--samples", type=int, default=512)
+    p.add_argument("--cutoff", type=_int_at_least(100), default=10_000,
+                   help="singular-series truncation")
+    p.add_argument("--samples", type=_positive_int, default=512)
     _add_common(p)
 
     p = subs.add_parser(
@@ -281,7 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_scan(args, out_dir: Path, t0: float) -> int:
     a1, a2 = args.rough or (0.0, 0.0)
-    table = build_prime_table(max(args.N + 2, args.cutoff, 1000), budget=_memory_budget())
+    limit = max(args.N + 2, args.cutoff, 1000)
+    plan, budget = scan_peak_bytes(args.N, a1, a2, limit), _memory_budget()
+    if plan > budget:  # checked before anything is built
+        raise ConfigurationError(
+            f"scan plans a peak of {plan} bytes, over the memory budget of {budget} bytes")
+    table = build_prime_table(limit)  # its 4 B per entry are part of the plan
     rep = exceptional_scan(
         args.N,
         args.k1,
@@ -311,7 +328,7 @@ def _cmd_scan(args, out_dir: Path, t0: float) -> int:
 
 
 def _cmd_convolve(args, out_dir: Path, t0: float) -> int:
-    table = build_prime_table(max(args.N + 2, 1000), budget=_memory_budget())
+    table = build_prime_table(max(args.N + 2, 1000), budget=_table_budget())
     s1 = build_sequence(args.kind1, args.N, table, k=args.k, indicator=args.indicator)
     s2 = build_sequence(args.kind2, args.N, table, k=args.k, indicator=args.indicator)
     conv = convolve(s1, s2, "exact" if args.exact else "float")
@@ -330,7 +347,7 @@ def _cmd_sseries(args, out_dir: Path, t0: float) -> int:
     # m, m + 2 and m + 4 need only the primes up to their square root:
     # factorize_extended trial-divides by the table's primes up to limit^2
     table = build_prime_table(max(args.cutoff, math.isqrt(args.m + 4) + 1, 1000),
-                              budget=_memory_budget())
+                              budget=_table_budget())
     sval = singular_series(args.m, args.cutoff, table)
     hyp = ExceptionalZeroHypothesis.build(*args.hyp) if args.hyp else None
     partial_primes = {2} | (set(hyp.odd_primes()) if hyp else set())
@@ -387,7 +404,7 @@ def _cmd_sievefn(args, out_dir: Path, t0: float) -> int:
 
 
 def _cmd_bv(args, out_dir: Path, t0: float) -> int:
-    table = build_prime_table(max(args.N, 1000), budget=_memory_budget())
+    table = build_prime_table(max(args.N, 1000), budget=_table_budget())
     rows = bv_profile(args.N, args.Q, args.P_list, args.weight, table)
     _write_csv(
         out_dir / "bv.csv",

@@ -5,7 +5,8 @@ Exact mode (bit-exact integer counts) backs the exceptional scans: an m
 is only declared representation-free after the integer count is zero AND
 a direct prime-pair search confirms it.  Every prime n > 3 is 1 or 5 mod
 6, so the scans convolve only those residue-class slices, packed into one
-sequence per side, and add n in {2, 3} as shifted copies.
+sequence per side, and add n in {2, 3} as shifted copies; they round and
+keep only the counts on 0..N that they read.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "build_sequence",
     "convolve",
     "exceptional_scan",
+    "scan_peak_bytes",
 ]
 
 FLOAT_N_CAP = 1 << 27
@@ -47,20 +49,38 @@ class ArithSequence:
         return np.issubdtype(self.values.dtype, np.integer)
 
 
-def _almost_twin_support(N: int, k: float, z: float, table: PrimeTable) -> np.ndarray:
-    """Mask on 0..N of the primes p such that p + 2 has at most k prime
-    factors (with multiplicity) and none <= z; k = inf drops the factor
-    bound and z <= 1 the roughness condition."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got k={k}")
+def _almost_twin_supports(N: int, table: PrimeTable, *bounds: tuple[float, float]) -> list:
+    """One bool mask on 0..N per (k, z) in ``bounds``: the primes p such
+    that p + 2 has at most k prime factors (with multiplicity) and none
+    <= z; k = inf drops the factor bound and z <= 1 the roughness
+    condition.  One spf gather over p + 2 for the primes p <= N and one
+    Omega pass serve every mask; the Omega pass skips the p that no mask's
+    roughness admits."""
+    for k, _ in bounds:
+        if k < 1:
+            raise ValueError(f"need k >= 1, got k={k}")
     p = table.primes_upto(N)
-    if k != math.inf:
-        p = p[omega_counts(p + 2, table) <= k]
-    if z > 1:
-        p = p[table.spf[p + 2] > z]
-    sel = np.zeros(N + 1, dtype=bool)
-    sel[p] = True
-    return sel
+    least = table.spf[p + 2]
+    loosest = min(z for _, z in bounds)
+    if loosest > 1:
+        p, least = p[least > loosest], least[least > loosest]
+    omega = omega_counts(p + 2, table) if any(k != math.inf for k, _ in bounds) else None
+    masks = []
+    for k, z in bounds:
+        keep = np.ones(len(p), dtype=bool)
+        if k != math.inf:
+            keep &= omega <= k
+        if z > 1:
+            keep &= least > z
+        sel = np.zeros(N + 1, dtype=bool)
+        sel[p[keep]] = True
+        masks.append(sel)
+    return masks
+
+
+def _almost_twin_support(N: int, k: float, z: float, table: PrimeTable) -> np.ndarray:
+    """The one mask of ``_almost_twin_supports`` for a single (k, z)."""
+    return _almost_twin_supports(N, table, (k, z))[0]
 
 
 def build_sequence(
@@ -138,23 +158,38 @@ def _e3star_values(N: int, eps: float, table: PrimeTable) -> np.ndarray:
     return vals
 
 
-def _exact_counts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Bit-exact convolution of two nonnegative integer arrays: the float
-    FFT rounded to integers when ``ntt.roundoff_bound`` certifies it (below
-    1/4), else the NTT.  Also returns the engine facts: which engine ran,
-    its power-of-two transform length and the bound, and when the NTT ran,
-    how many primes it used."""
+def _exact_counts(a: np.ndarray, b: np.ndarray, n_out: int) -> tuple[np.ndarray, dict]:
+    """The first ``n_out`` outputs of the bit-exact convolution of two
+    nonnegative integer-valued arrays: the float FFT rounded to integers
+    (float64 values) when ``ntt.roundoff_bound`` certifies it (below 1/4)
+    and the observed error, max |x - rint x| over those outputs, stays
+    within that bound; else the NTT (int64 values).  Also returns the
+    engine facts: which engine ran, its power-of-two transform length and
+    the bound; the observed error when the float FFT ran; and when the NTT
+    ran, how many primes it used, with ``handover`` set when it took over
+    from a float FFT whose observed error exceeded the bound."""
     facts = _float_facts(a, b)
     if facts["roundoff_bound"] < 0.25:
-        return np.rint(float_convolve(a, b)).astype(np.int64), facts
+        x = float_convolve(a, b)[:n_out]
+        rounded = np.rint(x)
+        x -= rounded  # the residuals, in float_convolve's own buffer
+        facts["observed_error"] = float(max(x.max(initial=0.0), -x.min(initial=0.0)))
+        if facts["observed_error"] <= facts["roundoff_bound"]:
+            return rounded, facts
+        facts["handover"] = True  # a NaN residual lands here too
     facts.update(engine="ntt", primes=len(exact_primes(a, b)))
-    return exact_convolve(a, b), facts
+    return exact_convolve(a, b)[:n_out], facts
+
+
+def _transform_len(len_a: int, len_b: int) -> int:
+    """The power-of-two length of the transforms of an a * b product."""
+    return 1 << max(len_a + len_b - 2, 0).bit_length()
 
 
 def _float_facts(a: np.ndarray, b: np.ndarray) -> dict:
     """The float FFT's engine facts: its power-of-two length and bound."""
-    size = 1 << max(len(a) + len(b) - 2, 0).bit_length()
-    return {"engine": "float", "transform_len": size, "roundoff_bound": roundoff_bound(a, b)}
+    return {"engine": "float", "transform_len": _transform_len(len(a), len(b)),
+            "roundoff_bound": roundoff_bound(a, b)}
 
 
 def convolve(f: ArithSequence, g: ArithSequence, mode: str = "float") -> ArithSequence:
@@ -162,8 +197,9 @@ def convolve(f: ArithSequence, g: ArithSequence, mode: str = "float") -> ArithSe
 
     Exact mode requires nonnegative integer inputs and returns bit-exact
     int64 counts: the float FFT rounded to integers when its certified
-    roundoff bound (``ntt.roundoff_bound``) is below 1/4, else the NTT,
-    which raises ReconstructionOverflow past its CRT range.  Float mode
+    roundoff bound (``ntt.roundoff_bound``) is below 1/4 and its observed
+    rounding error stays within that bound, else the NTT, which raises
+    ReconstructionOverflow past its CRT range.  Float mode
     returns the double-precision FFT as is.  The result's ``trace`` holds
     the engine facts (see ``_exact_counts``).
     """
@@ -175,14 +211,14 @@ def convolve(f: ArithSequence, g: ArithSequence, mode: str = "float") -> ArithSe
         a, b = f.values[1:], g.values[1:]
         if np.any(a < 0) or np.any(b < 0):
             raise ValueError("exact mode expects nonnegative integer inputs")
-        conv, trace = _exact_counts(a, b)
+        conv, trace = _exact_counts(a, b, len(a) + len(b) - 1)
     elif mode == "float":
         a, b = f.values[1:], g.values[1:]
         conv, trace = float_convolve(a, b), _float_facts(a, b)
     else:
         raise ValueError("mode must be 'float' or 'exact'")
     # index i of conv corresponds to m = i + 2
-    out = np.zeros(2 * f.N + 1, dtype=conv.dtype)
+    out = np.zeros(2 * f.N + 1, dtype=np.int64 if mode == "exact" else conv.dtype)
     out[2 : 2 + len(conv)] = conv
     return ArithSequence(N=2 * f.N, values=out, kind=f"conv({f.kind},{g.kind})", trace=trace)
 
@@ -208,16 +244,23 @@ class ScanReport:
     trace: dict
 
 
+def _packing(N: int, classes: list[int]) -> tuple[int, int]:
+    """Stride and slot count of the packed sequence of ``classes`` on 0..N."""
+    return (1 if len(classes) == 1 else 3), len(range(classes[0], N + 1, 6))
+
+
 def _class_counts(mask1: np.ndarray, mask2: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Pair counts c[m] = #{n1 + n2 = m : mask1[n1], mask2[n2]} on 0..2N for
-    two bool masks on 0..N supported on {2, 3} and n = +-1 mod 6.
+    """Pair counts c[m] = #{n1 + n2 = m : mask1[n1], mask2[n2]} on 0..N, as
+    int32, for two bool masks on 0..N supported on {2, 3} and n = +-1 mod 6.
 
     n in {2, 3} enter as shifted copies of the other mask.  The classes r in
-    (1, 5) that either mask uses are packed into one sequence per mask, with
-    stride s = 1 for one class and 3 for two: n = 6i + r_c sits at s*i + c.
-    Slot sums c1 + c2 <= 2 < s never collide, so output s*j + c1 + c2 holds
-    m = 6j + r_c1 + r_c2, and one certified exact product (``_exact_counts``)
-    of a third to a sixth the full length gives every count.  Returns the
+    (1, 5) that either mask uses are packed into one bool sequence per
+    mask, with stride s = 1 for one class and 3 for two: n = 6i + r_c sits
+    at s*i + c.  Slot sums c1 + c2 <= 2 < s never collide, so output
+    s*j + c1 + c2 holds m = 6j + r_c1 + r_c2, and one certified exact
+    product (``_exact_counts``) of a third to a sixth the full length gives
+    every count; only its outputs with m <= N are rounded and read, and the
+    counts are allocated once the packed inputs are freed.  Returns the
     counts and that product's engine facts, with the classes and stride
     (engine None and length 0 when neither mask holds an n > 3).
     """
@@ -227,36 +270,35 @@ def _class_counts(mask1: np.ndarray, mask2: np.ndarray) -> tuple[np.ndarray, dic
     for mask in (mask1, mask2):  # n = 0, 4 mod 6, or 2, 3 mod 6 past 3
         if mask[0::6].any() or mask[4::6].any() or mask[8::6].any() or mask[9::6].any():
             raise ValueError("mask support must lie in {2, 3} and n = +-1 mod 6")
-    counts = np.zeros(2 * N + 1, dtype=np.int64)
+    classes = [r for r in (1, 5) if mask1[r::6].any() or mask2[r::6].any()]
+    trace = {"classes": classes, "stride": 0, "engine": None,
+             "transform_len": 0, "roundoff_bound": 0.0, "observed_error": 0.0}
+    if classes:
+        s, slots = _packing(N, classes)
+        packed = [np.zeros(s * slots, dtype=bool), np.zeros(s * slots, dtype=bool)]
+        for x, mask in zip(packed, (mask1, mask2)):
+            for c, r in enumerate(classes):
+                col = mask[r::6]
+                x[c::s][: len(col)] = col
+        # output s*j + t holds m = 6j + 2 r_0 + 4t: j <= (N - 2 r_0) / 6 is read
+        n_out = max(s * ((N - 2 * classes[0]) // 6 + 1), 0)
+        conv, facts = _exact_counts(*packed, n_out)
+        del packed
+        trace.update(stride=s, **facts)
+    counts = np.zeros(N + 1, dtype=np.int32)
     small1 = [n for n in (2, 3) if n <= N and mask1[n]]
     small2 = [n for n in (2, 3) if n <= N and mask2[n]]
     for n in small1:
-        counts[n : n + N + 1] += mask2
+        counts[n:] += mask2[: N + 1 - n]
     for n in small2:
-        counts[n : n + N + 1] += mask1
+        counts[n:] += mask1[: N + 1 - n]
     for n1 in small1:  # the (2|3, 2|3) pairs were added by both loops
         for n2 in small2:
-            counts[n1 + n2] -= 1
-    classes = [r for r in (1, 5) if mask1[r::6].any() or mask2[r::6].any()]
-    trace = {"classes": classes, "stride": 0, "engine": None,
-             "transform_len": 0, "roundoff_bound": 0.0}
-    if not classes:
-        return counts, trace
-    s = 1 if len(classes) == 1 else 3
-    slots = len(range(classes[0], N + 1, 6))
-    packed = []
-    for mask in (mask1, mask2):
-        x = np.zeros(s * slots, dtype=np.int64)
-        for c, r in enumerate(classes):
-            col = mask[r::6]
-            x[c::s][: len(col)] = col
-        packed.append(x)
-    conv, facts = _exact_counts(*packed)
+            if n1 + n2 <= N:
+                counts[n1 + n2] -= 1
     for t in range(2 * len(classes) - 1):  # slot sum t lands on m = 2 r_0 + 4t mod 6
-        dest, src = counts[2 * classes[0] + 4 * t :: 6], conv[t::s]
-        n = min(len(dest), len(src))  # src past 2N holds no pairs
-        dest[:n] += src[:n]
-    trace.update(stride=s, **facts)
+        dest = counts[2 * classes[0] + 4 * t :: 6]
+        np.add(dest, conv[t::s][: len(dest)], out=dest, casting="unsafe")
     return counts, trace
 
 
@@ -264,6 +306,39 @@ def _direct_pair_count(m: int, mask1: np.ndarray, mask2: np.ndarray) -> int:
     """Ordered representations m = n1 + n2 with each n in its bool mask
     set; the masks cover 0..N and m <= N + 1."""
     return int(np.count_nonzero(mask1[1:m] & mask2[m - 1 : 0 : -1]))
+
+
+def _threshold(N: int, alpha: float) -> tuple[float, bool]:
+    """A scan mask's roughness threshold z = N^alpha and whether it was
+    clamped: alpha <= 0 drops the roughness (z = 1), and a z below 3 is
+    raised to 3, so the mask still sieves by {2, 3}."""
+    if alpha <= 0:
+        return 1.0, False
+    z = N**alpha
+    return (3.0, True) if z < 3.0 else (z, False)
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a nonempty float array without NaNs, bit for bit:
+    the middle value after sorting, or (a + b) / 2 of the middle two.
+    (``np.median`` imports numpy.ma on its first call.)"""
+    x = np.sort(x)
+    mid = len(x) // 2
+    return float(x[mid] if len(x) % 2 else (x[mid - 1] + x[mid]) / 2)
+
+
+def scan_peak_bytes(N: int, alpha1: float, alpha2: float, table_limit: int) -> int:
+    """The planned peak memory of a scan at N, in bytes, before anything is
+    built: the spf table up to ``table_limit`` at 4 B per entry, the two
+    bool masks on 0..N, three live float FFT buffers of 2^k x 8 B for the
+    transform length 2^k (two half-spectra and the packed inputs, or one
+    half-spectrum and the output) and the int32 counts on 0..N.  The
+    packing counts both classes unless both thresholds reach 3, which
+    empties class 1 (n = 1 mod 6 makes 3 divide n + 2)."""
+    rough = min(_threshold(N, alpha1)[0], _threshold(N, alpha2)[0]) >= 3
+    s, slots = _packing(N, [5] if rough else [1, 5])
+    transform = _transform_len(s * slots, s * slots)
+    return 4 * (table_limit + 1) + 2 * (N + 1) + 3 * transform * 8 + 4 * (N + 1)
 
 
 def exceptional_scan(
@@ -280,7 +355,7 @@ def exceptional_scan(
     """Scan m = 4 mod 6 up to N for missing two-prime representations.
 
     Counts the pairs of the two indicator masks (primes n with n+2
-    almost-prime and rough past N^alpha_i) exactly on 0..2N with
+    almost-prime and rough past N^alpha_i) exactly on 0..N with
     ``_class_counts``: one certified product of the packed +-1 mod 6
     slices (class 5 only once n+2 is rough past 3), plus n in {2, 3} as
     shifted copies.  Every m with zero count is re-verified by a direct
@@ -295,18 +370,9 @@ def exceptional_scan(
     if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
         raise ValueError(f"roughness exponents must be finite, got {alpha1}, {alpha2}")
     table = table or default_table(max(N + 2, 1_100_000))
-
-    def threshold(alpha):
-        if alpha <= 0:
-            return 1.0, False
-        z = N**alpha
-        return (3.0, True) if z < 3.0 else (z, False)
-
-    z1, c1 = threshold(alpha1)
-    z2, c2 = threshold(alpha2)
-
-    mask1 = _almost_twin_support(N, k1, z1, table)
-    mask2 = _almost_twin_support(N, k2, z2, table)
+    z1, c1 = _threshold(N, alpha1)
+    z2, c2 = _threshold(N, alpha2)
+    mask1, mask2 = _almost_twin_supports(N, table, (k1, z1), (k2, z2))
     counts, trace = _class_counts(mask1, mask2)
 
     exceptional = (np.nonzero(counts[4 : N + 1 : 6] == 0)[0] * 6 + 4).tolist()
@@ -335,7 +401,7 @@ def exceptional_scan(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(preds > 0, counts[sampled] / preds, np.nan)
     good = ratios[np.isfinite(ratios)]
-    fitted = float(np.median(good)) if good.size else float("nan")
+    fitted = _median(good) if good.size else float("nan")
     edges = [0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 4.0, np.inf]
     hist, _ = np.histogram(good, bins=edges)
     return ScanReport(

@@ -214,13 +214,14 @@ def roundoff_bound(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def float_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """FFT convolution in doubles; ``roundoff_bound`` bounds its error."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """FFT convolution in doubles; ``roundoff_bound`` bounds its error.
+
+    Each input is cast to float64 only for its own transform, and the
+    second half-spectrum lives only for the pointwise product."""
     out_len = len(a) + len(b) - 1
     size = 1
     while size < out_len:
         size *= 2
-    fa = np.fft.rfft(a, size)
-    fa *= np.fft.rfft(b, size)
+    fa = np.fft.rfft(np.asarray(a, dtype=np.float64), size)
+    fa *= np.fft.rfft(np.asarray(b, dtype=np.float64), size)
     return np.fft.irfft(fa, size)[:out_len]

@@ -49,6 +49,16 @@ def test_prime_table_primes_match_trial_division():
         assert build_prime_table(limit).primes.tolist() == want, limit
 
 
+@pytest.mark.parametrize("limit", [2, 3, 4, 8, 9, 24, 25, 48, 49, 10**4])
+def test_prime_table_spf_matches_trial_division(limit):
+    # limits at and next to prime squares, where the last sieving prime changes
+    def spf(n):
+        return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+    want = [0, 1] + [spf(n) for n in range(2, limit + 1)]
+    assert build_prime_table(limit).spf.tolist() == want
+
+
 def test_prime_table_limits():
     with pytest.raises(ConfigurationError):
         build_prime_table(1)

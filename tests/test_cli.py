@@ -75,6 +75,7 @@ def test_scan_trace_names_the_engine_and_its_bound(tmp_path):
     assert 0 < trace["roundoff_bound"] < 0.25
     assert trace["classes"] == [5] and trace["stride"] == 1
     assert trace["transform_len"] == 1024  # 2 * 333 - 1 outputs, up to a power of two
+    assert 0 <= trace["observed_error"] <= trace["roundoff_bound"]
     assert trace["reverified"] == len(rep["results"]["exceptional"])
 
 
@@ -144,7 +145,7 @@ def test_convolve_trace_names_the_engine_and_its_bound(tmp_path):
     assert set(rep) == {"command", "config", "results", "provenance", "trace"}
     assert set(rep["provenance"]) == {"version", "seed", "runtime_ms"}
     # 0/1 inputs certify the rounded float FFT, so no NTT prime count
-    assert set(rep["trace"]) == {"engine", "transform_len", "roundoff_bound"}
+    assert set(rep["trace"]) == {"engine", "transform_len", "roundoff_bound", "observed_error"}
     assert rep["trace"]["engine"] == "float"
     assert rep["trace"]["transform_len"] == 256  # 2 * 100 - 1 outputs, up to a power of two
     assert 0 < rep["trace"]["roundoff_bound"] < 0.25
@@ -266,6 +267,29 @@ def test_memory_budget_env(tmp_path, monkeypatch):
     assert rc == 2  # configuration error surfaces as a clean nonzero exit
 
 
+def test_scan_memory_plan_covers_the_transform(tmp_path, monkeypatch, capsys):
+    # N = 10^5: the table (400 kB) fits 1 MB, the three 2^17 x 8 B float
+    # FFT buffers do not; the scan stops before building anything
+    from twinsieve.convolve import scan_peak_bytes
+
+    budget = 10**6
+    plan = scan_peak_bytes(10**5, 0.0, 0.0, 10**5 + 2)
+    assert 4 * (10**5 + 3) < budget < 3 * 8 * 2**17 < plan
+    monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(budget))
+    assert run_cli([
+        "scan", "--N", str(10**5), "--k1", "inf", "--k2", "inf", "--out", str(tmp_path),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(plan) in err and str(budget) in err
+    assert not list(tmp_path.iterdir())  # no report, no CSV
+    monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(plan))
+    assert run_cli([
+        "scan", "--N", str(10**5), "--k1", "inf", "--k2", "inf", "--samples", "8",
+        "--out", str(tmp_path),
+    ]) == 0
+
+
 def test_config_file_overrides(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("m = 6\ncutoff = 20000\n")
@@ -363,6 +387,11 @@ def test_help_exits_0(command, capsys):
     ["scan", "--N", "-5", "--k1", "2", "--k2", "3"],
     ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--samples", "0"],
     ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--samples", "-1"],
+    ["scan", "--N", "3", "--k1", "2", "--k2", "3"],
+    ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--cutoff", "50"],
+    ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--cutoff", "99"],
+    ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--cutoff", "x"],
+    ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--samples", "1.5"],
     ["convolve", "--N", "0", "--kind1", "Lambda0", "--kind2", "Lambda0"],
     ["bv", "--N", "500", "--Q", "0"],
     ["bv", "--N", "500", "--Q", "5", "--P-list", "0"],

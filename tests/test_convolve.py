@@ -300,7 +300,7 @@ def test_scan_supports_match_pointwise_weight(table, N, alpha1, alpha2):
         want = pointwise(k, alpha if z > 3 else math.log(3.5) / math.log(N))
         assert np.array_equal(_almost_twin_support(N, k, z, table), want)
         masks.append(want.astype(np.int64))
-    assert np.array_equal(rep.counts[2:], np.convolve(masks[0][1:], masks[1][1:]))
+    assert np.array_equal(rep.counts[2:], np.convolve(masks[0][1:], masks[1][1:])[: N - 1])
 
 
 def test_e3star_sequence_matches_pointwise(table):
@@ -344,9 +344,11 @@ def test_class_counts_match_full_convolution(table, kind):
         m1, m2 = (_almost_twin_support(N, k, z, table) for k, z in MASKS[kind])
         counts, trace = _class_counts(m1, m2)
         a, b = m1[1:].astype(np.int64), m2[1:].astype(np.int64)
-        assert counts.shape == (2 * N + 1,) and not counts[:2].any()
-        assert np.array_equal(counts[2:], exact_convolve(a, b)), (kind, N)
-        assert np.array_equal(counts[2:], np.convolve(a, b)), (kind, N)
+        # the counts on m = 2..N, the prefix of the full product
+        assert counts.shape == (N + 1,) and counts.dtype == np.int32
+        assert not counts[:2].any()
+        assert np.array_equal(counts[2:], exact_convolve(a, b)[: N - 1]), (kind, N)
+        assert np.array_equal(counts[2:], np.convolve(a, b)[: N - 1]), (kind, N)
         assert trace["stride"] == {0: 0, 1: 1, 2: 3}[len(trace["classes"])]
         if kind in ("rough", "clamped"):  # rough past 3 leaves class 5 only
             assert trace["classes"] == ([5] if N >= 5 else [])
@@ -366,6 +368,32 @@ def test_class_counts_reject_support_off_the_classes(n):
     mask[n] = True
     with pytest.raises(ValueError):
         _class_counts(mask, np.zeros(20, dtype=bool))
+
+
+def test_scan_hands_over_to_the_ntt_past_the_bound(table, monkeypatch):
+    # the observed rounding error is checked against the bound: a bound
+    # below any observed error hands the product over to the NTT
+    from twinsieve import convolve as conv_mod
+
+    want = exceptional_scan(2000, 2, 3, 1 / 15, 1 / 10, table, sample_count=8)
+    assert want.trace["engine"] == "float" and "handover" not in want.trace
+    assert 0 <= want.trace["observed_error"] <= want.trace["roundoff_bound"]
+    monkeypatch.setattr(conv_mod, "roundoff_bound", lambda a, b: -1.0)
+    rep = exceptional_scan(2000, 2, 3, 1 / 15, 1 / 10, table, sample_count=8)
+    assert rep.trace["engine"] == "ntt" and rep.trace["handover"] is True
+    assert rep.trace["primes"] == 1 and rep.trace["observed_error"] >= 0
+    assert np.array_equal(rep.counts, want.counts)
+    assert rep.exceptional == want.exceptional and rep.verified
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 10, 511, 512])
+def test_scan_median_is_np_median_bit_for_bit(size):
+    from twinsieve.convolve import _median
+
+    rng = np.random.default_rng(size)
+    for x in (rng.random(size), rng.normal(size=size) * 1e3, rng.integers(0, 4, size) / 3):
+        assert _median(x) == np.median(x)
+        assert np.float64(_median(x)).tobytes() == np.float64(np.median(x)).tobytes()
 
 
 def test_exceptional_scan_plain_goldbach(table):
