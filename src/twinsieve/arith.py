@@ -1,8 +1,9 @@
 """Prime tables, factorization, and the arithmetic weight functions.
 
 Everything downstream (characters, singular series, sieves, convolutions)
-consumes the objects built here.  A ``PrimeTable`` is immutable after
-construction and safe to share across workers; all functions are pure.
+consumes the objects built here.  A ``PrimeTable`` is built by the caller
+that reads it, sized by what it reads, and passed down; no module builds
+or caches one of its own.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ __all__ = [
     "heath_brown_terms",
 ]
 
-#: default cap on the spf table (entries are 32-bit)
-DEFAULT_LIMIT_BUDGET = 2**31
+#: the largest limit an spf table can hold (entries are 32-bit)
+TABLE_LIMIT_MAX = 2**31
 
 
 class ConfigurationError(ValueError):
-    """Raised when a requested table or scan exceeds the configured budget."""
+    """Raised when a requested table or run is outside what can be built."""
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,11 @@ class Factorization:
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Segmented sieve output: primes up to ``limit`` plus an spf table.
+    """The primes up to ``limit`` and the smallest-prime-factor table.
 
     ``spf[n]`` is the smallest prime factor of n (spf[p] = p for primes),
-    enabling O(log n) factorization for 2 <= n <= limit.
+    enabling O(log n) factorization for 2 <= n <= limit.  Asking for
+    primes past ``limit`` is an error, not a short answer.
     """
 
     limit: int
@@ -79,29 +81,24 @@ class PrimeTable:
         return int(self.spf[n]) == n
 
     def primes_upto(self, z: float) -> np.ndarray:
-        """Primes p <= z as an array (z may be fractional)."""
-        idx = np.searchsorted(self.primes, math.floor(z), side="right")
-        return self.primes[:idx]
+        """Primes p <= z as an array (z may be fractional, at most limit)."""
+        return self.primes_in(0, z)
 
     def primes_in(self, w: float, z: float) -> np.ndarray:
-        """Primes with w < p <= z."""
+        """Primes with w < p <= z (z at most limit)."""
+        if z > self.limit:
+            raise ValueError(f"primes up to {z} asked of a table to {self.limit}")
         lo = np.searchsorted(self.primes, math.floor(w), side="right")
         hi = np.searchsorted(self.primes, math.floor(z), side="right")
         return self.primes[lo:hi]
 
 
-def build_prime_table(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> PrimeTable:
-    """Sieve smallest prime factors and primes up to ``limit``.
-
-    Parameters
-    ----------
-    limit : int
-        Inclusive upper bound, 2 <= limit <= budget.
-    budget : int
-        Memory guard; one int32 per integer up to limit.
-    """
-    if limit < 2 or limit > budget:
-        raise ConfigurationError(f"limit={limit} outside [2, {budget}]")
+def build_prime_table(limit: int) -> PrimeTable:
+    """Sieve smallest prime factors and primes up to ``limit``, inclusive,
+    2 <= limit <= 2^31 (the int32 format); one int32 per integer.  Callers
+    that must stay within memory check the 4 B per entry beforehand."""
+    if limit < 2 or limit > TABLE_LIMIT_MAX:
+        raise ConfigurationError(f"limit={limit} outside [2, {TABLE_LIMIT_MAX}]")
     spf = np.zeros(limit + 1, dtype=np.int32)
     root = math.isqrt(limit)
     small = np.ones(root + 1, dtype=bool)  # primality up to sqrt(limit)
@@ -118,16 +115,6 @@ def build_prime_table(limit: int, budget: int = DEFAULT_LIMIT_BUDGET) -> PrimeTa
     spf[rest] = rest
     spf[1] = 1
     return PrimeTable(limit=limit, primes=rest, spf=spf)
-
-
-@lru_cache(maxsize=4)
-def _cached_table(limit: int) -> PrimeTable:
-    return build_prime_table(limit)
-
-
-def default_table(limit: int = 1_100_000) -> PrimeTable:
-    """Shared table for module-level helpers (cached)."""
-    return _cached_table(limit)
 
 
 def factorize(n: int, table: PrimeTable) -> Factorization:
@@ -406,7 +393,7 @@ def lambda_e3star(n: int, N: int, table: PrimeTable, eps: float = 1e-3) -> float
 # Heath-Brown decomposition
 
 
-def heath_brown_terms(n: int, J: int, table: PrimeTable | None = None) -> float:
+def heath_brown_terms(n: int, J: int, table: PrimeTable) -> float:
     """Evaluate the J-fold combinatorial decomposition of Lambda at n.
 
     Computes -sum_{1<=j<=J} (-1)^j C(J,j) sum over n = n_1...n_{2j} with
@@ -419,7 +406,6 @@ def heath_brown_terms(n: int, J: int, table: PrimeTable | None = None) -> float:
     """
     if not 1 <= J <= 7:
         raise ValueError("J must be in [1, 7]")
-    table = table or default_table()
     if n < 2 or n > table.limit:
         raise ValueError(f"n={n} outside [2, {table.limit}]")
     pairs = factorize(n, table).pairs

@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .arith import DEFAULT_LIMIT_BUDGET, ConfigurationError, build_prime_table
+from .arith import TABLE_LIMIT_MAX, ConfigurationError, PrimeTable, build_prime_table
 from .characters import ExceptionalZeroHypothesis
 from .convolve import build_sequence, convolve, exceptional_scan, scan_peak_bytes
 from .progressions import bv_profile, profile_totals
@@ -41,14 +41,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _memory_budget() -> int:
-    """TWINSIEVE_MEMORY_BUDGET in bytes; unset, the size of the largest spf table."""
+def _prime_table(args: argparse.Namespace, limit: int, plan: int | None = None) -> PrimeTable:
+    """The command's prime table to ``limit``, built only after the run's
+    planned peak in bytes (by default the table's own 4 B per entry) is
+    checked against TWINSIEVE_MEMORY_BUDGET, in bytes; unset, the budget is
+    the size of the largest table."""
+    plan = 4 * (limit + 1) if plan is None else plan
     raw = os.environ.get("TWINSIEVE_MEMORY_BUDGET")
-    return 4 * DEFAULT_LIMIT_BUDGET if raw is None else int(raw)
-
-
-def _table_budget() -> int:
-    return max(_memory_budget() // 4, 1024)  # int32 entries
+    budget = 4 * TABLE_LIMIT_MAX if raw is None else int(raw)
+    if plan > budget:
+        raise ConfigurationError(f"{args.command} plans a peak of {plan} bytes, "
+                                 f"over the memory budget of {budget} bytes")
+    return build_prime_table(limit)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -224,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build two named sequences and write their additive "
         "convolution. Artifacts: convolve.csv (m, value) and convolve.json.",
     )
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_int, required=True)
     p.add_argument("--kind1", required=True, help="Lambda0|Lambda|Lambda_k|Lambda_E3star")
     p.add_argument("--kind2", required=True)
     p.add_argument("--k", type=_positive_int, default=3, help="k for Lambda_k kinds")
@@ -243,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Artifact: sseries.json with {m, S, S_partial, M, E, tail_bound}.",
     )
     p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--cutoff", type=int, default=100_000)
+    p.add_argument("--cutoff", type=_int_at_least(100), default=100_000)
     p.add_argument("--hyp", type=_comma_separated("r,beta (an integer and a number)", int, float),
                    default=None, help="r,beta synthetic exceptional zero")
     p.add_argument("--N", type=_positive_int, default=10_000)
@@ -282,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
         "progressions. Artifacts: bv.csv (P, q, a_max, discrepancy), "
         "bv_profile.csv (P, total), bv.json.",
     )
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--Q", type=int, required=True)
+    p.add_argument("--N", type=_positive_int, required=True)
+    p.add_argument("--Q", type=_positive_int, required=True)
     p.add_argument("--P-list", type=_comma_separated("comma-separated integers"),
                    default="1,10,100", dest="P_list")
     p.add_argument("--weight", choices=["Lambda", "mu"], default="mu")
@@ -294,11 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_scan(args, out_dir: Path, t0: float) -> int:
     a1, a2 = args.rough or (0.0, 0.0)
     limit = max(args.N + 2, args.cutoff, 1000)
-    plan, budget = scan_peak_bytes(args.N, a1, a2, limit), _memory_budget()
-    if plan > budget:  # checked before anything is built
-        raise ConfigurationError(
-            f"scan plans a peak of {plan} bytes, over the memory budget of {budget} bytes")
-    table = build_prime_table(limit)  # its 4 B per entry are part of the plan
+    table = _prime_table(args, limit, scan_peak_bytes(args.N, a1, a2, limit))
     rep = exceptional_scan(
         args.N,
         args.k1,
@@ -328,7 +328,7 @@ def _cmd_scan(args, out_dir: Path, t0: float) -> int:
 
 
 def _cmd_convolve(args, out_dir: Path, t0: float) -> int:
-    table = build_prime_table(max(args.N + 2, 1000), budget=_table_budget())
+    table = _prime_table(args, max(args.N + 2, 1000))
     s1 = build_sequence(args.kind1, args.N, table, k=args.k, indicator=args.indicator)
     s2 = build_sequence(args.kind2, args.N, table, k=args.k, indicator=args.indicator)
     conv = convolve(s1, s2, "exact" if args.exact else "float")
@@ -346,12 +346,11 @@ def _cmd_convolve(args, out_dir: Path, t0: float) -> int:
 def _cmd_sseries(args, out_dir: Path, t0: float) -> int:
     # m, m + 2 and m + 4 need only the primes up to their square root:
     # factorize_extended trial-divides by the table's primes up to limit^2
-    table = build_prime_table(max(args.cutoff, math.isqrt(args.m + 4) + 1, 1000),
-                              budget=_table_budget())
+    table = _prime_table(args, max(args.cutoff, math.isqrt(args.m + 4) + 1, 1000))
     sval = singular_series(args.m, args.cutoff, table)
     hyp = ExceptionalZeroHypothesis.build(*args.hyp) if args.hyp else None
     partial_primes = {2} | (set(hyp.odd_primes()) if hyp else set())
-    s_partial = partial_singular_series(args.m, partial_primes, table)
+    s_partial = partial_singular_series(args.m, partial_primes)
     rep = main_term_M(args.m, args.N, args.P, hyp)
     results = {
         "m": args.m,
@@ -377,7 +376,7 @@ def _cmd_verify(args, out_dir: Path, t0: float) -> int:
             line += f" :: {check['detail']}"
         print(line)
     if args.weights_csv:
-        w = linear_sieve(10**4, 100, 10, "lower")
+        w = linear_sieve(10**4, 100, 10, "lower", build_prime_table(100))
         _write_csv(Path(args.weights_csv), ["d", "lambda_d"], sorted(w.coefficients.items()))
     results = {"suite": args.suite, "passed": res["passed"], "checks": res["checks"]}
     _write_report(out_dir, args, results, t0)
@@ -404,7 +403,7 @@ def _cmd_sievefn(args, out_dir: Path, t0: float) -> int:
 
 
 def _cmd_bv(args, out_dir: Path, t0: float) -> int:
-    table = build_prime_table(max(args.N, 1000), budget=_table_budget())
+    table = _prime_table(args, max(args.N, 1000))
     rows = bv_profile(args.N, args.Q, args.P_list, args.weight, table)
     _write_csv(
         out_dir / "bv.csv",

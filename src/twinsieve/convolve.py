@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import PrimeTable, default_table, omega_counts
+from .arith import PrimeTable, omega_counts
 from .ntt import exact_convolve, exact_primes, float_convolve, roundoff_bound
 from .singular import classical_goldbach_series, singular_series
 from .progressions import weight_array
@@ -86,7 +86,7 @@ def _almost_twin_support(N: int, k: float, z: float, table: PrimeTable) -> np.nd
 def build_sequence(
     kind: str,
     N: int,
-    table: PrimeTable | None = None,
+    table: PrimeTable,
     k: int | None = None,
     alpha: float | None = None,
     eps: float = 1e-3,
@@ -104,7 +104,6 @@ def build_sequence(
         raise ValueError(f"need N >= 1, got N={N}")
     if N > FLOAT_N_CAP:
         raise ValueError(f"N={N} beyond the dense-array budget {FLOAT_N_CAP}")
-    table = table or default_table(max(N + 2, 1_100_000))
     if table.limit < N + 2:
         raise ValueError("prime table must cover N + 2")
     if kind == "Lambda":
@@ -329,25 +328,31 @@ def _median(x: np.ndarray) -> float:
 
 def scan_peak_bytes(N: int, alpha1: float, alpha2: float, table_limit: int) -> int:
     """The planned peak memory of a scan at N, in bytes, before anything is
-    built: the spf table up to ``table_limit`` at 4 B per entry, the two
-    bool masks on 0..N, three live float FFT buffers of 2^k x 8 B for the
-    transform length 2^k (two half-spectra and the packed inputs, or one
-    half-spectrum and the output) and the int32 counts on 0..N.  The
-    packing counts both classes unless both thresholds reach 3, which
-    empties class 1 (n = 1 mod 6 makes 3 divide n + 2)."""
+    built.  The peak is the product's second forward transform, of length
+    2^k, which holds: the spf table to ``table_limit`` at 4 B per entry and
+    its primes at 8 B each (at most 1.26 L / ln L of them below L, by Rosser
+    and Schoenfeld); the two bool masks on 0..N and the two packed bool
+    inputs; and five 2^k x 8 B buffers: the two half-spectra, the float64
+    copy of the second input (at most half of one), and the zero-padded
+    copy and working array that numpy's FFT makes of it.  The rounded
+    outputs and the int32 counts come after the transform buffers are
+    freed, and take less.  The packing counts both classes unless both
+    thresholds reach 3, which empties class 1 (n = 1 mod 6 makes 3 divide
+    n + 2)."""
     rough = min(_threshold(N, alpha1)[0], _threshold(N, alpha2)[0]) >= 3
     s, slots = _packing(N, [5] if rough else [1, 5])
+    primes = math.ceil(1.26 * table_limit / math.log(table_limit))
     transform = _transform_len(s * slots, s * slots)
-    return 4 * (table_limit + 1) + 2 * (N + 1) + 3 * transform * 8 + 4 * (N + 1)
+    return 4 * (table_limit + 1) + 8 * primes + 2 * (N + 1) + 2 * s * slots + 5 * transform * 8
 
 
 def exceptional_scan(
     N: int,
     k1: float,
     k2: float,
-    alpha1: float = 0.0,
-    alpha2: float = 0.0,
-    table: PrimeTable | None = None,
+    alpha1: float,
+    alpha2: float,
+    table: PrimeTable,
     sample_count: int = 512,
     seed: int = 0,
     cutoff: int = 10_000,
@@ -369,7 +374,8 @@ def exceptional_scan(
         raise ValueError(f"need N >= 4 and samples >= 1, got N={N}, samples={sample_count}")
     if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
         raise ValueError(f"roughness exponents must be finite, got {alpha1}, {alpha2}")
-    table = table or default_table(max(N + 2, 1_100_000))
+    if table.limit < N + 2:
+        raise ValueError("prime table must cover N + 2")
     z1, c1 = _threshold(N, alpha1)
     z2, c2 = _threshold(N, alpha2)
     mask1, mask2 = _almost_twin_supports(N, table, (k1, z1), (k2, z2))

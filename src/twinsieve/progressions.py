@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .arith import PrimeTable, _divisors, _factor_pp, default_table
+from .arith import PrimeTable, _divisors, _factor_pp
 from .characters import _value_table, primitive_characters
 
 __all__ = [
@@ -24,15 +24,14 @@ __all__ = [
 ]
 
 
-def weight_array(weight: str, N: int, table: PrimeTable | None = None) -> np.ndarray:
+def weight_array(weight: str, N: int, table: PrimeTable) -> np.ndarray:
     """Dense w(n) for n = 0..N, w in {Lambda, mu}.
 
     Lambda is float64.  mu is int32, and so are its sums in ``_residue_sums``:
     a sum of mu over any n <= N is at most the count of squarefree n <= N
     in size, below 2^31 for every N a prime table within
-    ``arith.DEFAULT_LIMIT_BUDGET`` (2^31) covers, so they are exact.
+    ``arith.TABLE_LIMIT_MAX`` (2^31) covers, so they are exact.
     """
-    table = table or default_table(max(N, 1_100_000))
     if table.limit < N:
         raise ValueError("prime table must cover N")
     if weight == "Lambda":
@@ -150,7 +149,7 @@ def bv_discrepancy(
     a: int,
     P: float,
     weight: str,
-    table: PrimeTable | None = None,
+    table: PrimeTable,
     w: np.ndarray | None = None,
 ) -> float:
     """sum_n w(n) u_P(n a^-1; q), computed exactly via residue sums."""
@@ -168,7 +167,7 @@ def bv_profile(
     Q: int,
     P_list,
     weight: str,
-    table: PrimeTable | None = None,
+    table: PrimeTable,
 ) -> list[dict]:
     """For each P: sum over q <= Q of max over units a of |discrepancy|.
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .arith import PrimeTable, _divisors, default_table, factorize, omega_counts, tau_k
+from .arith import PrimeTable, _divisors, factorize, omega_counts, tau_k
 
 __all__ = [
     "SieveWeights",
@@ -120,12 +120,10 @@ def beta_sieve(
     )
 
 
-def linear_sieve(D: float, z: float, P: float, sign: str,
-                 table: PrimeTable | None = None) -> SieveWeights:
+def linear_sieve(D: float, z: float, P: float, sign: str, table: PrimeTable) -> SieveWeights:
     """Rosser-Iwaniec linear sieve (beta = 2) on the primes in (P, z]."""
     if not D > z > P >= 2:
         raise ValueError("need D > z > P >= 2")
-    table = table or default_table()
     primes = [int(p) for p in table.primes_in(P, z)]
     return beta_sieve(2.0, D, primes, sign)
 
@@ -135,12 +133,11 @@ def admissible_pre_sieve(
     D0: float,
     r_tilde: int,
     sign: str,
+    table: PrimeTable,
     beta: float = 750.0,
-    table: PrimeTable | None = None,
 ) -> SieveWeights:
     """Beta sieve on the odd primes <= P away from r_tilde, times exact
     Mobius on the odd primes dividing r_tilde."""
-    table = table or default_table()
     p_dag = [int(p) for p in table.primes_in(2, P) if r_tilde % int(p) != 0]
     p_til = sorted(
         {int(p) for p in table.primes_upto(r_tilde) if r_tilde % int(p) == 0 and p > 2}
@@ -250,7 +247,7 @@ def _p3_pieces(N: int, eps: float, P: int, table: PrimeTable) -> _P3Pieces:
 
 
 def p3_minorant_eval(
-    n: int, N: int, eps: float, P: int, table: PrimeTable | None = None
+    n: int, N: int, eps: float, P: int, table: PrimeTable
 ) -> float:
     """Pointwise value of the composed minorant for rough P3 numbers.
 
@@ -258,7 +255,6 @@ def p3_minorant_eval(
     prime blocks [K, min(y, 2K)) of 1_{p | n} times an upper linear sieve
     at the level reduced by K.
     """
-    table = table or default_table()
     pieces = _p3_pieces(N, eps, P, table)
     val = apply_sieve(pieces.lower, n)
     for K, K_hi, wplus in pieces.uppers:
@@ -271,10 +267,9 @@ def p3_minorant_eval(
 
 
 def p3_minorant_range(
-    N: int, eps: float, P: int, n_max: int, table: PrimeTable | None = None
+    N: int, eps: float, P: int, n_max: int, table: PrimeTable
 ) -> np.ndarray:
     """p3_minorant_eval for every n <= n_max, vectorized."""
-    table = table or default_table()
     pieces = _p3_pieces(N, eps, P, table)
     vals = apply_sieve_range(pieces.lower, n_max)
     for K, K_hi, wplus in pieces.uppers:
@@ -293,7 +288,7 @@ def p3_pointwise_check(
     eps: float,
     P: int,
     n_max: int,
-    table: PrimeTable | None = None,
+    table: PrimeTable,
     count_multiplicity: bool = False,
 ) -> np.ndarray:
     """Indices n <= n_max violating minorant * rho(n,P) <= rho(n,z) 1_{P3}(n).
@@ -304,7 +299,6 @@ def p3_pointwise_check(
     powers p^4, p^5, ... with p in [z, y) (e.g. n = 11^4 at N = 10^10), so
     the default here is the distinct convention.
     """
-    table = table or default_table()
     z = N ** (1.0 / 10.0)
     vals = p3_minorant_range(N, eps, P, n_max, table)
     rho_P = rho_range(n_max, 1, P, table).astype(float)
@@ -397,7 +391,7 @@ def fundlem_pointwise_bound(
     z: float,
     beta: float,
     D: float,
-    table: PrimeTable | None = None,
+    table: PrimeTable,
 ) -> bool:
     """Pointwise envelope for a beta sieve against the rough indicator.
 
@@ -405,7 +399,6 @@ def fundlem_pointwise_bound(
     rho(n, z_r), with z_r = z^(((beta-1)/(beta+1))^r) and s = log D/log z.
     Primes outside the sieve range do not count toward roughness.
     """
-    table = table or default_table()
     s = math.log(D) / math.log(z)
     if s <= beta + 1:
         raise ValueError("need s = log D / log z > beta + 1")

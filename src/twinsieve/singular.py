@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import PrimeTable, _divisors, default_table, factorize_extended
+from .arith import PrimeTable, _divisors, factorize_extended
 from .characters import ExceptionalZeroHypothesis, local_sigma
 
 __all__ = [
@@ -56,12 +56,15 @@ def _special_primes(m: int, table: PrimeTable) -> set[int]:
     return out
 
 
-def _covering(cutoff: int, table: PrimeTable | None) -> PrimeTable:
-    """``table`` (default: the shared one), checked to hold every prime <= cutoff."""
-    table = table or default_table()
+def _check_arguments(m: int, cutoff: int, table: PrimeTable) -> None:
+    """The one argument check of the three series: m >= 1, and a cutoff of
+    at least 100 (the tail bounds' regime) that ``table`` covers."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    if cutoff < 100:
+        raise ValueError("cutoff must be at least 100")
     if cutoff > table.limit:
         raise ValueError(f"cutoff {cutoff} exceeds the prime table limit {table.limit}")
-    return table
 
 
 # (factor, cutoff) -> product; every table that covers the cutoff lists the
@@ -93,9 +96,7 @@ def _four_case_factor(p: int, m: int) -> float:
     return _twin_generic_factor(p)
 
 
-def singular_series(
-    m: int, cutoff: int = 100_000, table: PrimeTable | None = None
-) -> SingularSeriesValue:
+def singular_series(m: int, cutoff: int, table: PrimeTable) -> SingularSeriesValue:
     """Truncated Euler product for the twin-sifted binary series.
 
     Odd primes up to ``cutoff`` contribute their four-case factor; primes
@@ -104,13 +105,9 @@ def singular_series(
     product of the generic factors over p <= cutoff does not depend on m
     and is computed once; only the primes of m(m+2)(m+4) are priced per m.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if cutoff < 100:
-        raise ValueError("cutoff must be at least 100")
+    _check_arguments(m, cutoff, table)
     if m % 2 != 0:
         return SingularSeriesValue(0.0, cutoff, 0.0)
-    table = _covering(cutoff, table)
     value = _generic_product(_twin_generic_factor, cutoff, table)
     for p in sorted(_special_primes(m, table)):
         generic = _twin_generic_factor(p) if p <= cutoff else 1.0
@@ -118,13 +115,9 @@ def singular_series(
     return SingularSeriesValue(value, cutoff, _tail_bound(value, cutoff))
 
 
-def singular_series_alt(
-    m: int, cutoff: int = 100_000, table: PrimeTable | None = None
-) -> float:
+def singular_series_alt(m: int, cutoff: int, table: PrimeTable) -> float:
     """Same series through the local densities: prod (1 + sigma(p,m)/phi2(p)^2)."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    table = _covering(cutoff, table)
+    _check_arguments(m, cutoff, table)
     value = 1.0 + local_sigma("sigma", 2, m)
     for p in table.primes_upto(cutoff):
         p = int(p)
@@ -137,7 +130,7 @@ def singular_series_alt(
     return value
 
 
-def partial_singular_series(m: int, primes, table: PrimeTable | None = None) -> float:
+def partial_singular_series(m: int, primes) -> float:
     """prod over the given primes of (1 + sigma(p,m)/phi2(p)^2)."""
     value = 1.0
     for p in sorted(set(int(p) for p in primes)):
@@ -150,13 +143,11 @@ def _goldbach_generic_factor(p: int) -> float:
     return 1.0 - 1.0 / (p - 1) ** 2
 
 
-def classical_goldbach_series(
-    m: int, cutoff: int = 100_000, table: PrimeTable | None = None
-) -> SingularSeriesValue:
+def classical_goldbach_series(m: int, cutoff: int, table: PrimeTable) -> SingularSeriesValue:
     """Hardy-Littlewood series for plain Goldbach: 2 C2(cutoff) prod_{p|m, p>2} (p-1)/(p-2)."""
+    _check_arguments(m, cutoff, table)
     if m % 2 != 0:
         return SingularSeriesValue(0.0, cutoff, 0.0)
-    table = _covering(cutoff, table)
     value = _generic_product(_goldbach_generic_factor, cutoff, table)
     for p, _ in factorize_extended(m, table).pairs:
         if p > 2:

@@ -17,7 +17,6 @@ from .arith import (
     _divisors,
     _factor_pp,
     build_prime_table,
-    default_table,
     heath_brown_terms,
     von_mangoldt,
 )
@@ -87,9 +86,8 @@ def _squarefree_upto(n: int) -> list[int]:
 
 
 def _feval_sweep(p_max: int = 97) -> dict:
-    table = default_table()
     bad = []
-    for p in [int(x) for x in table.primes_upto(p_max) if x > 2]:
+    for p in [int(x) for x in build_prime_table(p_max).primes if x > 2]:
         chi0 = principal_character(p)
         chiq = quadratic_character(p)
         hyp = ExceptionalZeroHypothesis.build(p, 0.5)
@@ -202,7 +200,7 @@ def _gauss_formula_sweep(q_max: int = 300) -> dict:
 
 def _festi_sweep(pp_max: int = 125) -> dict:
     moduli = []
-    for p in default_table().primes_upto(pp_max).tolist():
+    for p in build_prime_table(pp_max).primes.tolist():
         alpha = 1
         while p**alpha <= pp_max:
             moduli.append((p, alpha))
@@ -316,8 +314,8 @@ def suite_characters(full: bool = True) -> list[dict]:
 
 
 def suite_sieves(full: bool = True) -> list[dict]:
-    table = default_table()
     n_max = 10**5 if full else 10**4
+    table = build_prime_table(n_max)  # the sweeps read n <= n_max and primes <= 200
     out = []
 
     sandwich_ok = True
@@ -425,15 +423,18 @@ def suite_sieves(full: bool = True) -> list[dict]:
 
 
 def suite_singular(full: bool = True) -> list[dict]:
-    table = default_table()
+    cutoff = 100_000 if full else 10_000
+    # m + 4 <= 10^6 + 4 < cutoff^2, which factorize_extended reaches by
+    # trial division
+    table = build_prime_table(cutoff)
     out = []
     rng = random.Random(211)
     worst = 0.0
     count = 200 if full else 40
     for _ in range(count):
         m = 2 * rng.randrange(1, 500_000)
-        a = singular_series(m, 100_000 if full else 10_000, table).value
-        b = singular_series_alt(m, 100_000 if full else 10_000, table)
+        a = singular_series(m, cutoff, table).value
+        b = singular_series_alt(m, cutoff, table)
         if a == b == 0.0:
             continue
         worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
@@ -448,7 +449,7 @@ def suite_singular(full: bool = True) -> list[dict]:
     low_ok = True
     for _ in range(100 if full else 20):
         m = 6 * rng.randrange(1, 160_000) + 4
-        s = singular_series(m, 100_000 if full else 10_000, table)
+        s = singular_series(m, cutoff, table)
         if s.value < 1.0 - s.tail_bound:
             low_ok = False
     out.append(_check("series >= 1 - tail for m = 4 mod 6", low_ok, ""))
@@ -545,7 +546,8 @@ def suite_sievefn(full: bool = True) -> list[dict]:
 
 
 def suite_convolution(full: bool = True) -> list[dict]:
-    table = default_table()
+    N = 1 << 20 if full else 1 << 16
+    table = build_prime_table(N + 2)  # also covers n <= 10^4 of the decomposition sweep
     out = []
     rng = np.random.default_rng(5)
     exact_ok = True
@@ -572,8 +574,7 @@ def suite_convolution(full: bool = True) -> list[dict]:
         )
     )
 
-    N = 1 << 20 if full else 1 << 16
-    ind = build_sequence("Lambda0", N, build_prime_table(N + 2), indicator=True)
+    ind = build_sequence("Lambda0", N, table, indicator=True)
     exact = exact_convolve(ind.values[1:], ind.values[1:])
     flt = float_convolve(ind.values[1:], ind.values[1:])
     dev = float(np.abs(flt - exact).max())
@@ -638,7 +639,7 @@ def suite_scan(full: bool = True) -> list[dict]:
 def suite_bv(full: bool = True) -> list[dict]:
     out = []
     N = 10**4
-    table = default_table()
+    table = build_prime_table(10**6 if full else N)  # the full profile reads N = 10^6
     loop_ok = True
     worst = 0.0
     wl = weight_array("Lambda", N, table)
@@ -668,7 +669,7 @@ def suite_bv(full: bool = True) -> list[dict]:
 
     if full:
         t0 = time.perf_counter()
-        rows = bv_profile(10**6, 10**3, [1, 10, 100], "mu", build_prime_table(10**6))
+        rows = bv_profile(10**6, 10**3, [1, 10, 100], "mu", table)
         elapsed = time.perf_counter() - t0
         totals = profile_totals(rows)
         vanish = all(

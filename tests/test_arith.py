@@ -60,10 +60,19 @@ def test_prime_table_spf_matches_trial_division(limit):
 
 
 def test_prime_table_limits():
+    # the int32 format bounds the limit; memory budgets are the caller's
     with pytest.raises(ConfigurationError):
         build_prime_table(1)
     with pytest.raises(ConfigurationError):
-        build_prime_table(100, budget=50)
+        build_prime_table(2**31 + 1)
+
+
+def test_prime_table_refuses_primes_past_its_limit():
+    t = build_prime_table(1000)
+    assert len(t.primes_upto(1000)) == len(t.primes_in(0, 1000)) == 168
+    for ask in (lambda: t.primes_upto(1001), lambda: t.primes_in(10, 2000)):
+        with pytest.raises(ValueError):
+            ask()
 
 
 def test_pi_of_ten_to_six(table):

@@ -1,11 +1,12 @@
 import cmath
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from twinsieve.arith import _factor_pp, default_table
+from twinsieve.arith import _factor_pp
 from twinsieve.characters import (
     DirichletCharacter,
     ExceptionalZeroHypothesis,
@@ -422,16 +423,19 @@ def test_exceptional_hypothesis_validation():
     assert sq.is_principal
 
 
-def test_exceptional_hypothesis_keeps_the_shared_table_cached():
-    # factoring r must not key default_table's small LRU cache by r, which
-    # evicted and rebuilt the shared table
-    table = default_table()
+def test_building_the_hypotheses_builds_no_prime_table(monkeypatch):
+    # r is factored by trial division; a prime table is the caller's to build
+    def refuse(limit):
+        raise AssertionError(f"a prime table to {limit} was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twinsieve.") and hasattr(module, "build_prime_table"):
+            monkeypatch.setattr(module, "build_prime_table", refuse)
     for r in range(3, 98):
         try:
             ExceptionalZeroHypothesis.build(r, 0.9)
         except ValueError:
             pass  # t = 1 or a square in the odd part
-    assert default_table() is table
 
 
 def test_u_P_examples():

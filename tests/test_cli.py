@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -268,7 +269,7 @@ def test_memory_budget_env(tmp_path, monkeypatch):
 
 
 def test_scan_memory_plan_covers_the_transform(tmp_path, monkeypatch, capsys):
-    # N = 10^5: the table (400 kB) fits 1 MB, the three 2^17 x 8 B float
+    # N = 10^5: the table (400 kB) fits 1 MB, even three of its five 2^17 x 8 B float
     # FFT buffers do not; the scan stops before building anything
     from twinsieve.convolve import scan_peak_bytes
 
@@ -288,6 +289,49 @@ def test_scan_memory_plan_covers_the_transform(tmp_path, monkeypatch, capsys):
         "scan", "--N", str(10**5), "--k1", "inf", "--k2", "inf", "--samples", "8",
         "--out", str(tmp_path),
     ]) == 0
+
+
+@pytest.mark.parametrize("argv,limit", [
+    (["convolve", "--N", "1000", "--kind1", "Lambda0", "--kind2", "Lambda0"], 1002),
+    (["sseries", "--m", "4", "--cutoff", "10000"], 10_000),
+    (["bv", "--N", "2000", "--Q", "12"], 2000),
+])
+def test_table_plans_are_checked_against_the_budget(tmp_path, monkeypatch, capsys, argv, limit):
+    # these commands plan their spf table at 4 B per entry: one byte short
+    # of it is the scan's one error line and no file; the plan itself runs
+    plan = 4 * (limit + 1)
+    out = tmp_path / "out"
+    monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(plan - 1))
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {argv[0]} plans a peak of {plan} bytes, "
+                   f"over the memory budget of {plan - 1} bytes\n")
+    assert not list(out.iterdir())
+    monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(plan))
+    assert run_cli(argv + ["--out", str(out)]) == 0
+
+
+def test_only_the_commands_build_prime_tables():
+    # an engine takes the table its caller built: in the package only the
+    # CLI and the verify suites call build_prime_table, and only inside
+    # functions that cache nothing
+    builders = set()
+    for path in sorted(Path(twinsieve.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if "build_prime_table" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                assert id(node) in calls, f"{path.name}:{node.lineno} passes the builder on"
+                builders.add(path.name)
+            if isinstance(node, ast.FunctionDef) and any(
+                    "cache" in ast.unparse(d) for d in node.decorator_list):
+                text = ast.unparse(node)  # a table in a cache key is a cached table
+                assert "PrimeTable" not in text and "build_prime_table" not in text, (
+                    f"{path.name}:{node.name}")
+        for stmt in tree.body:  # no module-level table
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                assert "build_prime_table(" not in ast.unparse(stmt), f"{path.name}:{stmt.lineno}"
+    assert builders == {"cli.py", "verify.py"}
 
 
 def test_config_file_overrides(tmp_path, capsys):
@@ -444,6 +488,11 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     ("--k", ["convolve", "--N", "100", "--kind1", "Lambda_k", "--kind2", "Lambda0",
              "--k", "-1"]),
     ("--m", ["sseries", "--m", "-8"]),
+    ("--N", ["convolve", "--N", "0", "--kind1", "Lambda0", "--kind2", "Lambda0"]),
+    ("--N", ["bv", "--N", "0", "--Q", "5"]),
+    ("--Q", ["bv", "--N", "500", "--Q", "0"]),
+    ("--Q", ["bv", "--N", "500", "--Q", "-2"]),
+    ("--cutoff", ["sseries", "--m", "4", "--cutoff", "99"]),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, capsys, flag, argv):
     # argparse converts and checks every flag, so the message names it

@@ -22,7 +22,7 @@ def table():
 
 def test_build_sieve_twisted_matches_pointwise(table):
     # Lambda0(n) times the sieve weight omega(n + 2), summed divisor by divisor
-    w = linear_sieve(1e4, 100, 10, "lower")
+    w = linear_sieve(1e4, 100, 10, "lower", table)
     N = 2000
     seq = build_sequence("sieve_twisted", N, table, weights=w)
     assert seq.values[0] == 0.0
@@ -269,6 +269,13 @@ def test_count_monotone_in_N(table):
         assert c2[m] >= c1[m]
         if m <= 500:
             assert c2[m] == c1[m]  # all pairs fit below both ranges
+
+
+def test_exceptional_scan_refuses_a_table_short_of_N_plus_2():
+    # spf[p + 2] for the primes p <= N reads the table up to N + 2
+    for limit in (5000, 10**4 + 1):
+        with pytest.raises(ValueError, match="N \\+ 2"):
+            exceptional_scan(10**4, 2, 3, 0, 0, build_prime_table(limit))
 
 
 def test_exceptional_scan_small(table):

@@ -94,6 +94,13 @@ def test_linear_sieve_sandwich(table):
         linear_sieve(10.0, 100.0, 5, "upper", table)
 
 
+def test_linear_sieve_refuses_a_table_short_of_z():
+    # a table to 1000 holds 164 of the 299 primes in (10, 2000]; sieving by
+    # them alone would be a different, weaker sieve
+    with pytest.raises(ValueError):
+        linear_sieve(1e9, 2000, 10, "upper", build_prime_table(1000))
+
+
 def test_linear_sieve_V_ordering(table):
     P, z, D = 10, 100, 10**4
     lo = linear_sieve(D, z, P, "lower", table)

@@ -63,6 +63,16 @@ def test_cutoff_beyond_the_table_is_an_error():
             series(500_002, 100_000, small)
 
 
+@pytest.mark.parametrize("series", [singular_series, singular_series_alt,
+                                    classical_goldbach_series])
+def test_the_three_series_check_their_arguments_alike(table, series):
+    # m >= 1 and 100 <= cutoff <= table.limit, even where m is odd
+    for m, cutoff in ((10, 1), (10, 50), (10, 99), (0, 1000), (-4, 1000), (7, 50)):
+        with pytest.raises(ValueError):
+            series(m, cutoff, table)
+    assert series(10, 100, table) == series(10, 100, build_prime_table(100))
+
+
 def test_per_prime_match_with_local_sigma(table):
     # factors for p | m+4 match the sigma case table when compared per prime
     m1 = 2
