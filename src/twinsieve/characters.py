@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -294,6 +295,51 @@ def _value_table(chi: DirichletCharacter) -> np.ndarray:
 def primitive_characters(f: int) -> tuple[DirichletCharacter, ...]:
     """All primitive characters of conductor exactly f."""
     return tuple(chi for chi in character_group(f) if chi.conductor == f)
+
+
+class _BytesLRU:
+    """Least-recently-used map from keys to arrays holding at most ``cap`` bytes
+    of them; an array larger than ``cap`` is returned but not kept."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.nbytes = 0
+        self._items: OrderedDict = OrderedDict()
+
+    def get(self, key, build):
+        """The array at ``key``, from ``build(key)`` on a miss."""
+        if key in self._items:
+            self._items.move_to_end(key)
+            return self._items[key]
+        value = build(key)
+        if value.nbytes <= self.cap:
+            self._items[key] = value
+            self.nbytes += value.nbytes
+            while self.nbytes > self.cap:
+                self.nbytes -= self._items.popitem(last=False)[1].nbytes
+        return value
+
+
+#: the stacked primitive tables by conductor: 8 MiB holds all of them for
+#: f <= 162 at once (1.8 MiB for f <= 100); a larger cap mostly keeps tables of
+#: large f that only their few multiples reuse, and raises the peak RSS
+_PRIMITIVE_ROWS = _BytesLRU(8 * 2**20)
+
+
+def _build_primitive_rows(f: int) -> np.ndarray:
+    chars = primitive_characters(f)
+    coprime, units = _unit_residues(f)
+    out = np.zeros((len(chars), f), dtype=np.complex128)
+    for row, chi in zip(out, chars):
+        row[coprime] = _unit_values(chi, units)
+    return _read_only(out)
+
+
+def _primitive_value_rows(f: int) -> np.ndarray:
+    """The value tables of primitive_characters(f), stacked in that order: a
+    read-only C-contiguous (k_f, f) array whose row i equals
+    ``_value_table(primitive_characters(f)[i])`` bit for bit (same evaluator)."""
+    return _PRIMITIVE_ROWS.get(f, _build_primitive_rows)
 
 
 # ---------------------------------------------------------------------------

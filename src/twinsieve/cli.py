@@ -3,12 +3,14 @@
 Every subcommand writes a JSON report {command, config, results,
 provenance: {version, seed, runtime_ms}} plus subcommand-specific CSV
 artifacts; scan and convolve add a top-level ``trace`` with the engine
-facts of their product.  All computation is deterministic under a fixed
-seed; the thread-count knob is accepted for interface stability (the
-engines are deterministic regardless of it), so artifacts are byte-stable
-apart from the volatile runtime_ms field.  argparse is the one parser and
-checker of flag values, for the command line and ``--config`` files
-alike; every bad value is a single ``error:`` line and exit status 2.
+facts of their product, and bv one with its kernel's work and stage
+times.  All computation is deterministic under a fixed seed; the
+thread-count knob is accepted for interface stability (the engines are
+deterministic regardless of it), so artifacts are byte-stable apart from
+the volatile runtime_ms field and the trace's stage times.  argparse is
+the one parser and checker of flag values, for the command line and
+``--config`` files alike; every bad value is a single ``error:`` line and
+exit status 2.
 """
 
 from __future__ import annotations
@@ -403,8 +405,13 @@ def _cmd_sievefn(args, out_dir: Path, t0: float) -> int:
 
 
 def _cmd_bv(args, out_dir: Path, t0: float) -> int:
-    table = _prime_table(args, max(args.N, 1000))
-    rows = bv_profile(args.N, args.Q, args.P_list, args.weight, table)
+    if args.Q > args.N:
+        raise ValueError(f"argument --Q: expected an integer <= --N ({args.N}), got {args.Q}")
+    # Lambda reads the primes <= N; mu only those <= isqrt(N)
+    limit = args.N if args.weight == "Lambda" else math.isqrt(args.N) + 1
+    table = _prime_table(args, max(limit, 1000))
+    profile = bv_profile(args.N, args.Q, args.P_list, args.weight, table)
+    rows = profile.rows
     _write_csv(
         out_dir / "bv.csv",
         ["P", "q", "a_max", "discrepancy"],
@@ -413,7 +420,7 @@ def _cmd_bv(args, out_dir: Path, t0: float) -> int:
     totals = profile_totals(rows)
     _write_csv(out_dir / "bv_profile.csv", ["P", "total"], sorted(totals.items()))
     results = {"totals": {str(k): v for k, v in sorted(totals.items())}}
-    _write_report(out_dir, args, results, t0)
+    _write_report(out_dir, args, results, t0, trace=profile.trace)
     return 0
 
 

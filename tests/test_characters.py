@@ -189,6 +189,30 @@ def test_primitive_characters_count():
         assert total == len(character_group(q))
 
 
+def test_primitive_value_rows_stack_the_value_tables_bit_for_bit():
+    from twinsieve.characters import _primitive_value_rows
+
+    for f in range(1, 61):
+        rows = _primitive_value_rows(f)
+        chars = primitive_characters(f)
+        assert rows.shape == (len(chars), f) and rows.flags.c_contiguous, f
+        for row, chi in zip(rows, chars):
+            assert np.array_equal(row, _value_table(chi)), (f, chi)
+
+
+def test_primitive_value_rows_are_kept_under_a_byte_cap():
+    from twinsieve import characters as ch
+
+    assert ch._PRIMITIVE_ROWS.cap == 8 * 2**20
+    cache = ch._BytesLRU(cap=3000)
+    for f in [7, 9, 11, 7, 13, 15, 16, 23, 7, 60, 5]:
+        rows = cache.get(f, ch._build_primitive_rows)
+        assert np.array_equal(rows, ch._primitive_value_rows(f))
+        assert cache.nbytes == sum(a.nbytes for a in cache._items.values()) <= cache.cap
+    # 60 has 32 primitive characters: 30720 bytes, over the cap and never kept
+    assert 60 not in cache._items and 5 in cache._items
+
+
 def test_gauss_sum_examples():
     assert cmath.isclose(gauss_sum(principal_character(3), 1), -1, abs_tol=1e-12)
     chi5 = quadratic_character(5)
@@ -546,6 +570,7 @@ def test_cached_arrays_are_read_only():
         ch._restricted_c_all(chi, 1),
         ch._component_gauss_formula_all(chi.parts[0]),
         ch._F_local_odd_prime(chi, chi, 1, 7),
+        ch._primitive_value_rows(13),
         ntt._twiddles(ntt.P1, 16, False),
     ]
     for arr in arrays:

@@ -260,6 +260,24 @@ def test_bv_subcommand(tmp_path):
     assert profile[0] == "P,total"
 
 
+def test_bv_trace_names_the_kernel_and_its_work(tmp_path):
+    assert run_cli([
+        "bv", "--N", "2000", "--Q", "12", "--P-list", "1,5,20",
+        "--weight", "Lambda", "--out", str(tmp_path),
+    ]) == 0
+    rep = load_report(tmp_path, "bv")
+    assert set(rep) == {"command", "config", "results", "provenance", "trace"}
+    assert set(rep["provenance"]) == {"version", "seed", "runtime_ms"}
+    trace = rep["trace"]
+    assert trace["kernel"] == "characters"
+    assert trace["moduli"] == 12 and trace["residue_sum_passes"] == 11  # Lambda: every q
+    # P = 20 takes every character mod q: sum of phi(q) over 2 <= q <= 12
+    assert trace["characters_summed"] == sum(
+        sum(math.gcd(a, q) == 1 for a in range(q)) for q in range(2, 13))
+    assert trace["table_limit"] == 2000
+    assert {"weights_ms", "residue_sums_ms", "corrections_ms"} <= set(trace)
+
+
 def test_memory_budget_env(tmp_path, monkeypatch):
     monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", "400")  # 100 table entries
     rc = run_cli([
@@ -294,7 +312,8 @@ def test_scan_memory_plan_covers_the_transform(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("argv,limit", [
     (["convolve", "--N", "1000", "--kind1", "Lambda0", "--kind2", "Lambda0"], 1002),
     (["sseries", "--m", "4", "--cutoff", "10000"], 10_000),
-    (["bv", "--N", "2000", "--Q", "12"], 2000),
+    (["bv", "--N", "2000", "--Q", "12", "--weight", "Lambda"], 2000),
+    (["bv", "--N", "2000", "--Q", "12"], 1000),  # mu reads the primes <= isqrt(N)
 ])
 def test_table_plans_are_checked_against_the_budget(tmp_path, monkeypatch, capsys, argv, limit):
     # these commands plan their spf table at 4 B per entry: one byte short
@@ -422,6 +441,20 @@ def test_help_exits_0(command, capsys):
     assert capsys.readouterr().out.startswith(f"usage: twinsieve {command}")
 
 
+def test_bv_refuses_Q_above_N_before_building_a_table(tmp_path, monkeypatch, capsys):
+    import twinsieve.cli as cli
+
+    def refuse(limit):
+        raise AssertionError("built a table")
+
+    monkeypatch.setattr(cli, "build_prime_table", refuse)
+    out = tmp_path / "out"
+    assert run_cli(["bv", "--N", "500", "--Q", "501", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: argument --Q: expected an integer <= --N (500), got 501\n")
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "0.1"],
     ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "0.1,x"],
@@ -461,6 +494,7 @@ def test_help_exits_0(command, capsys):
     ["scan", "--N", "500", "--k1", "2"],
     ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--bogus", "1"],
     ["bogus"],
+    ["bv", "--N", "500", "--Q", "501"],
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2
@@ -493,6 +527,7 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     ("--Q", ["bv", "--N", "500", "--Q", "0"]),
     ("--Q", ["bv", "--N", "500", "--Q", "-2"]),
     ("--cutoff", ["sseries", "--m", "4", "--cutoff", "99"]),
+    ("--Q", ["bv", "--N", "500", "--Q", "501"]),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, capsys, flag, argv):
     # argparse converts and checks every flag, so the message names it

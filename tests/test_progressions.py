@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from twinsieve.arith import build_prime_table, factorize, mobius, von_mangoldt
-from twinsieve.characters import u_P
+from twinsieve.arith import (
+    _divisors, _factor_pp, build_prime_table, factorize, mobius, von_mangoldt,
+)
+from twinsieve.characters import _value_table, primitive_characters, u_P
 from twinsieve.progressions import (
     _discrepancies,
     _residue_sum_table,
@@ -109,7 +111,7 @@ def test_bv_residue_sum_collapse(table):
 
 
 def test_bv_profile(table):
-    rows = bv_profile(10**4, 20, [1, 5, 30], "mu", table)
+    rows = bv_profile(10**4, 20, [1, 5, 30], "mu", table).rows
     totals = profile_totals(rows)
     # P >= q rows vanish
     for row in rows:
@@ -137,7 +139,7 @@ def test_bv_profile_rows_match_bv_discrepancy(table):
     N = 5000
     for weight in ("mu", "Lambda"):
         w = weight_array(weight, N, table)
-        for row in bv_profile(N, 30, [2, 5], weight, table):
+        for row in bv_profile(N, 30, [2, 5], weight, table).rows:
             q, P = row["q"], row["P"]
             discs = {
                 a: bv_discrepancy(N, q, a, P, weight, table, w=w)
@@ -157,6 +159,18 @@ def test_mu_sieve_matches_factorization(table):
     assert mu[1:].tolist() == [mobius(factorize(n, table)) for n in range(1, 10**5 + 1)]
     for N in range(5):
         assert weight_array("mu", N, table).tolist() == mu[: N + 1].tolist(), N
+
+
+def test_mu_reads_only_the_primes_up_to_isqrt_N(table):
+    # Lambda reads the primes <= N, mu only those <= isqrt(N)
+    N = 10**5
+    want = weight_array("mu", N, table)
+    assert np.array_equal(weight_array("mu", N, build_prime_table(316)), want)
+    for weight, limit in (("mu", 315), ("Lambda", N - 1)):
+        with pytest.raises(ValueError, match="prime table must cover"):
+            weight_array(weight, N, build_prime_table(limit))
+    with pytest.raises(ValueError, match="int32"):  # refused before any allocation
+        weight_array("mu", 2**31, build_prime_table(math.isqrt(2**31)))
 
 
 @pytest.mark.parametrize("weight", ["mu", "Lambda"])
@@ -181,7 +195,54 @@ def test_bv_profile_rows_match_a_per_q_drive(table, weight):
     want = [{"P": P, "q": 1, "a_max": 1, "discrepancy": 0.0} for P in P_list]
     for q in range(2, Q + 1):
         units = np.nonzero(np.gcd(np.arange(q), q) == 1)[0]
-        for P, disc in zip(P_list, _discrepancies(_residue_sums(w, q), q, P_list)):
+        for P, disc in zip(P_list, _discrepancies(_residue_sums(w, q), q, P_list)[0]):
             best = units[np.argmax(np.abs(disc[units]))]
             want.append({"P": P, "q": q, "a_max": int(best), "discrepancy": float(disc[best])})
-    assert bv_profile(N, Q, P_list, weight, table) == want
+    assert bv_profile(N, Q, P_list, weight, table).rows == want
+
+
+def _discrepancies_per_character(R, q, P_list):
+    """The kernel as one numpy round trip per character: the oracle that the
+    blocked _discrepancies must equal bit for bit."""
+    r = np.arange(q)
+    coprime = np.gcd(r, q) == 1
+    phi = int(np.count_nonzero(coprime))
+    corr = np.zeros(q, dtype=complex)
+    R_complex = R.astype(complex)
+    conductors = iter(sorted(_divisors(_factor_pp(q))))
+    f = next(conductors)
+    rows = []
+    for P in P_list:
+        while f is not None and f <= P:
+            rf = r % f
+            for chi_star in primitive_characters(f):
+                induced = np.where(coprime, _value_table(chi_star)[rf], 0)
+                corr += np.conj(induced) * np.dot(induced, R_complex)
+            f = next(conductors, None)
+        if np.any(np.abs(corr.imag) >= 1e-6 * (np.abs(corr.real) + 1)):
+            raise ValueError(f"character correction mod {q} is not real")
+        rows.append(np.where(coprime, R - corr.real / phi, 0.0))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("weight", ["mu", "Lambda"])
+def test_discrepancies_equal_the_per_character_loop_bit_for_bit(table, weight):
+    w = weight_array(weight, 10**5, table)
+    for q, R in _residue_sum_table(w, 300):
+        P_list = sorted({1, 10, 100, q})
+        got, summed = _discrepancies(R, q, P_list)
+        assert np.array_equal(got, _discrepancies_per_character(R, q, P_list)), q
+        assert summed == sum(len(primitive_characters(f)) for f in _divisors(_factor_pp(q)))
+
+
+def test_bv_profile_trace_counts_its_work(table):
+    for weight, passes in (("mu", 5), ("Lambda", 19)):
+        trace = bv_profile(5000, 20, [1, 3], weight, table).trace
+        assert trace["kernel"] == "characters" and trace["moduli"] == 20
+        assert trace["residue_sum_passes"] == passes  # q in (10, 20] in pairs, or every q
+        # characters of conductor <= 3 mod q <= 20: the principal one, and
+        # the one mod 3 for each of the six multiples of 3
+        assert trace["characters_summed"] == 19 + 6
+        assert trace["table_limit"] == table.limit
+        for stage in ("weights_ms", "residue_sums_ms", "corrections_ms"):
+            assert trace[stage] >= 0
