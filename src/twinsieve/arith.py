@@ -93,6 +93,13 @@ class PrimeTable:
         return self.primes[lo:hi]
 
 
+def _table_bytes(limit: int) -> int:
+    """Bytes a PrimeTable to ``limit`` holds: spf at 4 B per entry and the
+    primes at 8 B each (at most 1.26 L / ln L of them below L, by Rosser and
+    Schoenfeld)."""
+    return 4 * (limit + 1) + 8 * math.ceil(1.26 * limit / math.log(limit))
+
+
 def build_prime_table(limit: int) -> PrimeTable:
     """Sieve smallest prime factors and primes up to ``limit``, inclusive,
     2 <= limit <= 2^31 (the int32 format); one int32 per integer.  Callers

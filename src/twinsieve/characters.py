@@ -261,7 +261,9 @@ def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
 
 
 def _unit_values(chi: DirichletCharacter, r):
-    """chi(r) at a unit r mod q, or at an int array of units: the one evaluator.
+    """chi(r) at a unit r mod q, or at an int array of units: the one evaluator
+    of a single character (``_build_primitive_rows`` repeats its additions
+    for a stack of characters, and a test holds the two equal bit for bit).
 
     The phase adds exponent * dlog(r) / order over every generator of
     every prime-power component; a zero exponent adds nothing and is skipped.
@@ -327,18 +329,29 @@ _PRIMITIVE_ROWS = _BytesLRU(8 * 2**20)
 
 
 def _build_primitive_rows(f: int) -> np.ndarray:
+    """The rows of ``_primitive_value_rows(f)``, built as one stacked pass:
+    the phases of all primitive characters mod f at the units form one
+    (k_f, phi(f)) array, which adds exponent * dlog / order per generator in
+    the order ``_unit_values`` adds them, then takes one ``exp``.  Where
+    ``_unit_values`` skips a zero exponent this adds 0.0 to a phase >= 0,
+    which changes no bit."""
     chars = primitive_characters(f)
     coprime, units = _unit_residues(f)
+    frac = np.zeros((len(chars), len(units)))
+    for j, (p, alpha, orders) in enumerate(_part_specs(f)):
+        for g, (o, dl) in enumerate(zip(orders, _dlog_tables(p, alpha))):
+            e = np.array([chi.parts[j].exponents[g] for chi in chars], dtype=np.int64)
+            frac = frac + e[:, None] * dl[units % p**alpha] / o
     out = np.zeros((len(chars), f), dtype=np.complex128)
-    for row, chi in zip(out, chars):
-        row[coprime] = _unit_values(chi, units)
+    out[:, coprime] = np.exp(2j * np.pi * frac)
     return _read_only(out)
 
 
 def _primitive_value_rows(f: int) -> np.ndarray:
     """The value tables of primitive_characters(f), stacked in that order: a
     read-only C-contiguous (k_f, f) array whose row i equals
-    ``_value_table(primitive_characters(f)[i])`` bit for bit (same evaluator)."""
+    ``_value_table(primitive_characters(f)[i])`` bit for bit (the same float
+    operations as ``_unit_values``, see ``_build_primitive_rows``)."""
     return _PRIMITIVE_ROWS.get(f, _build_primitive_rows)
 
 

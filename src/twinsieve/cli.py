@@ -28,7 +28,7 @@ from . import __version__
 from .arith import TABLE_LIMIT_MAX, ConfigurationError, PrimeTable, build_prime_table
 from .characters import ExceptionalZeroHypothesis
 from .convolve import build_sequence, convolve, exceptional_scan, scan_peak_bytes
-from .progressions import bv_profile, profile_totals
+from .progressions import bv_peak_bytes, bv_profile, profile_totals
 from .sieves import linear_sieve
 from .sievefn import chen_constants, chen_margin, p3_margin, solve_linear_sieve_functions
 from .singular import main_term_M, partial_singular_series, singular_series
@@ -132,6 +132,22 @@ def _int_at_least(low: int):
 
 
 _positive_int = _int_at_least(1)
+
+
+def _number_in(interval: str, contains):
+    """type= converter for a number x with contains(x), described as ``interval``
+    (nan fails every comparison, so it is refused wherever a bound is)."""
+
+    def convert(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if contains(value):
+            return value
+        raise argparse.ArgumentTypeError(f"expected a number in {interval}, got {text!r}")
+
+    return convert
 
 
 def _exponent(text: str) -> float:
@@ -276,9 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
         "numerical margins. Artifacts: sievefn.csv (s, f, F) and "
         "sievefn.json margins report.",
     )
-    p.add_argument("--smax", type=float, default=10.0)
-    p.add_argument("--h", type=float, default=5e-4)
-    p.add_argument("--eps", type=float, default=1e-3)
+    # p3_margin reads the functions at s = 5, so s_max starts there
+    p.add_argument("--smax", type=_number_in("[5, 20]", lambda x: 5 <= x <= 20), default=10.0)
+    p.add_argument("--h", type=_number_in("(0, 1]", lambda x: 0 < x <= 1), default=5e-4)
+    p.add_argument("--eps", type=_number_in("(0, 0.01)", lambda x: 0 < x < 0.01), default=1e-3)
     _add_common(p)
 
     p = subs.add_parser(
@@ -408,8 +425,8 @@ def _cmd_bv(args, out_dir: Path, t0: float) -> int:
     if args.Q > args.N:
         raise ValueError(f"argument --Q: expected an integer <= --N ({args.N}), got {args.Q}")
     # Lambda reads the primes <= N; mu only those <= isqrt(N)
-    limit = args.N if args.weight == "Lambda" else math.isqrt(args.N) + 1
-    table = _prime_table(args, max(limit, 1000))
+    limit = max(args.N if args.weight == "Lambda" else math.isqrt(args.N) + 1, 1000)
+    table = _prime_table(args, limit, bv_peak_bytes(args.N, args.Q, args.weight, limit))
     profile = bv_profile(args.N, args.Q, args.P_list, args.weight, table)
     rows = profile.rows
     _write_csv(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import PrimeTable, omega_counts
+from .arith import PrimeTable, _table_bytes, omega_counts
 from .ntt import exact_convolve, exact_primes, float_convolve, roundoff_bound
 from .singular import classical_goldbach_series, singular_series
 from .progressions import weight_array
@@ -329,21 +329,18 @@ def _median(x: np.ndarray) -> float:
 def scan_peak_bytes(N: int, alpha1: float, alpha2: float, table_limit: int) -> int:
     """The planned peak memory of a scan at N, in bytes, before anything is
     built.  The peak is the product's second forward transform, of length
-    2^k, which holds: the spf table to ``table_limit`` at 4 B per entry and
-    its primes at 8 B each (at most 1.26 L / ln L of them below L, by Rosser
-    and Schoenfeld); the two bool masks on 0..N and the two packed bool
-    inputs; and five 2^k x 8 B buffers: the two half-spectra, the float64
-    copy of the second input (at most half of one), and the zero-padded
-    copy and working array that numpy's FFT makes of it.  The rounded
-    outputs and the int32 counts come after the transform buffers are
-    freed, and take less.  The packing counts both classes unless both
-    thresholds reach 3, which empties class 1 (n = 1 mod 6 makes 3 divide
-    n + 2)."""
+    2^k, which holds: the prime table to ``table_limit`` (``_table_bytes``);
+    the two bool masks on 0..N and the two packed bool inputs; and five
+    2^k x 8 B buffers: the two half-spectra, the float64 copy of the second
+    input (at most half of one), and the zero-padded copy and working array
+    that numpy's FFT makes of it.  The rounded outputs and the int32 counts
+    come after the transform buffers are freed, and take less.  The packing
+    counts both classes unless both thresholds reach 3, which empties class
+    1 (n = 1 mod 6 makes 3 divide n + 2)."""
     rough = min(_threshold(N, alpha1)[0], _threshold(N, alpha2)[0]) >= 3
     s, slots = _packing(N, [5] if rough else [1, 5])
-    primes = math.ceil(1.26 * table_limit / math.log(table_limit))
     transform = _transform_len(s * slots, s * slots)
-    return 4 * (table_limit + 1) + 8 * primes + 2 * (N + 1) + 2 * s * slots + 5 * transform * 8
+    return _table_bytes(table_limit) + 2 * (N + 1) + 2 * s * slots + 5 * transform * 8
 
 
 def exceptional_scan(

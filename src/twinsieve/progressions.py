@@ -11,18 +11,22 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import PrimeTable, _divisors, _factor_pp
-from .characters import _primitive_value_rows, _unit_residues, primitive_characters
+from .arith import PrimeTable, _divisors, _factor_pp, _table_bytes
+from .characters import (
+    _PRIMITIVE_ROWS, _primitive_value_rows, _unit_residues, primitive_characters,
+)
 
 __all__ = [
     "BVProfile",
     "weight_array",
     "bv_discrepancy",
     "bv_profile",
+    "bv_peak_bytes",
     "profile_totals",
 ]
 
@@ -31,10 +35,10 @@ def weight_array(weight: str, N: int, table: PrimeTable) -> np.ndarray:
     """Dense w(n) for n = 0..N, w in {Lambda, mu}.
 
     Lambda is float64 and reads the primes <= N, so ``table`` must cover N.
-    mu is int32 and reads only the primes <= isqrt(N), so ``table`` need
-    cover no more, and N < 2^31.  mu's sums in ``_residue_sums`` are int32
-    too: a sum of mu over any n <= N is at most the count of squarefree
-    n <= N in size, below 2^31, so they are exact.
+    mu is int8, since it lies in {-1, 0, 1}, and reads only the primes
+    <= isqrt(N), so ``table`` need cover no more; its sieve keeps an int32
+    product of those primes, so N < 2^31.  ``_residue_sums`` sums integer w
+    in a dtype sized by a bound on each sum, so the sums stay exact.
     """
     if weight == "Lambda":
         if table.limit < N:
@@ -57,7 +61,7 @@ def weight_array(weight: str, N: int, table: PrimeTable) -> np.ndarray:
     # Sieve by the primes p <= sqrt(N) only, multiplying each p^k into prod;
     # prod[n] is then the part of n made of those primes, and n > 1 has its
     # one prime factor > sqrt(N) exactly when prod[n] < n.
-    mu = np.ones(N + 1, dtype=np.int32)
+    mu = np.ones(N + 1, dtype=np.int8)
     mu[0] = 0
     prod = np.ones(N + 1, dtype=np.int32)
     for p in table.primes_upto(math.isqrt(N)):
@@ -68,65 +72,122 @@ def weight_array(weight: str, N: int, table: PrimeTable) -> np.ndarray:
         while pk <= N:
             prod[pk::pk] *= p
             pk *= p
-    mu[prod < np.arange(N + 1, dtype=np.int32)] *= -1
+    # one more sign per large prime factor: mu *= 1 - 2 [prod[n] < n], in int8
+    flip = (prod < np.arange(N + 1, dtype=np.int32)).view(np.int8)
+    flip *= -2
+    flip += 1
+    mu *= flip
     return mu
 
 
-def _residue_sums(w: np.ndarray, q: int) -> np.ndarray:
-    """R[r] = sum of w(n) over n = r mod q, n in [0, len(w)), in w's dtype.
+#: the signed dtypes integer sums run in, narrowest first, each with the
+#: largest |sum| it holds
+_SUM_DTYPES = tuple((np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32, np.int64))
+
+
+def _column_sums(w: np.ndarray, q: int, bound: int | None = None) -> np.ndarray:
+    """R[r] = sum of w(n) over n = r mod q, n in [0, len(w)), in the sum dtype.
 
     w is viewed without a copy as rows of q consecutive values.  For q >= 2
     each column is summed row by row in increasing n and the short last row
     is added last: the order of one sequential pass, so float sums equal it
     bit for bit.  At q = 1 numpy sums the single contiguous column pairwise.
-    Integer w (mu, int32) stays in its dtype, and its sums are exact.
+    Float w is summed in its dtype.  Integer w is summed in the narrowest of
+    int8, int16, int32 and int64 whose range holds ``bound``, a bound on
+    every |R[r]|; a narrow accumulator is what makes integer passes cheap,
+    and integer addition is exact in any dtype that holds every partial sum.
     """
+    dtype = w.dtype if bound is None else next(t for top, t in _SUM_DTYPES if bound <= top)
     full = len(w) - len(w) % q
-    R = w[:full].reshape(-1, q).sum(axis=0, dtype=w.dtype)
+    R = w[:full].reshape(-1, q).sum(axis=0, dtype=dtype)
     R[: len(w) - full] += w[full:]
     return R
 
 
-def _residue_sum_passes(w: np.ndarray, Q: int) -> list[tuple[int, ...]]:
-    """The moduli ``_residue_sum_table`` sums directly over w, one pass per tuple."""
+def _max_abs(w: np.ndarray) -> int:
+    return max(int(w.max(initial=0)), -int(w.min(initial=0)))
+
+
+def _widened(R: np.ndarray) -> np.ndarray:
+    """Integer sums in at least int32, the dtype ``_discrepancies`` is given."""
+    return R.astype(np.promote_types(R.dtype, np.int32), copy=False)
+
+
+def _residue_sums(w: np.ndarray, q: int) -> np.ndarray:
+    """R[r] = sum of w(n) over n = r mod q, n in [0, len(w)).
+
+    Float w (Lambda) gives float sums in one sequential pass (see
+    ``_column_sums``).  Integer w (mu) is summed under the a-priori bound
+    max|w| x (len(w) // q + 1), since a column has at most that many rows,
+    and returned exact in at least int32.
+    """
     if not np.issubdtype(w.dtype, np.integer):
+        return _column_sums(w, q)
+    return _widened(_column_sums(w, q, _max_abs(w) * (len(w) // q + 1)))
+
+
+def _residue_sum_passes(n: int, Q: int, integer: bool) -> list[tuple[int, ...]]:
+    """The moduli ``_residue_sum_table`` sums directly over a w of length n,
+    one pass per tuple (``integer`` for an integer w)."""
+    if not integer:
         return [(q,) for q in range(2, Q + 1)]
     passes = []
     q = max(Q // 2 + 1, 2)
     while q <= Q:
-        passes.append((q, q + 1) if q < Q and q * (q + 1) <= len(w) else (q,))
+        passes.append((q, q + 1) if q < Q and q * (q + 1) <= n else (q,))
         q += len(passes[-1])
     return passes
 
 
-def _residue_sum_table(w: np.ndarray, Q: int):
+def _residue_sum_table(w: np.ndarray, Q: int, dtypes: Counter | None = None):
     """Yield (q, _residue_sums(w, q)) for every 2 <= q <= Q, each q once.
 
     Float w (Lambda) gets one sequential pass per q, in increasing q.
     Integer w (mu) is summed only at the moduli in (Q/2, Q]: two consecutive
     ones share one pass at M = q(q+1) when M <= len(w), and each q is folded
-    out of R_M with ``_residue_sums(R_M, q)``; every q <= Q/2 is folded out
+    out of R_M with ``_column_sums(R_M, q)``; every q <= Q/2 is folded out
     of its largest multiple <= Q.  That is about Q/4 passes over w instead
     of Q - 1 (``_residue_sum_passes`` lists them).  Integer addition is
     exact in any order, so the folded sums equal the direct ones; folding
     regroups float additions, which changes last bits of Lambda's sums and
     so the sign and residue that bv_profile picks among exact ties.
+
+    Each integer sum runs in the narrowest dtype that holds its bound: a
+    pass at M bounds |R_M| by max|w| x (len(w) // M + 1), and each fold
+    multiplies the bound by the rows it adds, M / m and then m / d.  At
+    N = 1e6, Q = 500 for mu the passes run in int8 (at most 16 rows per
+    column) and the pair folds in int16.  The yielded sums are widened as
+    ``_residue_sums``'s are.  ``dtypes``, if given, counts the sums run in
+    each dtype, by name.
     """
-    passes = _residue_sum_passes(w, Q)
-    if not np.issubdtype(w.dtype, np.integer):
+    dtypes = Counter() if dtypes is None else dtypes
+    integer = np.issubdtype(w.dtype, np.integer)
+    passes = _residue_sum_passes(len(w), Q, integer)
+    if not integer:
         for (q,) in passes:
+            dtypes[w.dtype.name] += 1
             yield q, _residue_sums(w, q)
         return
+
+    def counted_sums(R, q, bound):
+        R_q = _column_sums(R, q, bound)
+        dtypes[R_q.dtype.name] += 1
+        return R_q
+
+    top = _max_abs(w)
     folded = {}  # m in (Q/2, Q] -> the q <= Q/2 whose largest multiple <= Q is m
     for q in range(2, Q // 2 + 1):
         folded.setdefault(q * (Q // q), []).append(q)
     for moduli in passes:
-        R = _residue_sums(w, math.prod(moduli))
+        M = math.prod(moduli)
+        bound_M = top * (len(w) // M + 1)
+        R = counted_sums(w, M, bound_M)
         for m in moduli:
-            R_m = _residue_sums(R, m)
-            yield m, R_m
+            bound_m = bound_M * (M // m)
+            R_m = counted_sums(R, m, bound_m)
+            yield m, _widened(R_m)
             for d in folded.get(m, ()):
-                yield d, _residue_sums(R_m, d)
+                yield d, _widened(counted_sums(R_m, d, bound_m * (m // d)))
 
 
 def _discrepancies(R: np.ndarray, q: int, P_list) -> tuple[np.ndarray, int]:
@@ -137,60 +198,41 @@ def _discrepancies(R: np.ndarray, q: int, P_list) -> tuple[np.ndarray, int]:
     Each character mod q with conductor f <= P (f a divisor of q)
     contributes its induced sum restricted to n coprime to q (the
     imprimitivity correction is exact: the induced character vanishes on
-    non-units).  One walk over the conductors in increasing order adds each
-    correction once and snapshots a row per P.  Non-units a get 0.
+    non-units).  Non-units a get 0.
 
-    The characters whose conductors enter at one P are one block (see
-    ``_add_corrections``), with the floats of a per-character loop
-    ``corr += conj(chi) * np.dot(chi, R)`` bit for bit.
+    The characters of every conductor f <= max P are one block, in
+    increasing f: row 0 of one C-contiguous buffer is the zero correction
+    and each further row one induced character, tiled from its conductor's
+    stacked table and zeroed off the units.  The stacked matmul runs the
+    per-row complex dot that np.dot runs on a contiguous vector (a gemv over
+    the block, or rows gathered F-ordered, rounds differently); the rows
+    become conj(chi) * (chi . R), and one axis-0 accumulate adds them one
+    after another, so the running sum at each P boundary has the floats of
+    a per-character loop ``corr += conj(chi) * np.dot(chi, R)`` bit for bit.
     """
     coprime, _ = _unit_residues(q)
     phi = int(np.count_nonzero(coprime))
-    corr = np.zeros(q, dtype=complex)
-    R_complex = R.astype(complex)  # the cast np.dot would make per character
-    conductors = iter(sorted(_divisors(_factor_pp(q))))
-    f = next(conductors)
-    summed = 0
-    rows = []
-    for P in P_list:
-        entered = []
-        while f is not None and f <= P:
-            entered.append((f, len(primitive_characters(f))))
-            f = next(conductors, None)
-        k = sum(k_f for _, k_f in entered)
-        if k:
-            corr = _add_corrections(corr, R_complex, coprime, entered, k)
-            summed += k
-        if np.any(np.abs(corr.imag) >= 1e-6 * (np.abs(corr.real) + 1)):
-            raise ValueError(f"character correction mod {q} is not real")
-        rows.append(np.where(coprime, R - corr.real / phi, 0.0))
-    return np.array(rows), summed
-
-
-def _add_corrections(corr, R_complex, coprime, entered, k) -> np.ndarray:
-    """corr plus conj(chi) * (chi . R) over the k characters induced mod q
-    from the primitive ones of each (f, k_f) in ``entered``, added in order.
-
-    Row 0 of one C-contiguous buffer holds corr and each further row one
-    induced character, tiled from its conductor's stacked table and zeroed
-    off the units.  The stacked matmul runs the per-row complex dot that
-    np.dot runs on a contiguous vector (a gemv over the block, or rows
-    gathered F-ordered, rounds differently); an axis-0 reduce then adds the
-    rows to corr one after another, as a loop of ``corr += ...`` does.
-    """
-    q = len(corr)
-    buf = np.empty((1 + k, q), dtype=complex)
-    buf[0] = corr
+    conductors = [f for f in sorted(_divisors(_factor_pp(q))) if f <= P_list[-1]]
+    counts = [len(primitive_characters(f)) for f in conductors]
+    buf = np.empty((1 + sum(counts), q), dtype=complex)
+    buf[0] = 0
     i = 1
-    for f, k_f in entered:
+    for f, k_f in zip(conductors, counts):
         buf[i : i + k_f].reshape(k_f, q // f, f)[...] = _primitive_value_rows(f)[:, None, :]
         i += k_f
     chars = buf[1:]
     np.copyto(chars, 0, where=~coprime)
+    R_complex = R.astype(complex)  # the cast np.dot would make per character
     dots = (chars[:, None, :] @ R_complex[:, None]).ravel()
     np.conj(chars, out=chars)
     chars *= dots[:, None]
-    return np.add.reduce(buf, axis=0)
+    np.add.accumulate(buf, axis=0, out=buf)
+    # the running sum after the last character of conductor <= P
+    ends = [sum(k_f for f, k_f in zip(conductors, counts) if f <= P) for P in P_list]
+    corr = buf[ends]
+    if np.any(np.abs(corr.imag) >= 1e-6 * (np.abs(corr.real) + 1)):
+        raise ValueError(f"character correction mod {q} is not real")
+    return np.where(coprime, R - corr.real / phi, 0.0), ends[-1]
 
 
 def bv_discrepancy(
@@ -216,7 +258,8 @@ def bv_discrepancy(
 class BVProfile:
     """bv_profile's rows, one per (P, q) sorted by q then P, and its ``trace``:
     the kernel, the moduli, the passes over w, the characters summed, the
-    prime table's limit and the ms of each stage."""
+    prime table's limit, the dtype of w and the number of residue sums run
+    in each dtype, and the ms of each stage."""
 
     rows: list[dict]
     trace: dict
@@ -243,8 +286,9 @@ def bv_profile(
     clock = time.perf_counter()
     weights_s, sums_s, corrections_s = clock - t0, 0.0, 0.0
     summed = 0
+    dtypes = Counter()
     rows = [{"P": P, "q": 1, "a_max": 1, "discrepancy": 0.0} for P in P_list]
-    for q, R in _residue_sum_table(w, Q):
+    for q, R in _residue_sum_table(w, Q, dtypes):
         now = time.perf_counter()
         sums_s += now - clock
         disc, k = _discrepancies(R, q, P_list)
@@ -256,10 +300,13 @@ def bv_profile(
         clock = time.perf_counter()
         corrections_s += clock - now
     rows.sort(key=lambda row: row["q"])  # stable: P stays increasing within q
+    passes = len(_residue_sum_passes(len(w), Q, np.issubdtype(w.dtype, np.integer)))
     trace = {
         "kernel": "characters",
         "moduli": Q,
-        "residue_sum_passes": len(_residue_sum_passes(w, Q)),
+        "residue_sum_passes": passes,
+        "weight_dtype": w.dtype.name,
+        "residue_sum_dtypes": dict(sorted(dtypes.items())),
         "characters_summed": summed,
         "table_limit": table.limit,
         "weights_ms": round(weights_s * 1000, 3),
@@ -267,6 +314,22 @@ def bv_profile(
         "corrections_ms": round(corrections_s * 1000, 3),
     }
     return BVProfile(rows, trace)
+
+
+def bv_peak_bytes(N: int, Q: int, weight: str, table_limit: int) -> int:
+    """The planned peak memory of ``bv_profile`` at N and Q, in bytes, before
+    anything is built: the prime table to ``table_limit`` (``_table_bytes``);
+    the weight arrays on 0..N at their widths, for
+    mu 1 B for mu, 4 B for the int32 prime product, 4 B for the int32
+    arange it is compared with and 1 B for the sign flip, for Lambda 8 B;
+    the largest residue-sum buffer, the largest modulus summed directly over
+    w at 8 B per entry; and the stacked character rows, at most the byte cap
+    of their cache."""
+    per_entry = {"mu": 1 + 4 + 4 + 1, "Lambda": 8}[weight]
+    passes = _residue_sum_passes(N + 1, Q, weight == "mu")
+    largest = max((math.prod(moduli) for moduli in passes), default=0)
+    return (_table_bytes(table_limit) + per_entry * (N + 1) + 8 * largest
+            + _PRIMITIVE_ROWS.cap)
 
 
 def profile_totals(rows) -> dict:

@@ -12,6 +12,7 @@ import pytest
 
 import twinsieve
 from twinsieve.cli import main
+from twinsieve.progressions import bv_peak_bytes
 
 
 def run_cli(args):
@@ -228,13 +229,20 @@ def test_verify_weights_export(tmp_path):
 
 
 def test_sievefn_bad_eps_writes_nothing(tmp_path, capsys):
-    # every result is computed before the first artifact is written
+    # --eps is refused at parse time, before the output directory is made
     out = tmp_path / "out"
     assert run_cli(["sievefn", "--smax", "6", "--h", "0.001", "--eps", "0",
                     "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_sievefn_flag_domains_include_their_closed_ends(tmp_path):
+    with pytest.warns(UserWarning, match="coarse"):
+        assert run_cli(["sievefn", "--smax", "5", "--h", "1", "--eps", "0.0099",
+                        "--out", str(tmp_path)]) == 0
+    assert load_report(tmp_path, "sievefn")["config"]["smax"] == 5
 
 
 def test_sievefn_subcommand(tmp_path):
@@ -275,6 +283,8 @@ def test_bv_trace_names_the_kernel_and_its_work(tmp_path):
     assert trace["characters_summed"] == sum(
         sum(math.gcd(a, q) == 1 for a in range(q)) for q in range(2, 13))
     assert trace["table_limit"] == 2000
+    assert trace["weight_dtype"] == "float64"
+    assert trace["residue_sum_dtypes"] == {"float64": 11}
     assert {"weights_ms", "residue_sums_ms", "corrections_ms"} <= set(trace)
 
 
@@ -316,9 +326,12 @@ def test_scan_memory_plan_covers_the_transform(tmp_path, monkeypatch, capsys):
     (["bv", "--N", "2000", "--Q", "12"], 1000),  # mu reads the primes <= isqrt(N)
 ])
 def test_table_plans_are_checked_against_the_budget(tmp_path, monkeypatch, capsys, argv, limit):
-    # these commands plan their spf table at 4 B per entry: one byte short
-    # of it is the scan's one error line and no file; the plan itself runs
+    # convolve and sseries plan their spf table at 4 B per entry, bv its table
+    # and weight arrays: one byte short of the plan is the scan's one error
+    # line and no file; the plan itself runs
     plan = 4 * (limit + 1)
+    if argv[0] == "bv":
+        plan = bv_peak_bytes(2000, 12, "Lambda" if "Lambda" in argv else "mu", limit)
     out = tmp_path / "out"
     monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(plan - 1))
     assert run_cli(argv + ["--out", str(out)]) == 2
@@ -328,6 +341,22 @@ def test_table_plans_are_checked_against_the_budget(tmp_path, monkeypatch, capsy
     assert not list(out.iterdir())
     monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(plan))
     assert run_cli(argv + ["--out", str(out)]) == 0
+
+
+def test_bv_memory_plan_counts_its_weight_arrays(tmp_path, monkeypatch, capsys):
+    # N = 10^5, mu: the table to 1000 fits 100 kB, mu's sieve arrays at 10 B
+    # per entry do not; bv stops before building anything
+    budget = 10**5
+    plan = bv_peak_bytes(10**5, 50, "mu", 1000)
+    assert 4 * 1001 < budget < 10 * (10**5 + 1) < plan
+    monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(budget))
+    argv = ["bv", "--N", str(10**5), "--Q", "50", "--out", str(tmp_path)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == (f"error: bv plans a peak of {plan} bytes, "
+                                       f"over the memory budget of {budget} bytes\n")
+    assert not list(tmp_path.iterdir())  # no report, no CSV
+    monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(plan))
+    assert run_cli(argv) == 0
 
 
 def test_only_the_commands_build_prime_tables():
@@ -528,6 +557,18 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     ("--Q", ["bv", "--N", "500", "--Q", "-2"]),
     ("--cutoff", ["sseries", "--m", "4", "--cutoff", "99"]),
     ("--Q", ["bv", "--N", "500", "--Q", "501"]),
+    # p3_margin reads s = 5, so --smax below it used to fail after the solve
+    ("--smax", ["sievefn", "--smax", "4"]),
+    ("--smax", ["sievefn", "--smax", "4.99"]),
+    ("--smax", ["sievefn", "--smax", "nan"]),
+    ("--smax", ["sievefn", "--smax", "inf"]),
+    ("--smax", ["sievefn", "--smax", "21"]),
+    ("--h", ["sievefn", "--h", "0"]),
+    ("--h", ["sievefn", "--h", "1.5"]),
+    ("--h", ["sievefn", "--h", "x"]),
+    ("--eps", ["sievefn", "--eps", "0"]),
+    ("--eps", ["sievefn", "--eps", "0.01"]),
+    ("--eps", ["sievefn", "--eps", "nan"]),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, capsys, flag, argv):
     # argparse converts and checks every flag, so the message names it

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_bv_profile_rows_match_bv_discrepancy(table):
 
 def test_mu_sieve_matches_factorization(table):
     mu = weight_array("mu", 10**5, table)
-    assert mu.dtype == np.int32
+    assert mu.dtype == np.int8
     assert mu[0] == 0
     assert mu[1:].tolist() == [mobius(factorize(n, table)) for n in range(1, 10**5 + 1)]
     for N in range(5):
@@ -184,8 +185,36 @@ def test_residue_sum_table_matches_residue_sums(table, weight, N):
         if weight == "Lambda":  # the per-q route, in increasing q
             assert [q for q, _ in got] == list(range(2, Q + 1)), Q
         for q, R in got:
-            assert R.dtype == w.dtype
+            assert R.dtype == (np.int32 if weight == "mu" else w.dtype)
             assert np.array_equal(R, _residue_sums(w, q)), (Q, q)
+
+
+@pytest.mark.parametrize("scale,rows", [(1, 127), (1, 32767), (3, 127 // 3), (3, 32767 // 3)])
+def test_residue_sum_table_is_exact_at_the_narrow_dtype_edges(scale, rows):
+    # a constant w makes each column sum scale x its row count, so a sum
+    # dtype one row too narrow wraps; at Q = 6 the passes are M = 20 and 6,
+    # and len(w) / M lands just below, at and just above each edge
+    rng = np.random.default_rng(rows)
+    Q = 6
+    seen = Counter()
+    for M in (20, 6):
+        for n in (rows * M - 1, rows * M, rows * M + 1):
+            signs = rng.integers(-1, 2, n).astype(np.int8)
+            for w in (np.full(n, scale, np.int8), np.full(n, -scale, np.int8), scale * signs):
+                dtypes = Counter()
+                got = dict(_residue_sum_table(w, Q, dtypes))
+                seen.update(dtypes)
+                assert sorted(got) == list(range(2, Q + 1))
+                for q in range(1, Q + 1):
+                    want = np.bincount(np.arange(n) % q, weights=w, minlength=q).astype(np.int64)
+                    assert np.array_equal(_residue_sums(w, q), want), (M, n, q)
+                    if q > 1:
+                        assert got[q].dtype == np.int32
+                        assert np.array_equal(got[q], want), (M, n, q)
+                # 2 passes, 3 folds to q in (3, 6], 2 to q <= 3
+                assert sum(dtypes.values()) == 2 + 3 + 2
+    # both dtypes beside the edge ran
+    assert ({"int8", "int16"} if rows == 127 // scale else {"int16", "int32"}) <= set(seen)
 
 
 @pytest.mark.parametrize("weight", ["mu", "Lambda"])
@@ -236,10 +265,16 @@ def test_discrepancies_equal_the_per_character_loop_bit_for_bit(table, weight):
 
 
 def test_bv_profile_trace_counts_its_work(table):
-    for weight, passes in (("mu", 5), ("Lambda", 19)):
+    # mu's 5 passes run in int8 (bound 38 at M = 132, the most rows), and its
+    # 19 folds in int16 (bound 2660 at most, 380 / 20 x 20 / 2 rows times 14);
+    # Lambda sums every q in float64
+    for weight, passes, dtypes in (("mu", 5, {"int8": 5, "int16": 19}),
+                                   ("Lambda", 19, {"float64": 19})):
         trace = bv_profile(5000, 20, [1, 3], weight, table).trace
         assert trace["kernel"] == "characters" and trace["moduli"] == 20
         assert trace["residue_sum_passes"] == passes  # q in (10, 20] in pairs, or every q
+        assert trace["weight_dtype"] == {"mu": "int8", "Lambda": "float64"}[weight]
+        assert trace["residue_sum_dtypes"] == dtypes
         # characters of conductor <= 3 mod q <= 20: the principal one, and
         # the one mod 3 for each of the six multiples of 3
         assert trace["characters_summed"] == 19 + 6
