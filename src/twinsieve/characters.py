@@ -4,7 +4,11 @@ Characters mod q are stored through their prime-power components: one
 exponent per cyclic generator of (Z/p^a)^x, the smallest primitive root
 for odd p and {-1, 5} at 2^a.  This makes multiplication, conjugation,
 evaluation and enumeration one loop over the generators, deterministic
-in order; only conductors and primitive parts treat 2 apart.
+in order; only conductors and primitive parts treat 2 apart.  One
+evaluator, ``_character_values``, turns discrete logs into values, for a
+whole stack of characters mod q in one pass; the value tables of one
+character, of the primitive characters of a conductor and of a whole
+group are all stacks of ``_value_rows``.
 
 The kernel F(chi1, chi2, j1, j2, m) couples two restricted Gauss sums
 against an additive phase.  It is computed two independent ways: literal
@@ -260,22 +264,6 @@ def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     return DirichletCharacter(f, tuple(parts))
 
 
-def _unit_values(chi: DirichletCharacter, r):
-    """chi(r) at a unit r mod q, or at an int array of units: the one evaluator
-    of a single character (``_build_primitive_rows`` repeats its additions
-    for a stack of characters, and a test holds the two equal bit for bit).
-
-    The phase adds exponent * dlog(r) / order over every generator of
-    every prime-power component; a zero exponent adds nothing and is skipped.
-    """
-    frac = np.zeros(np.shape(r))
-    for part in chi.parts:
-        for o, e, dl in zip(part.orders, part.exponents, _dlog_tables(part.p, part.alpha)):
-            if e:
-                frac = frac + e * dl[r % part.modulus] / o
-    return np.exp(2j * np.pi * frac)
-
-
 @lru_cache(maxsize=64)
 def _unit_residues(q: int) -> tuple[np.ndarray, np.ndarray]:
     """(mask, units): the residues r mod q coprime to q, as a read-only mask and array."""
@@ -284,13 +272,37 @@ def _unit_residues(q: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(coprime), _read_only(r[coprime])
 
 
+def _character_values(q: int, chars, r) -> np.ndarray:
+    """chi(r) for every chi of ``chars`` (all mod q) at a unit r mod q, or at an
+    int array of units: the one evaluator, shape (len(chars), *shape(r)).
+
+    The phases of the whole stack add exponent * dlog(r) / order over every
+    generator of every prime-power component, then take one ``exp``.  A
+    zero exponent adds 0.0 to a phase >= 0, which changes no bit, so each
+    row has the floats of its character evaluated alone.
+    """
+    frac = np.zeros((len(chars), *np.shape(r)))
+    for j, (p, alpha, orders) in enumerate(_part_specs(q)):
+        for g, (o, dl) in enumerate(zip(orders, _dlog_tables(p, alpha))):
+            e = np.array([chi.parts[j].exponents[g] for chi in chars], dtype=np.int64)
+            frac = frac + e.reshape(-1, *[1] * np.ndim(r)) * dl[r % p**alpha] / o
+    return np.exp(2j * np.pi * frac)
+
+
+def _value_rows(q: int, chars) -> np.ndarray:
+    """The value tables of ``chars`` (all mod q, possibly none), stacked in that
+    order: a read-only C-contiguous (len(chars), q) array, 0 on the non-units."""
+    coprime, units = _unit_residues(q)
+    out = np.zeros((len(chars), q), dtype=np.complex128)
+    out[:, coprime] = _character_values(q, chars, units)
+    return _read_only(out)
+
+
 @lru_cache(maxsize=4096)
 def _value_table(chi: DirichletCharacter) -> np.ndarray:
-    """chi(r) for every residue r mod q (0 on non-units), read-only."""
-    coprime, units = _unit_residues(chi.q)
-    out = np.zeros(chi.q, dtype=np.complex128)
-    out[coprime] = _unit_values(chi, units)
-    return _read_only(out)
+    """chi(r) for every residue r mod q (0 on non-units), read-only: the
+    one-row case of ``_value_rows``."""
+    return _value_rows(chi.q, (chi,))[0]
 
 
 @lru_cache(maxsize=128)
@@ -328,31 +340,11 @@ class _BytesLRU:
 _PRIMITIVE_ROWS = _BytesLRU(8 * 2**20)
 
 
-def _build_primitive_rows(f: int) -> np.ndarray:
-    """The rows of ``_primitive_value_rows(f)``, built as one stacked pass:
-    the phases of all primitive characters mod f at the units form one
-    (k_f, phi(f)) array, which adds exponent * dlog / order per generator in
-    the order ``_unit_values`` adds them, then takes one ``exp``.  Where
-    ``_unit_values`` skips a zero exponent this adds 0.0 to a phase >= 0,
-    which changes no bit."""
-    chars = primitive_characters(f)
-    coprime, units = _unit_residues(f)
-    frac = np.zeros((len(chars), len(units)))
-    for j, (p, alpha, orders) in enumerate(_part_specs(f)):
-        for g, (o, dl) in enumerate(zip(orders, _dlog_tables(p, alpha))):
-            e = np.array([chi.parts[j].exponents[g] for chi in chars], dtype=np.int64)
-            frac = frac + e[:, None] * dl[units % p**alpha] / o
-    out = np.zeros((len(chars), f), dtype=np.complex128)
-    out[:, coprime] = np.exp(2j * np.pi * frac)
-    return _read_only(out)
-
-
 def _primitive_value_rows(f: int) -> np.ndarray:
-    """The value tables of primitive_characters(f), stacked in that order: a
-    read-only C-contiguous (k_f, f) array whose row i equals
-    ``_value_table(primitive_characters(f)[i])`` bit for bit (the same float
-    operations as ``_unit_values``, see ``_build_primitive_rows``)."""
-    return _PRIMITIVE_ROWS.get(f, _build_primitive_rows)
+    """``_value_rows(f, primitive_characters(f))``, kept in ``_PRIMITIVE_ROWS``:
+    row i equals ``_value_table(primitive_characters(f)[i])`` bit for bit.
+    A conductor f = 2 mod 4 has no primitive characters and no rows."""
+    return _PRIMITIVE_ROWS.get(f, lambda f: _value_rows(f, primitive_characters(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -748,9 +740,9 @@ def u_P(n: int | np.ndarray, a: int, q: int, P: float) -> float | np.ndarray:
     Equals 1_{n = a mod q} - (1/phi(q)) sum over characters mod q with
     conductor <= P of psi(n / a); vanishing mean over units, and 0 when
     every character is included (P >= q).  ``n`` is an int (a float comes
-    back) or an int array (an array of the same shape comes back).  Each
-    kept character is evaluated once, at the units among x = n / a alone,
-    with no value table.
+    back) or an int array (an array of the same shape comes back).  The
+    kept characters are evaluated in one ``_character_values`` call, at the
+    units among x = n / a alone, with no value table.
     """
     if math.gcd(a, q) != 1:
         raise ValueError("a must be coprime to q")
@@ -762,10 +754,10 @@ def u_P(n: int | np.ndarray, a: int, q: int, P: float) -> float | np.ndarray:
     xu = x[unit]
     if x.ndim == 0 and xu.size:
         xu = int(xu[0])  # numpy's scalar arithmetic is cheaper than 1-element arrays
+    kept = [chi for chi in chars if chi.conductor <= P] if np.size(xu) else []
     total = np.zeros(np.shape(xu), dtype=np.complex128)
-    for chi in chars if np.size(xu) else ():
-        if chi.conductor <= P:
-            total += _unit_values(chi, xu)
+    for row in _character_values(q, kept, xu):
+        total += row  # one row after another, where .sum(axis=0) adds pairwise
     val = np.where(x == 1, 1.0, 0.0)
     val[unit] -= total.real / len(chars)
     return float(val) if x.ndim == 0 else val

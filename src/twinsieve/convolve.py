@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import PrimeTable, _table_bytes, omega_counts
-from .ntt import exact_convolve, exact_primes, float_convolve, roundoff_bound
+from .ntt import _transform_len, exact_convolve, exact_primes, float_convolve, roundoff_bound
 from .singular import classical_goldbach_series, singular_series
 from .progressions import weight_array
 from .sieves import SieveWeights, apply_sieve_range
@@ -178,11 +178,6 @@ def _exact_counts(a: np.ndarray, b: np.ndarray, n_out: int) -> tuple[np.ndarray,
         facts["handover"] = True  # a NaN residual lands here too
     facts.update(engine="ntt", primes=len(exact_primes(a, b)))
     return exact_convolve(a, b)[:n_out], facts
-
-
-def _transform_len(len_a: int, len_b: int) -> int:
-    """The power-of-two length of the transforms of an a * b product."""
-    return 1 << max(len_a + len_b - 2, 0).bit_length()
 
 
 def _float_facts(a: np.ndarray, b: np.ndarray) -> dict:

@@ -140,6 +140,12 @@ def _convolve_mod(a: np.ndarray, b: np.ndarray, p: int, size: int) -> np.ndarray
     return fa
 
 
+def _transform_len(len_a: int, len_b: int) -> int:
+    """The power-of-two length of the transforms of an a * b product: the
+    least 2^k >= len_a + len_b - 1, the length both engines run."""
+    return 1 << max(len_a + len_b - 2, 0).bit_length()
+
+
 def _square_sum(a: np.ndarray) -> int:
     """sum(a^2), exactly: in int64 when it cannot wrap, else in Python ints."""
     a = np.asarray(a, dtype=np.int64)
@@ -181,9 +187,7 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     primes = exact_primes(a, b)
     out_len = len(a) + len(b) - 1
-    size = 1
-    while size < out_len:
-        size *= 2
+    size = _transform_len(len(a), len(b))
     if size > MAX_TRANSFORM:
         raise ValueError("transform size exceeds 2^27")
     if np.array_equal(a, b):
@@ -206,7 +210,7 @@ def roundoff_bound(a: np.ndarray, b: np.ndarray) -> float:
     rounded float result is exact; the NTT oracle checks numpy's FFT
     against it.  np.linalg.norm casts to float64 (int64 squares can wrap).
     """
-    k = max(len(a) + len(b) - 2, 0).bit_length()  # float_convolve's size is 2^k
+    k = _transform_len(len(a), len(b)).bit_length() - 1  # float_convolve's size is 2^k
     eps = 2.0**-53
     growth = math.expm1(3 * k * (math.log1p(eps) + math.log1p(2 * eps))
                         + (3 * k + 1) * math.log1p(eps * math.sqrt(5)))
@@ -219,9 +223,7 @@ def float_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each input is cast to float64 only for its own transform, and the
     second half-spectrum lives only for the pointwise product."""
     out_len = len(a) + len(b) - 1
-    size = 1
-    while size < out_len:
-        size *= 2
+    size = _transform_len(len(a), len(b))
     fa = np.fft.rfft(np.asarray(a, dtype=np.float64), size)
     fa *= np.fft.rfft(np.asarray(b, dtype=np.float64), size)
     return np.fft.irfft(fa, size)[:out_len]

@@ -319,12 +319,12 @@ def bv_profile(
 def bv_peak_bytes(N: int, Q: int, weight: str, table_limit: int) -> int:
     """The planned peak memory of ``bv_profile`` at N and Q, in bytes, before
     anything is built: the prime table to ``table_limit`` (``_table_bytes``);
-    the weight arrays on 0..N at their widths, for
-    mu 1 B for mu, 4 B for the int32 prime product, 4 B for the int32
-    arange it is compared with and 1 B for the sign flip, for Lambda 8 B;
-    the largest residue-sum buffer, the largest modulus summed directly over
-    w at 8 B per entry; and the stacked character rows, at most the byte cap
-    of their cache."""
+    the weight arrays on 0..N at their widths per entry, which for mu are
+    1 B for mu itself, 4 B for the int32 prime product, 4 B for the int32
+    arange it is compared with and 1 B for the sign flip, and for Lambda
+    8 B; the largest residue-sum buffer, the largest modulus summed
+    directly over w at 8 B per entry; and the stacked character rows, at
+    most the byte cap of their cache."""
     per_entry = {"mu": 1 + 4 + 4 + 1, "Lambda": 8}[weight]
     passes = _residue_sum_passes(N + 1, Q, weight == "mu")
     largest = max((math.prod(moduli) for moduli in passes), default=0)

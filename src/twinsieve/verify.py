@@ -27,9 +27,9 @@ from .characters import (
     _festi_bound,
     _gauss_formula_rows,
     _phase_matrix,
-    _restricted_c_all,
+    _restriction_mask,
     _unit_residues,
-    _value_table,
+    _value_rows,
     character_group,
     local_sigma,
     principal_character,
@@ -187,7 +187,7 @@ def _gauss_formula_sweep(q_max: int = 300) -> dict:
     arg = None
     for q in range(1, q_max + 1):
         chars = character_group(q)
-        direct = np.stack([_restricted_c_all(chi, 0) for chi in chars])
+        direct = _value_rows(q, chars) @ _phase_matrix(q)  # E is symmetric
         formula = _gauss_formula_rows(chars)
         devs = np.max(np.abs(formula - direct), axis=1)
         over = np.flatnonzero(devs > 1e-8 * q)
@@ -214,9 +214,11 @@ def _festi_sweep(pp_max: int = 125) -> dict:
         index = {chi: k for k, chi in enumerate(chars)}
         conj = [index[chi.conjugate()] for chi in chars]
         conj_pair = np.eye(len(chars), dtype=bool)[conj]  # chi1 == conj(chi2)
-        # (phi, q) stacks of restricted sums; |F| for every pair is one product,
+        # (phi, q) stacks of restricted sums c(a, j), one product per j with
+        # the value tables; |F| for every pair is one more product,
         # |X @ conj(E)| = |conj(X) @ E| with the one phase matrix E
-        C = {j: np.array([_restricted_c_all(chi, j) for chi in chars]) for j in (1, p)}
+        V = _value_rows(q, chars)
+        C = {j: np.where(_restriction_mask(q, j), V, 0) @ E for j in (1, p)}
         for j1 in (1, p):
             C1 = np.where(coprime, C[j1], 0)
             for j2 in (1, p):
@@ -266,8 +268,7 @@ def _ffactored_sweep(q_max: int = 200, m_samples: int = 6) -> dict:
 def _orthogonality_sweep(q_max: int = 200) -> dict:
     for q in range(1, q_max + 1):
         chars = character_group(q)
-        V = np.stack([_value_table(chi) for chi in chars])
-        sums = V.sum(axis=0)
+        sums = _value_rows(q, chars).sum(axis=0)
         want = np.zeros(q, dtype=complex)
         want[1 % q] = len(chars)
         r = np.arange(q)

@@ -1,7 +1,9 @@
+import ast
 import cmath
 import math
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,16 +192,37 @@ def test_primitive_characters_count():
 
 
 def test_primitive_value_rows_stack_the_value_tables_bit_for_bit():
-    from twinsieve.characters import _primitive_value_rows
+    from twinsieve.characters import _primitive_value_rows, _value_rows
 
-    # the rows are built as one stacked pass, the tables one character at a
-    # time; compared as bits, so even a sign of zero would show
-    for f in range(1, 301):
-        rows = _primitive_value_rows(f)
-        chars = primitive_characters(f)
-        assert rows.shape == (len(chars), f) and rows.flags.c_contiguous, f
+    # a stack of rows is one pass over all its characters, a table one
+    # character alone; compared as bits, so even a sign of zero would show
+    def same_bits(rows, chars, q):
+        assert rows.shape == (len(chars), q) and rows.flags.c_contiguous, q
         for row, chi in zip(rows, chars):
-            assert np.array_equal(row.view(np.uint64), _value_table(chi).view(np.uint64)), (f, chi)
+            assert np.array_equal(row.view(np.uint64), _value_table(chi).view(np.uint64)), (q, chi)
+
+    for f in range(1, 301):
+        same_bits(_primitive_value_rows(f), primitive_characters(f), f)
+    # whole groups: zero exponents on every generator, and both 2-adic ones
+    for q in range(1, 129):
+        same_bits(_value_rows(q, character_group(q)), character_group(q), q)
+    # a conductor f = 2 mod 4 has no primitive characters: an empty stack
+    for f in range(2, 301, 4):
+        assert _value_rows(f, primitive_characters(f)).shape == (0, f)
+
+
+def test_one_function_turns_discrete_logs_into_values():
+    # every value comes from _character_values; primitive_part reads one
+    # discrete log to rescale an exponent, and no other function reads them
+    from twinsieve import characters as ch
+
+    tree = ast.parse(Path(ch.__file__).read_text())
+    readers = {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name != "_dlog_tables"
+        and any(getattr(n, "id", None) == "_dlog_tables" for n in ast.walk(node))
+    }
+    assert readers == {"_character_values", "primitive_part"}
 
 
 def test_primitive_value_rows_are_kept_under_a_byte_cap():
@@ -208,7 +231,7 @@ def test_primitive_value_rows_are_kept_under_a_byte_cap():
     assert ch._PRIMITIVE_ROWS.cap == 8 * 2**20
     cache = ch._BytesLRU(cap=3000)
     for f in [7, 9, 11, 7, 13, 15, 16, 23, 7, 60, 5]:
-        rows = cache.get(f, ch._build_primitive_rows)
+        rows = cache.get(f, lambda f: ch._value_rows(f, primitive_characters(f)))
         assert np.array_equal(rows, ch._primitive_value_rows(f))
         assert cache.nbytes == sum(a.nbytes for a in cache._items.values()) <= cache.cap
     # 60 has 32 primitive characters: 30720 bytes, over the cap and never kept
@@ -573,6 +596,7 @@ def test_cached_arrays_are_read_only():
         ch._component_gauss_formula_all(chi.parts[0]),
         ch._F_local_odd_prime(chi, chi, 1, 7),
         ch._primitive_value_rows(13),
+        ch._value_rows(12, character_group(12)),
         ntt._twiddles(ntt.P1, 16, False),
     ]
     for arr in arrays:
