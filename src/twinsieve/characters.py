@@ -11,9 +11,10 @@ character, of the primitive characters of a conductor and of a whole
 group are all stacks of ``_value_rows``.
 
 The kernel F(chi1, chi2, j1, j2, m) couples two restricted Gauss sums
-against an additive phase.  It is computed two independent ways: literal
-summation (the oracle) and a factored route through prime-power local
-values, which is what the singular-series machinery consumes.
+against an additive phase.  It is computed two independent ways, each for
+every m mod q at once: literal summation (the oracle) and a factored route
+through prime-power local values.  The singular series reads neither, only
+the closed-form local densities of ``local_sigma``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "F_bruteforce",
     "F_bruteforce_all_m",
     "F_factored",
+    "F_factored_all_m",
     "local_sigma",
     "u_P",
     "festi_bound_check",
@@ -367,72 +369,47 @@ def gauss_sum(chi: DirichletCharacter, a: int) -> complex:
     return modified_gauss_sum(chi, a, 0)
 
 
-def _phi_pp(p: int, alpha: int) -> int:
-    return 1 if alpha == 0 else (p - 1) * p ** (alpha - 1)
-
-
-@lru_cache(maxsize=128)
-def _components_with_meta(chi: DirichletCharacter) -> tuple:
-    """Per prime power: (p, alpha, chi_component, alpha0), p^alpha0 the
-    component's conductor."""
-    out = []
-    for part in chi.parts:
-        comp = chi.component(part.modulus)
-        out.append((part.p, part.alpha, comp, _valuation(comp.conductor, part.p)))
-    return tuple(out)
-
-
 def gauss_sum_formula(chi: DirichletCharacter, a: int) -> complex:
     """c_chi(a) from the closed forms: gauss_sum_formula_all at a mod q."""
     return complex(gauss_sum_formula_all(chi)[a % chi.q])
 
 
-@lru_cache(maxsize=4096)
-def _component_gauss_formula_all(part: _Part) -> np.ndarray:
-    """Closed-form c values for every residue mod p^alpha, by v_p class (read-only).
+def _local_gauss_formulas(parts) -> np.ndarray:
+    """Closed-form c values for every residue mod p^alpha, one row per part of
+    ``parts`` (components of characters, all at one p^alpha).
 
-    ``part`` is one prime-power part of a character: the component
-    character mod p^alpha.  With chi* its primitive part and p^alpha0 its
-    conductor, the conductor reduction gives c(r) with v = v_p(r) as
-    conj(chi*)(r / p^v) mu(p^k) phi(p^alpha) / phi(p^(alpha-v)) tau(chi*),
-    k = alpha - v - alpha0; it vanishes when k < 0, when k >= 2, and when
-    k = 1 with a non-principal chi* (chi*(p) = 0).
+    A non-principal component with conductor p^alpha0 lives only where
+    v_p(r) = alpha - alpha0: c(u p^(alpha-alpha0)) = conj chi(u)
+    p^(alpha-alpha0) tau(chi*) at the units u < p^alpha0, where the
+    primitive part chi* agrees with chi, so one evaluation per conductor
+    exponent gives both the values and tau(chi*).  The principal component
+    gives the Ramanujan sum.  tau is summed row by row, not by a matrix
+    product, so a row has the bits of its part built alone.
     """
-    p, alpha, mod = part.p, part.alpha, part.modulus
-    comp = DirichletCharacter(mod, (part,))
-    star = primitive_part(comp)
-    alpha0 = _valuation(comp.conductor, p)
-    out = np.zeros(mod, dtype=np.complex128)
-    tau = gauss_sum(star, 1)
-    conj_vals = _value_table(star.conjugate())
-    for v in range(alpha + 1):
-        alpha_m = v
-        if alpha0 > alpha - alpha_m:
-            continue
-        k = alpha - alpha_m - alpha0
-        if k >= 2 or (k == 1 and alpha0 >= 1):
-            continue
-        mu_k = 1.0 if k == 0 else -1.0
-        phi_ratio = _phi_pp(p, alpha) / _phi_pp(p, alpha - alpha_m)
-        if v == alpha:
-            # r = 0 survives only for principal components (alpha0 = 0)
-            out[0] = mu_k * phi_ratio * tau
-            continue
-        u = np.arange(1, p ** (alpha - v))
-        u = u[u % p != 0]
-        r = u * p**v
-        lead = conj_vals[u % star.q] if alpha0 >= 1 else np.ones(len(u))
-        out[r] = lead * mu_k * phi_ratio * tau
-    return _read_only(out)
+    p, alpha, mod = parts[0].p, parts[0].alpha, parts[0].modulus
+    comps = [DirichletCharacter(mod, (part,)) for part in parts]
+    alpha0 = np.array([_valuation(comp.conductor, p) for comp in comps])
+    out = np.zeros((len(parts), mod), dtype=np.complex128)
+    principal = np.flatnonzero(alpha0 == 0)
+    out[principal, 0] = (p - 1) * p ** (alpha - 1)
+    out[np.ix_(principal, p ** (alpha - 1) * np.arange(1, p))] = -(p ** (alpha - 1))
+    for a0 in set(alpha0.tolist()) - {0}:
+        rows = np.flatnonzero(alpha0 == a0)
+        units = _unit_residues(p**a0)[1]
+        vals = _character_values(mod, [comps[i] for i in rows], units)
+        tau = (vals * np.exp(2j * np.pi * units / p**a0)).sum(axis=1)
+        out[np.ix_(rows, units * p ** (alpha - a0))] = (
+            np.conj(vals) * p ** (alpha - a0) * tau[:, None]
+        )
+    return out
 
 
 def _gauss_formula_rows(chars) -> np.ndarray:
     """c_chi(a) for every shift a mod q, one row per character of ``chars`` (all mod q).
 
     Each row is assembled from the prime-power closed forms of
-    _component_gauss_formula_all, glued with the twisted-argument
-    multiplicativity c(a) = prod_i c_i(inv(q/q_i) * a), one gather per
-    prime power for all rows at once.
+    _local_gauss_formulas, one stack per prime power, glued with the
+    twisted-argument multiplicativity c(a) = prod_i c_i(inv(q/q_i) * a).
     """
     q = chars[0].q
     out = np.ones((len(chars), q), dtype=np.complex128)
@@ -440,8 +417,7 @@ def _gauss_formula_rows(chars) -> np.ndarray:
     for i, part in enumerate(chars[0].parts):
         mod = part.modulus
         inv = pow(q // mod, -1, mod)
-        local = np.stack([_component_gauss_formula_all(chi.parts[i]) for chi in chars])
-        out *= local[:, (inv * a) % mod]
+        out *= _local_gauss_formulas([chi.parts[i] for chi in chars])[:, (inv * a) % mod]
     return out
 
 
@@ -534,7 +510,7 @@ def _F_local_odd_prime(
 
     Each piece is read off for all m at once: from gauss_sum_formula_all,
     the value tables and the Ramanujan sum c_p.  The p-vector is cached
-    and read-only; F_factored indexes it at m mod p.
+    and read-only; F_factored_all_m reads it at m mod p.
     """
     p = chi1.q
     m = np.arange(p)
@@ -583,42 +559,46 @@ def F_factored(
     j2: int,
     m: int,
 ) -> complex:
-    """F as a product of prime-power local values.
+    """F as a product of prime-power local values: F_factored_all_m at m mod q."""
+    return complex(F_factored_all_m(chi1, chi2, j1, j2)[m % chi1.q])
 
-    Local dispatch: exact zero when a square prime power is not matched by
-    both conductors; a lookup in the cached all-m table of
-    _F_local_odd_prime at odd prime moduli; literal
-    summation for the remaining small prime-power cases.  Prime-power
-    components beyond F_BRUTE_CAP with surviving primitive pairs are
-    rejected (no closed form is implemented for that corner).
+
+def F_factored_all_m(
+    chi1: DirichletCharacter, chi2: DirichletCharacter, j1: int, j2: int
+) -> np.ndarray:
+    """F for every m mod q: the product of the components' local all-m tables.
+
+    Zeros at a square prime power not matched by both conductors; the
+    cached table of _F_local_odd_prime at odd primes; literal summation at
+    the other prime powers up to F_BRUTE_CAP.  Past the cap a surviving
+    primitive pair raises ValueError for every m, also where another
+    component's local value vanishes (no closed form covers that corner).
     """
     _check_pair(chi1, chi2)
     q = chi1.q
     if q == 1:
-        return 1 + 0j
+        return np.ones(1, dtype=np.complex128)
     rad = _radical(q)
     for j in (j1, j2):
         if j != 0 and rad % j != 0:
             raise ValueError(f"j={j} does not divide rad(q)={rad}")
-    out = 1 + 0j
-    for (p, alpha, comp1, a1), (_, _, comp2, a2) in zip(
-        _components_with_meta(chi1), _components_with_meta(chi2)
-    ):
-        jl1 = 0 if j1 == 0 else (p if j1 % p == 0 else 1)
-        jl2 = 0 if j2 == 0 else (p if j2 % p == 0 else 1)
-        if alpha > 1 and (a1 < alpha or a2 < alpha):
-            return 0j  # vanishing at unmatched square prime powers
-        if p != 2 and alpha == 1:
-            local = complex(_F_local_odd_prime(comp1, comp2, jl1, jl2)[m % p])
-        elif comp1.q <= F_BRUTE_CAP:
-            local = F_bruteforce(comp1, comp2, jl1, jl2, m)
+    out = np.ones(q, dtype=np.complex128)
+    m = np.arange(q)
+    for part in chi1.parts:
+        p, alpha, mod = part.p, part.alpha, part.modulus
+        comp1, comp2 = chi1.component(mod), chi2.component(mod)
+        jl1, jl2 = (0 if j == 0 else math.gcd(j, p) for j in (j1, j2))
+        if alpha > 1 and (comp1.conductor < mod or comp2.conductor < mod):
+            local = np.zeros(mod)  # vanishing at unmatched square prime powers
+        elif p != 2 and alpha == 1:
+            local = _F_local_odd_prime(comp1, comp2, jl1, jl2)
+        elif mod <= F_BRUTE_CAP:
+            local = F_bruteforce_all_m(comp1, comp2, jl1, jl2)
         else:
             raise ValueError(
                 f"no closed form for a primitive pair at {p}^{alpha} > cap {F_BRUTE_CAP}"
             )
-        if local == 0:
-            return 0j
-        out *= local
+        out *= local[m % mod]
     return out
 
 

@@ -30,7 +30,9 @@ from .characters import ExceptionalZeroHypothesis
 from .convolve import build_sequence, convolve, exceptional_scan, scan_peak_bytes
 from .progressions import bv_peak_bytes, bv_profile, profile_totals
 from .sieves import linear_sieve
-from .sievefn import chen_constants, chen_margin, p3_margin, solve_linear_sieve_functions
+from .sievefn import (
+    chen_constants, chen_margin, margin_grid_end, p3_margin, solve_linear_sieve_functions,
+)
 from .singular import main_term_M, partial_singular_series, singular_series
 from .verify import SUITES, run_suite
 
@@ -294,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # p3_margin reads the functions at s = 5, so s_max starts there
     p.add_argument("--smax", type=_number_in("[5, 20]", lambda x: 5 <= x <= 20), default=10.0)
-    p.add_argument("--h", type=_number_in("(0, 1]", lambda x: 0 < x <= 1), default=5e-4)
+    # the march is a Python loop of (s_max - 1) / h steps: 2.5 s at h = 1e-5, s_max = 20
+    p.add_argument("--h", type=_number_in("[1e-5, 1]", lambda x: 1e-5 <= x <= 1), default=5e-4)
     p.add_argument("--eps", type=_number_in("(0, 0.01)", lambda x: 0 < x < 0.01), default=1e-3)
     _add_common(p)
 
@@ -403,9 +406,10 @@ def _cmd_verify(args, out_dir: Path, t0: float) -> int:
 
 
 def _cmd_sievefn(args, out_dir: Path, t0: float) -> int:
-    # every result is computed before anything is written, so a bad value
-    # such as --eps 0 leaves no artifact behind
-    fns = solve_linear_sieve_functions(args.smax, args.h)
+    # chen_margin reads f and F up to s = (1/2 - eps) 15, past a --smax below
+    # 7.5: the march runs on to that node, and its values up to --smax do not
+    # depend on where it stops.  Nothing is written until every result is in.
+    fns = solve_linear_sieve_functions(max(args.smax, margin_grid_end(args.eps, args.h)), args.h)
     consts = chen_constants(args.eps)
     results = {
         "junction_error": float(fns.junction_error),
@@ -416,7 +420,9 @@ def _cmd_sievefn(args, out_dir: Path, t0: float) -> int:
         "quad_error": consts.quad_error,
         "chen_margins": chen_margin(fns, consts, args.eps),
     }
-    _write_csv(out_dir / "sievefn.csv", ["s", "f", "F"], zip(fns.s, fns.f, fns.F))
+    shown = fns.s <= args.smax + fns.h / 2  # the nodes a march to --smax makes
+    _write_csv(out_dir / "sievefn.csv", ["s", "f", "F"],
+               zip(fns.s[shown], fns.f[shown], fns.F[shown]))
     _write_report(out_dir, args, results, t0)
     return 0
 

@@ -28,6 +28,7 @@ __all__ = [
     "chen_constants",
     "chen_constants_monte_carlo",
     "chen_margin",
+    "margin_grid_end",
 ]
 
 TWO_E_GAMMA = 2.0 * math.exp(np.euler_gamma)
@@ -46,14 +47,20 @@ class LinearSieveFunctions:
             raise ValueError(f"F undefined below 1 (got {x})")
         if x <= 3.0:
             return TWO_E_GAMMA / x
-        return float(np.interp(x, self.s, self.F))
+        return self._on_grid(x, self.F)
 
     def f_at(self, x: float) -> float:
         if x <= 2.0:
             return 0.0
         if x <= 4.0:
             return TWO_E_GAMMA * math.log(x - 1.0) / x
-        return float(np.interp(x, self.s, self.f))
+        return self._on_grid(x, self.f)
+
+    def _on_grid(self, x: float, values: np.ndarray) -> float:
+        """values interpolated at x; past the last node nothing was computed."""
+        if x > self.s[-1]:
+            raise ValueError(f"s={x} lies past the grid's last node {self.s[-1]}")
+        return float(np.interp(x, self.s, values))
 
 
 def solve_linear_sieve_functions(s_max: float, h: float) -> LinearSieveFunctions:
@@ -98,6 +105,16 @@ def solve_linear_sieve_functions(s_max: float, h: float) -> LinearSieveFunctions
             f[i + 1] = (s[i] * f[i] + 0.5 * h * (Fa + Fb)) / x_next
     junction = _junction_error(s, f, F, h, steps_per_unit)
     return LinearSieveFunctions(h=h, s=s, f=f, F=F, junction_error=junction)
+
+
+def margin_grid_end(eps: float, h: float) -> float:
+    """The first node of the step-h grid (as solve_linear_sieve_functions lays
+    it) at or past s = (1/2 - eps) 15, the furthest chen_margin reads f or F."""
+    steps_per_unit = round(1.0 / h)
+    reach = (0.5 - eps) * 15.0
+    k = math.ceil((reach - 1.0) * steps_per_unit)
+    k += 1.0 + k / steps_per_unit < reach  # the product rounded down past a node
+    return 1.0 + k / steps_per_unit
 
 
 def _junction_error(s, f, F, h, steps_per_unit) -> float:

@@ -23,7 +23,7 @@ from .arith import (
 from .characters import (
     ExceptionalZeroHypothesis,
     F_bruteforce_all_m,
-    F_factored,
+    F_factored_all_m,
     _festi_bound,
     _gauss_formula_rows,
     _phase_matrix,
@@ -236,8 +236,7 @@ def _festi_sweep(pp_max: int = 125) -> dict:
     )
 
 
-def _ffactored_sweep(q_max: int = 200, m_samples: int = 6) -> dict:
-    rng = random.Random(97)
+def _ffactored_sweep(q_max: int = 200) -> dict:
     bad = 0
     total = 0
     for q in range(2, q_max + 1):
@@ -250,14 +249,10 @@ def _ffactored_sweep(q_max: int = 200, m_samples: int = 6) -> dict:
         for chi1, chi2 in pairs:
             for j1 in js:
                 for j2 in js:
+                    factored = F_factored_all_m(chi1, chi2, j1, j2)
                     literal = F_bruteforce_all_m(chi1, chi2, j1, j2)
-                    for _ in range(m_samples):
-                        m = rng.randrange(q)
-                        total += 1
-                        a = F_factored(chi1, chi2, j1, j2, m)
-                        b = complex(literal[m])
-                        if abs(a - b) > 1e-6 * q * q:
-                            bad += 1
+                    total += q
+                    bad += int(np.count_nonzero(np.abs(factored - literal) > 1e-6 * q * q))
     return _check(
         "factored kernel equals literal summation (q <= 200, all j pairs)",
         bad == 0,
@@ -302,7 +297,7 @@ def suite_characters(full: bool = True) -> list[dict]:
         _feval_sweep(97 if full else 23),
         _fmult_sweep(q_f),
         _fsimple_sweep(q_f),
-        _ffactored_sweep(q_f, m_samples=6 if full else 2),
+        _ffactored_sweep(q_f),
         _gauss_formula_sweep(q_gauss),
         _festi_sweep(pp),
         _orthogonality_sweep(200 if full else 40),

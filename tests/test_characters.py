@@ -267,6 +267,44 @@ def test_gauss_sum_formula_full_sweep():
                 ), (q, a)
 
 
+def test_gauss_formula_rows_stack_the_single_rows_bit_for_bit():
+    from twinsieve.characters import _gauss_formula_rows
+
+    # tau is summed row by row, so a row of the whole group's stack has the
+    # bits of its character built alone (a matrix product would not)
+    for q in range(1, 129):
+        chars = character_group(q)
+        rows = _gauss_formula_rows(chars)
+        for row, chi in zip(rows, chars):
+            alone = gauss_sum_formula_all(chi)
+            assert np.array_equal(row.view(np.uint64), alone.view(np.uint64)), (q, chi)
+
+
+def test_closed_form_gauss_sums_call_no_direct_summation():
+    # the closed form and the direct sums are an oracle pair: nothing the
+    # closed form calls in this module, however indirectly, sums directly
+    from twinsieve import characters as ch
+
+    tree = ast.parse(Path(ch.__file__).read_text())
+    defs = {
+        node.name: node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+    def reached(name, seen):
+        if name in seen:
+            return seen
+        seen.add(name)
+        for n in ast.walk(defs[name]):
+            if isinstance(n, ast.Name) and n.id in defs:
+                reached(n.id, seen)
+        return seen
+
+    direct = {"_phase_matrix", "_restricted_c_all", "modified_gauss_sum", "gauss_sum"}
+    for name in ("_local_gauss_formulas", "_gauss_formula_rows"):
+        assert not reached(name, set()) & direct, name
+
+
 def test_modified_gauss_sum_examples():
     chi = principal_character(3)
     assert cmath.isclose(
@@ -336,20 +374,41 @@ def test_F_factored_vs_bruteforce_sweep():
 
 def test_F_factored_vs_bruteforce_all_pairs_all_m():
     # every pair of characters mod p, so the all-m local tables are read at
-    # (-m) % p and (m + 2) % p for complex characters too
-    for p in (3, 5, 7, 11, 13):
-        m = np.arange(p)
-        chars = character_group(p)
+    # (-m) % p and (m + 2) % p for complex characters too; at composite q a
+    # spread of the group (principal, quadratic and every k-th character),
+    # so components of every conductor meet
+    from twinsieve.characters import F_factored_all_m
+
+    for q in (3, 5, 7, 11, 13, 15, 45, 50, 105):
+        group = character_group(q)
+        chars = list(group[:: max(1, len(group) // 8)]) + [quadratic_character(q)]
+        js = [0] + _all_j(q)
         for chi1 in chars:
             for chi2 in chars:
-                for j1 in (0, 1, p):
-                    for j2 in (0, 1, p):
+                for j1 in js:
+                    for j2 in js:
                         literal = F_bruteforce_all_m(chi1, chi2, j1, j2)
-                        factored = np.array(
-                            [F_factored(chi1, chi2, j1, j2, int(k)) for k in m]
-                        )
+                        factored = F_factored_all_m(chi1, chi2, j1, j2)
                         gap = np.max(np.abs(factored - literal))
-                        assert gap <= 1e-9 * p * p, (p, chi1, chi2, j1, j2, gap)
+                        assert gap <= 1e-9 * q * q, (q, chi1, chi2, j1, j2, gap)
+
+
+def test_F_factored_past_the_cap_raises_for_every_m():
+    from twinsieve.characters import F_BRUTE_CAP, F_factored_all_m, _Part
+
+    # 5 generates the units mod 2^13 to order 2^11; an odd exponent on it
+    # makes the component primitive, so the pair survives past the cap
+    q = 2**13
+    assert q > F_BRUTE_CAP
+    chi = DirichletCharacter(q, (_Part(2, 13, (0, 1)),))
+    assert chi.conductor == q
+    with pytest.raises(ValueError, match="no closed form"):
+        F_factored_all_m(chi, chi, 1, 1)
+    with pytest.raises(ValueError, match="no closed form"):
+        F_factored(chi, chi, 1, 1, 0)
+    # a deficient conductor at 2^13 is an unmatched square: zeros, no raise
+    chi0 = principal_character(q)
+    assert not np.any(F_factored_all_m(chi0, chi, 1, 1))
 
 
 def test_literal_F_matches_its_definition():
@@ -593,7 +652,6 @@ def test_cached_arrays_are_read_only():
         ch._unit_residues(12)[1],
         ch._restriction_mask(15, 3),
         ch._restricted_c_all(chi, 1),
-        ch._component_gauss_formula_all(chi.parts[0]),
         ch._F_local_odd_prime(chi, chi, 1, 7),
         ch._primitive_value_rows(13),
         ch._value_rows(12, character_group(12)),

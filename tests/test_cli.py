@@ -243,6 +243,25 @@ def test_sievefn_flag_domains_include_their_closed_ends(tmp_path):
         assert run_cli(["sievefn", "--smax", "5", "--h", "1", "--eps", "0.0099",
                         "--out", str(tmp_path)]) == 0
     assert load_report(tmp_path, "sievefn")["config"]["smax"] == 5
+    # the floor of --h, parsed only: a march at it takes about a second
+    from twinsieve.cli import build_parser
+
+    assert build_parser().parse_args(["sievefn", "--h", "1e-5"]).h == 1e-5
+
+
+def test_sievefn_margins_read_only_computed_values(tmp_path):
+    # chen_margin reads f and F at s = (1/2 - eps) 15, about 7.49: a --smax
+    # below that marches on to it, so the margins equal those of a longer
+    # grid, and the CSV still stops at --smax
+    reports = {}
+    for smax in ("5", "10"):
+        out = tmp_path / smax
+        assert run_cli(["sievefn", "--smax", smax, "--h", "0.001", "--out", str(out)]) == 0
+        reports[smax] = load_report(out, "sievefn")["results"]
+        last = (out / "sievefn.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == float(smax)
+    assert reports["5"] == reports["10"]
+    assert reports["5"]["chen_margins"]["f_plain"] == pytest.approx(0.9999989, abs=1e-7)
 
 
 def test_sievefn_subcommand(tmp_path):
@@ -569,6 +588,8 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     ("--eps", ["sievefn", "--eps", "0"]),
     ("--eps", ["sievefn", "--eps", "0.01"]),
     ("--eps", ["sievefn", "--eps", "nan"]),
+    # a march at h = 1e-9 would ask numpy for tens of GiB
+    ("--h", ["sievefn", "--h", "1e-9"]),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, capsys, flag, argv):
     # argparse converts and checks every flag, so the message names it

@@ -25,6 +25,29 @@ def test_closed_form_values(fns):
         fns.F_at(0.5)
 
 
+def test_values_past_the_grid_are_refused(fns):
+    # np.interp would return the last node's value: nothing was computed there
+    end = float(fns.s[-1])
+    assert fns.F_at(end) == fns.F[-1] and fns.f_at(end) == fns.f[-1]
+    for at in (fns.F_at, fns.f_at):
+        with pytest.raises(ValueError, match="past the grid"):
+            at(end + 1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:step h=")
+def test_margin_grid_end_covers_what_the_margins_read():
+    from twinsieve.sievefn import margin_grid_end
+
+    for h in (1.0, 0.5, 0.1, 1e-3, 5e-4, 3e-4):
+        for eps in (1e-6, 1e-3, 5e-3, 0.0099):
+            end = margin_grid_end(eps, h)
+            fns = solve_linear_sieve_functions(end, h)
+            assert fns.s[-1] == end >= (0.5 - eps) * 15 > end - fns.h, (h, eps)
+            chen_margin(fns, chen_constants(eps), eps)  # reads nothing past the grid
+    # rounded up, not to the nearest node: at h = 1 the grid ends at 8, not 7
+    assert margin_grid_end(1e-3, 1.0) == 8.0
+
+
 def test_junction_continuity(fns):
     assert fns.junction_error <= 10 * fns.h
 
