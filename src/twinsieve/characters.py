@@ -508,9 +508,10 @@ def _F_local_odd_prime(
       F(-,p,m) = chi2(-2) (p chi1(m+2) - (p-1) [chi1 principal])
       F(p,p,m) = chi1 chi2(-2) c_p(-(m+4))
 
-    Each piece is read off for all m at once: from gauss_sum_formula_all,
-    the value tables and the Ramanujan sum c_p.  The p-vector is cached
-    and read-only; F_factored_all_m reads it at m mod p.
+    Each piece is read off for all m at once: tau and c from
+    gauss_sum_formula_all (the closed form, never the direct sums that
+    check it), the value tables and the Ramanujan sum c_p.  The p-vector
+    is cached and read-only; F_factored_all_m reads it at m mod p.
     """
     p = chi1.q
     m = np.arange(p)
@@ -523,7 +524,7 @@ def _F_local_odd_prime(
         return [("p", 1)]
 
     def F_unrestricted() -> np.ndarray:
-        tau = gauss_sum(chi1, 1) * gauss_sum(chi2, 1)
+        tau = gauss_sum_formula_all(chi1)[1] * gauss_sum_formula_all(chi2)[1]
         return tau * gauss_sum_formula_all((chi1 * chi2).conjugate())[(-m) % p]
 
     def F_second_restricted(ca: DirichletCharacter, cb: DirichletCharacter) -> np.ndarray:

@@ -164,6 +164,15 @@ class ChenConstants:
     quad_error: float
 
 
+def _switching_windows(eps: float) -> tuple:
+    """(t1_lo, t1_hi, t2_lo) of the windows B1 and B2; t2_lo is a function of t1."""
+    third = 1.0 / 3.0
+    return (
+        (0.1, third - eps, lambda t1: third - eps),
+        (third - eps, third, lambda t1: t1),
+    )
+
+
 def _switching_integral(t1_lo: float, t1_hi: float, t2_lo, n: int) -> float:
     """n-node Gauss-Legendre rule in t1 over the exact inner t2-integral.
 
@@ -189,13 +198,8 @@ def chen_constants(eps: float) -> ChenConstants:
     """
     if not 0 < eps < 0.01:
         raise ValueError("eps must lie in (0, 1/100)")
-    third = 1.0 / 3.0
-    windows = (
-        (0.1, third - eps, lambda t1: third - eps),
-        (third - eps, third, lambda t1: t1),
-    )
     values, quad_error = [], 0.0
-    for t1_lo, t1_hi, t2_lo in windows:
+    for t1_lo, t1_hi, t2_lo in _switching_windows(eps):
         coarse, fine = (_switching_integral(t1_lo, t1_hi, t2_lo, n) for n in (32, 64))
         values.append(fine)
         quad_error += abs(fine - coarse)
@@ -203,38 +207,53 @@ def chen_constants(eps: float) -> ChenConstants:
     return ChenConstants(c_b1, c_b2, 0.5 * c_b1 + c_b2, quad_error)
 
 
+# samples drawn per block: the oracle holds O(block) memory at any sample count
+_MC_BLOCK = 1 << 16
+
+
 def chen_constants_monte_carlo(
     eps: float, samples: int = 10**7, seed: int = 0
 ) -> tuple[float, float, float, float]:
-    """Monte-Carlo oracle: (c_B1, c_B2, stderr_B1, stderr_B2)."""
+    """Monte-Carlo oracle: (c_B1, c_B2, stderr_B1, stderr_B2).
+
+    Each window samples the box [t1_lo, t1_hi] x [1/3 - eps, hi(t1_lo)]
+    with hi(t1) = min((1 - t1)/2, 0.9 - t1): hi decreases in t1 and t2_lo
+    is at least 1/3 - eps in both windows, so the box covers the window.
+    Samples are drawn in blocks of _MC_BLOCK (t1, then t2, from one
+    generator) and each block's mean and sum of squared deviations is
+    merged with Chan's pairwise update; the stderr is area * std(ddof=1)
+    / sqrt(samples), as over one array of every sample.
+    """
+    if samples < 2:
+        raise ValueError(f"samples={samples}: the stderr needs at least 2")
     rng = np.random.default_rng(seed)
     results = []
-    for which in ("b1", "b2"):
-        if which == "b1":
-            t1_lo, t1_hi = 0.1, 1.0 / 3.0 - eps
-        else:
-            t1_lo, t1_hi = 1.0 / 3.0 - eps, 1.0 / 3.0
+    for t1_lo, t1_hi, t2_lo in _switching_windows(eps):
         if t1_lo >= t1_hi:
-            results += [(0.0, 0.0)]
+            results.append((0.0, 0.0))
             continue
-        t1 = rng.uniform(t1_lo, t1_hi, samples)
-        lo = 1.0 / 3.0 - eps if which == "b1" else t1
-        hi = np.minimum((1.0 - t1) / 2.0, 0.9 - t1)
-        t2_min = float(np.min(lo))
-        t2_max = float(hi.max())
-        t2 = rng.uniform(t2_min, t2_max, samples)
-        mask = (t2 >= lo) & (t2 <= hi)
-        del hi, lo
-        # 1 / (t1 t2 (1 - t1 - t2)) in place: the same floats with fewer
-        # sample-sized temporaries alive at once
-        vals = t1 * t2
-        vals *= 1.0 - t1 - t2
-        del t1, t2
-        np.divide(1.0, vals, out=vals)
-        vals[~mask] = 0.0
+        t2_min, t2_max = 1.0 / 3.0 - eps, min((1.0 - t1_lo) / 2.0, 0.9 - t1_lo)
+        n, mean, m2 = 0, 0.0, 0.0
+        for start in range(0, samples, _MC_BLOCK):
+            size = min(_MC_BLOCK, samples - start)
+            t1 = rng.uniform(t1_lo, t1_hi, size)
+            t2 = rng.uniform(t2_min, t2_max, size)
+            inside = (t2 >= t2_lo(t1)) & (t2 <= np.minimum((1.0 - t1) / 2.0, 0.9 - t1))
+            # 1 / (t1 t2 (1 - t1 - t2)), positive on the whole box
+            vals = t1 * t2
+            vals *= 1.0 - t1 - t2
+            np.divide(1.0, vals, out=vals)
+            vals[~inside] = 0.0
+            block_mean = float(vals.mean())
+            vals -= block_mean
+            block_m2 = float(np.square(vals, out=vals).sum())
+            delta = block_mean - mean
+            total = n + size
+            mean += delta * size / total
+            m2 += block_m2 + delta * delta * n * size / total
+            n = total
         area = (t1_hi - t1_lo) * (t2_max - t2_min)
-        mean = float(vals.mean())
-        std = float(vals.std(ddof=1)) / math.sqrt(samples)
+        std = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
         results.append((area * mean, area * std))
     (b1, e1), (b2, e2) = results
     return b1, b2, e1, e2

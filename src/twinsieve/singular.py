@@ -8,7 +8,7 @@ they must agree to high precision.
 
 The main-term function M(m) assembles the divisor sums over the odd part
 of a synthetic exceptional modulus, with the completed integrals J~, I~
-evaluated by direct summation.
+evaluated by direct summation in fixed blocks.
 """
 
 from __future__ import annotations
@@ -161,11 +161,17 @@ def classical_goldbach_series(m: int, cutoff: int, table: PrimeTable) -> Singula
 # exceptional-zero main term
 
 
+# terms summed per block: the sums hold O(block) memory at any m, and a
+# range that fits one block sums exactly as one array does
+_SUM_BLOCK = 1 << 16
+
+
 def exceptional_sums(m: int, N: int, beta: float) -> tuple[float, float]:
     """Completed-integral pair (J~, I~) by direct summation over n1 + n2 = m.
 
     J~(m) = -sum n1^(beta-1), I~(m) = sum (n1 n2)^(beta-1), both over
-    1 <= n_i <= N with n1 + n2 = m.
+    1 <= n_i <= N with n1 + n2 = m, summed in blocks of _SUM_BLOCK terms
+    in increasing n1.
     """
     if not 2 <= m <= 2 * N:
         raise ValueError("need 2 <= m <= 2N")
@@ -173,12 +179,12 @@ def exceptional_sums(m: int, N: int, beta: float) -> tuple[float, float]:
         raise ValueError("beta must lie in (0, 1]")
     lo = max(1, m - N)
     hi = min(N, m - 1)
-    if hi < lo:
-        return 0.0, 0.0
-    n1 = np.arange(lo, hi + 1, dtype=float)
-    n2 = m - n1
-    j_tilde = -float(np.sum(n1 ** (beta - 1.0)))
-    i_tilde = float(np.sum((n1 * n2) ** (beta - 1.0)))
+    j_tilde = i_tilde = 0.0
+    for start in range(lo, hi + 1, _SUM_BLOCK):
+        n1 = np.arange(start, min(start + _SUM_BLOCK, hi + 1), dtype=float)
+        n2 = m - n1
+        j_tilde -= float(np.sum(n1 ** (beta - 1.0)))
+        i_tilde += float(np.sum((n1 * n2) ** (beta - 1.0)))
     return j_tilde, i_tilde
 
 

@@ -301,7 +301,7 @@ def test_closed_form_gauss_sums_call_no_direct_summation():
         return seen
 
     direct = {"_phase_matrix", "_restricted_c_all", "modified_gauss_sum", "gauss_sum"}
-    for name in ("_local_gauss_formulas", "_gauss_formula_rows"):
+    for name in ("_local_gauss_formulas", "_gauss_formula_rows", "_F_local_odd_prime"):
         assert not reached(name, set()) & direct, name
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -17,6 +19,7 @@ from twinsieve.progressions import (
     profile_totals,
     weight_array,
 )
+from twinsieve.verify import suite_bv
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +284,17 @@ def test_bv_profile_trace_counts_its_work(table):
         assert trace["table_limit"] == table.limit
         for stage in ("weights_ms", "residue_sums_ms", "corrections_ms"):
             assert trace[stage] >= 0
+
+
+def test_full_bv_suite_checks_do_not_hold_the_wall_clock(monkeypatch):
+    # verify's results are compared byte for byte; a timing in a check's
+    # detail would make two runs of the same tree differ.  The profile reads
+    # the clock about 2000 times, so its elapsed spans run to about 0.2 s
+    # and 100 s, both inside the 300 s budget
+    runs = []
+    for span in (1e-4, 0.05):
+        ticks = itertools.count(0.0, span)
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+        runs.append(suite_bv(full=True))
+    assert runs[0] == runs[1]
+    assert all(c["passed"] for c in runs[0])

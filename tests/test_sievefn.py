@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,3 +151,27 @@ def test_coarse_grid_warns():
 def test_out_of_range_grid_names_the_value(s_max, h, name):
     with pytest.raises(ValueError, match=name):
         solve_linear_sieve_functions(s_max, h)
+
+
+@pytest.mark.parametrize("samples", [(1 << 16) - 1, 3 * (1 << 16) + 777])
+def test_monte_carlo_ragged_blocks_stay_within_3_sigma(samples):
+    # one sample short of a block, and a count that ends in a ragged block
+    c = chen_constants(1e-3)
+    b1, b2, e1, e2 = chen_constants_monte_carlo(1e-3, samples=samples, seed=7)
+    assert abs(b1 - c.c_B1) <= 3 * e1
+    assert abs(b2 - c.c_B2) <= 3 * e2
+
+
+def test_monte_carlo_needs_two_samples():
+    with pytest.raises(ValueError):
+        chen_constants_monte_carlo(1e-3, samples=1)
+
+
+def test_monte_carlo_memory_does_not_grow_with_samples():
+    tracemalloc.start()
+    try:
+        chen_constants_monte_carlo(1e-3, samples=10**6, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # one array of 10^6 samples alone is 7.6 MiB

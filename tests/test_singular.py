@@ -1,11 +1,14 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from twinsieve.arith import build_prime_table
 from twinsieve.characters import ExceptionalZeroHypothesis, local_sigma
 from twinsieve.singular import (
+    _SUM_BLOCK,
     classical_goldbach_series,
     exceptional_sums,
     main_term_M,
@@ -157,6 +160,37 @@ def test_exceptional_sums_reversed_order():
     )
     assert j == pytest.approx(j2, rel=1e-12)
     assert i == pytest.approx(i2, rel=1e-12)
+
+
+def test_exceptional_sums_match_one_array_over_blocks():
+    # several blocks and a ragged last one, against one np.sum over the range
+    N = 3 * _SUM_BLOCK + 12345
+    for m, beta in [(N + 1, 0.9), (N + _SUM_BLOCK + 3, 0.95), (N // 2, 0.5)]:
+        n1 = np.arange(max(1, m - N), min(N, m - 1) + 1, dtype=float)
+        want_j = -float(np.sum(n1 ** (beta - 1.0)))
+        want_i = float(np.sum((n1 * (m - n1)) ** (beta - 1.0)))
+        j, i = exceptional_sums(m, N, beta)
+        assert j == pytest.approx(want_j, rel=1e-14, abs=0)
+        assert i == pytest.approx(want_i, rel=1e-14, abs=0)
+
+
+def test_exceptional_sums_in_one_block_equal_one_array_bit_for_bit():
+    m, N, beta = _SUM_BLOCK + 1, _SUM_BLOCK, 0.9  # exactly one full block
+    n1 = np.arange(1, m, dtype=float)
+    assert exceptional_sums(m, N, beta) == (
+        -float(np.sum(n1 ** (beta - 1.0))),
+        float(np.sum((n1 * (m - n1)) ** (beta - 1.0))),
+    )
+
+
+def test_exceptional_sums_memory_does_not_grow_with_m():
+    tracemalloc.start()
+    try:
+        exceptional_sums(10**6, 10**6, 0.95)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # one array of the 10^6 terms alone is 7.6 MiB
 
 
 def test_main_term_no_hypothesis():
