@@ -12,9 +12,10 @@ group are all stacks of ``_value_rows``.
 
 The kernel F(chi1, chi2, j1, j2, m) couples two restricted Gauss sums
 against an additive phase.  It is computed two independent ways, each for
-every m mod q at once: literal summation (the oracle) and a factored route
-through prime-power local values.  The singular series reads neither, only
-the closed-form local densities of ``local_sigma``.
+a grid of restrictions (j1, j2) and every m mod q at once, with the tables
+of one (j1, j2) as 1x1 views: literal summation (the oracle) and a factored
+route through prime-power local values.  The singular series reads
+neither, only the closed-form local densities of ``local_sigma``.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ __all__ = [
     "modified_gauss_sum",
     "F_bruteforce",
     "F_bruteforce_all_m",
+    "F_bruteforce_grid",
     "F_factored",
     "F_factored_all_m",
+    "F_factored_grid",
     "local_sigma",
     "u_P",
     "festi_bound_check",
@@ -448,14 +451,16 @@ def modified_gauss_sum(chi: DirichletCharacter, a: int, j: int) -> complex:
 
 
 @lru_cache(maxsize=128)
-def _restricted_c_all(chi: DirichletCharacter, j: int) -> np.ndarray:
-    """c_chi(a, j) for all a mod q by direct summation (j=0 means
-    unrestricted), as a read-only array."""
+def _restricted_c_rows(chi: DirichletCharacter, js: tuple[int, ...]) -> np.ndarray:
+    """c_chi(a, j) for all a mod q by direct summation, one row per j of ``js``
+    (j=0 means unrestricted), as a read-only (len(js), q) array.
+
+    The rows go through the phase matrix as a stack of matrix-vector
+    products, so each row has the bits of its j summed alone."""
     q = chi.q
-    vals = _value_table(chi)
-    if j != 0:
-        vals = np.where(_restriction_mask(q, j), vals, 0)
-    return _read_only(_phase_matrix(q) @ vals)
+    keep = [np.ones(q, dtype=bool) if j == 0 else _restriction_mask(q, j) for j in js]
+    rows = np.where(keep, _value_table(chi), 0)
+    return _read_only((_phase_matrix(q) @ rows[..., None])[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -481,76 +486,55 @@ def F_bruteforce(
 def F_bruteforce_all_m(
     chi1: DirichletCharacter, chi2: DirichletCharacter, j1: int, j2: int
 ) -> np.ndarray:
-    """F for every m mod q by literal summation over units a: the oracle route."""
+    """F for every m mod q by literal summation: the 1x1 view of F_bruteforce_grid."""
+    return F_bruteforce_grid(chi1, chi2, (j1,), (j2,))[0, 0]
+
+
+def F_bruteforce_grid(chi1: DirichletCharacter, chi2: DirichletCharacter, js1, js2) -> np.ndarray:
+    """F(chi1, chi2, j1, j2, m) for every j1 of ``js1``, j2 of ``js2`` and m mod q
+    by literal summation over units a: the oracle route, shape (len js1, len js2, q).
+
+    Every (j1, j2) cell is its own matrix-vector product with the phase
+    matrix, so it has the bits of that cell summed alone."""
     _check_pair(chi1, chi2)
     q = chi1.q
-    if q == 1:
-        return np.ones(1, dtype=np.complex128)
-    prod = _restricted_c_all(chi1, j1) * _restricted_c_all(chi2, j2)
-    prod[~_unit_residues(q)[0]] = 0
+    prod = _restricted_c_rows(chi1, tuple(js1))[:, None] * _restricted_c_rows(chi2, tuple(js2))
+    prod[..., ~_unit_residues(q)[0]] = 0
     # sum of e_q(-am) prod(a) as conj(E @ conj(prod)): the same floats with one E per q
-    return np.conj(_phase_matrix(q) @ np.conj(prod))
+    return np.conj(_phase_matrix(q) @ np.conj(prod)[..., None])[..., 0]
 
 
 @lru_cache(maxsize=1024)
-def _F_local_odd_prime(
-    chi1: DirichletCharacter,
-    chi2: DirichletCharacter,
-    j1: int,
-    j2: int,
-) -> np.ndarray:
-    """F at an odd prime modulus p for every m mod p, via Gauss-sum reductions.
+def _F_local_odd_prime(chi1: DirichletCharacter, chi2: DirichletCharacter) -> np.ndarray:
+    """F at an odd prime modulus p via Gauss-sum reductions, for each
+    restriction state of j1 and of j2 (j = 0, gcd 1, gcd p, in that order)
+    and every m mod p: a cached, read-only (3, 3, p) array.
 
     Each restricted slot is expanded through c(a,1) = c(a) - c(a,p) into the
-    three primitive pieces:
+    four primitive pieces:
 
       F(-,-,m) = tau(chi1) tau(chi2) c_{conj(chi1 chi2)}(-m)
       F(-,p,m) = chi2(-2) (p chi1(m+2) - (p-1) [chi1 principal])
+      F(p,-,m) = chi1(-2) (p chi2(m+2) - (p-1) [chi2 principal])
       F(p,p,m) = chi1 chi2(-2) c_p(-(m+4))
 
     Each piece is read off for all m at once: tau and c from
-    gauss_sum_formula_all (the closed form, never the direct sums that
-    check it), the value tables and the Ramanujan sum c_p.  The p-vector
-    is cached and read-only; F_factored_all_m reads it at m mod p.
+    _gauss_formula_rows (the closed form, never the direct sums that check
+    it), the value tables and the Ramanujan sum c_p.
     """
     p = chi1.q
     m = np.arange(p)
-
-    def pieces(j):
-        if j == 0:
-            return [("-", 1)]
-        if j == 1:
-            return [("-", 1), ("p", -1)]
-        return [("p", 1)]
-
-    def F_unrestricted() -> np.ndarray:
-        tau = gauss_sum_formula_all(chi1)[1] * gauss_sum_formula_all(chi2)[1]
-        return tau * gauss_sum_formula_all((chi1 * chi2).conjugate())[(-m) % p]
-
-    def F_second_restricted(ca: DirichletCharacter, cb: DirichletCharacter) -> np.ndarray:
-        # gcd condition on cb's slot only
-        val = p * _value_table(ca)[(m + 2) % p]
-        if ca.is_principal:
-            val -= p - 1
-        return _value_table(cb)[-2 % p] * val
-
-    def F_both_restricted() -> np.ndarray:
-        ram = np.where((m + 4) % p == 0, p - 1, -1)
-        return _value_table(chi1)[-2 % p] * _value_table(chi2)[-2 % p] * ram
-
-    total = np.zeros(p, dtype=np.complex128)
-    for s1, sign1 in pieces(j1):
-        for s2, sign2 in pieces(j2):
-            if s1 == "-" and s2 == "-":
-                term = F_unrestricted()
-            elif s1 == "-" and s2 == "p":
-                term = F_second_restricted(chi1, chi2)
-            elif s1 == "p" and s2 == "-":
-                term = F_second_restricted(chi2, chi1)
-            else:
-                term = F_both_restricted()
-            total += sign1 * sign2 * term
-    return _read_only(total)
+    v1, v2 = _value_table(chi1), _value_table(chi2)
+    c1, c2, c12 = _gauss_formula_rows((chi1, chi2, (chi1 * chi2).conjugate()))
+    pieces = np.array([
+        [c1[1] * c2[1] * c12[-m % p],
+         v2[-2 % p] * (p * v1[(m + 2) % p] - (p - 1) * chi1.is_principal)],
+        [v1[-2 % p] * (p * v2[(m + 2) % p] - (p - 1) * chi2.is_principal),
+         v1[-2 % p] * v2[-2 % p] * np.where((m + 4) % p == 0, p - 1, -1)],
+    ])
+    # j = 0 takes the unrestricted piece, gcd 1 the difference, gcd p the restricted one
+    expand = np.array([[1, 0], [1, -1], [0, 1]])
+    return _read_only(np.einsum("ax,by,xym->abm", expand, expand, pieces))
 
 
 def F_factored(
@@ -567,39 +551,53 @@ def F_factored(
 def F_factored_all_m(
     chi1: DirichletCharacter, chi2: DirichletCharacter, j1: int, j2: int
 ) -> np.ndarray:
-    """F for every m mod q: the product of the components' local all-m tables.
+    """F for every m mod q from local values: the 1x1 view of F_factored_grid."""
+    return F_factored_grid(chi1, chi2, (j1,), (j2,))[0, 0]
 
-    Zeros at a square prime power not matched by both conductors; the
-    cached table of _F_local_odd_prime at odd primes; literal summation at
-    the other prime powers up to F_BRUTE_CAP.  Past the cap a surviving
-    primitive pair raises ValueError for every m, also where another
-    component's local value vanishes (no closed form covers that corner).
+
+def _distinct(keys: list) -> tuple[list, list[int]]:
+    """The distinct values of ``keys``, ascending, and each key's index among them."""
+    values = sorted(set(keys))
+    return values, [values.index(k) for k in keys]
+
+
+def F_factored_grid(chi1: DirichletCharacter, chi2: DirichletCharacter, js1, js2) -> np.ndarray:
+    """F for every j1 of ``js1``, j2 of ``js2`` and m mod q, shape (len js1,
+    len js2, q): the product of the components' local all-m tables.
+
+    At p^alpha a restriction j acts only through its state, 0 for j = 0 and
+    gcd(j, p) otherwise, so each component builds one local table per pair
+    of states that occurs and gathers them into the grid: zeros at a square
+    prime power not matched by both conductors; the cached table of
+    _F_local_odd_prime at odd primes; literal summation at the other prime
+    powers up to F_BRUTE_CAP.  Past the cap a surviving primitive pair
+    raises ValueError for every m, also where another component's local
+    value vanishes (no closed form covers that corner).
     """
     _check_pair(chi1, chi2)
     q = chi1.q
-    if q == 1:
-        return np.ones(1, dtype=np.complex128)
     rad = _radical(q)
-    for j in (j1, j2):
+    for j in (*js1, *js2):
         if j != 0 and rad % j != 0:
             raise ValueError(f"j={j} does not divide rad(q)={rad}")
-    out = np.ones(q, dtype=np.complex128)
+    out = np.ones((len(js1), len(js2), q), dtype=np.complex128)
     m = np.arange(q)
     for part in chi1.parts:
         p, alpha, mod = part.p, part.alpha, part.modulus
         comp1, comp2 = chi1.component(mod), chi2.component(mod)
-        jl1, jl2 = (0 if j == 0 else math.gcd(j, p) for j in (j1, j2))
+        (s1, i1), (s2, i2) = (_distinct([j and math.gcd(j, p) for j in js]) for js in (js1, js2))
         if alpha > 1 and (comp1.conductor < mod or comp2.conductor < mod):
-            local = np.zeros(mod)  # vanishing at unmatched square prime powers
+            local = np.zeros((len(s1), len(s2), mod))  # unmatched square prime powers
         elif p != 2 and alpha == 1:
-            local = _F_local_odd_prime(comp1, comp2, jl1, jl2)
+            # the state s sits at index min(s, 2) of the local table
+            local = _F_local_odd_prime(comp1, comp2)[np.minimum(s1, 2)][:, np.minimum(s2, 2)]
         elif mod <= F_BRUTE_CAP:
-            local = F_bruteforce_all_m(comp1, comp2, jl1, jl2)
+            local = F_bruteforce_grid(comp1, comp2, s1, s2)
         else:
             raise ValueError(
                 f"no closed form for a primitive pair at {p}^{alpha} > cap {F_BRUTE_CAP}"
             )
-        out *= local[m % mod]
+        out *= local[..., m % mod][i1][:, i2]
     return out
 
 

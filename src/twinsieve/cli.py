@@ -3,11 +3,12 @@
 Every subcommand writes a JSON report {command, config, results,
 provenance: {version, seed, runtime_ms}} plus subcommand-specific CSV
 artifacts; scan and convolve add a top-level ``trace`` with the engine
-facts of their product, and bv one with its kernel's work and stage
-times.  All computation is deterministic under a fixed seed; the
-thread-count knob is accepted for interface stability (the engines are
-deterministic regardless of it), so artifacts are byte-stable apart from
-the volatile runtime_ms field and the trace's stage times.  argparse is
+facts of their product, bv one with its kernel's work and stage times,
+and verify one with each suite's time and number of checks.  All
+computation is deterministic under a fixed seed; the thread-count knob is
+accepted for interface stability (the engines are deterministic
+regardless of it), so artifacts are byte-stable apart from the volatile
+runtime_ms field and the traces' times.  argparse is
 the one parser and checker of flag values, for the command line and
 ``--config`` files alike; every bad value is a single ``error:`` line and
 exit status 2.
@@ -20,6 +21,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -105,6 +107,9 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        # no flag starts with "-digit", so a value such as --rough's -1,0.1 is a
+        # value for its flag's converter to refuse, not an unknown flag
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str):
         raise ValueError(message)
@@ -401,7 +406,7 @@ def _cmd_verify(args, out_dir: Path, t0: float) -> int:
         w = linear_sieve(10**4, 100, 10, "lower", build_prime_table(100))
         _write_csv(Path(args.weights_csv), ["d", "lambda_d"], sorted(w.coefficients.items()))
     results = {"suite": args.suite, "passed": res["passed"], "checks": res["checks"]}
-    _write_report(out_dir, args, results, t0)
+    _write_report(out_dir, args, results, t0, trace=res["trace"])
     return 0 if res["passed"] else 1
 
 

@@ -23,7 +23,9 @@ from .arith import (
 from .characters import (
     ExceptionalZeroHypothesis,
     F_bruteforce_all_m,
-    F_factored_all_m,
+    F_bruteforce_grid,
+    F_factored_grid,
+    _distinct,
     _festi_bound,
     _gauss_formula_rows,
     _phase_matrix,
@@ -132,30 +134,21 @@ def _fmult_sweep(q_max: int = 200) -> dict:
         ]
         js = _all_j_divisors(q)
         # all unitary splits q = q1 * q2 with q1 > 1, q2 > 1 (1 and q come first and last)
-        splits = [(q1, q // q1) for q1 in _divisors(fac)[1:-1]]
+        divisors = _divisors(fac)[1:-1]
         m = np.arange(q)
-        # The literal F of a component pair depends on j only through
-        # gcd(j, q_i) (j >= 1 here), so each is summed once per q; the
-        # literal F of the whole modulus is summed for every (pair, j1, j2).
-        local: dict = {}
-
-        def component_F(chi1, chi2, qi, j1, j2):
-            key = (chi1.component(qi), chi2.component(qi), math.gcd(j1, qi), math.gcd(j2, qi))
-            if key not in local:
-                local[key] = F_bruteforce_all_m(*key)
-            return local[key]
-
         for chi1, chi2 in pairs:
-            for j1 in js:
-                for j2 in js:
-                    whole = F_bruteforce_all_m(chi1, chi2, j1, j2)
-                    for q1, q2 in splits:
-                        f1 = component_F(chi1, chi2, q1, j1, j2)
-                        f2 = component_F(chi1, chi2, q2, j1, j2)
-                        split_vals = f1[m % q1] * f2[m % q2]
-                        total += q
-                        if np.max(np.abs(whole - split_vals)) > 1e-6 * q * q:
-                            bad += 1
+            whole = F_bruteforce_grid(chi1, chi2, js, js)
+            # the literal F of a component pair depends on j only through
+            # gcd(j, d) (j >= 1 here): one grid per divisor d, gathered to js
+            split = {}
+            for d in divisors:
+                ds, at = _distinct([math.gcd(j, d) for j in js])
+                grid = F_bruteforce_grid(chi1.component(d), chi2.component(d), ds, ds)
+                split[d] = grid[..., m % d][at][:, at]
+            for d in divisors:
+                gap = np.max(np.abs(whole - split[d] * split[q // d]), axis=2)
+                total += gap.size * q
+                bad += int(np.count_nonzero(gap > 1e-6 * q * q))
     return _check(
         "multiplicativity of F over coprime splits (squarefree q <= 200)",
         bad == 0,
@@ -247,12 +240,10 @@ def _ffactored_sweep(q_max: int = 200) -> dict:
         ]
         js = _all_j_divisors(q)
         for chi1, chi2 in pairs:
-            for j1 in js:
-                for j2 in js:
-                    factored = F_factored_all_m(chi1, chi2, j1, j2)
-                    literal = F_bruteforce_all_m(chi1, chi2, j1, j2)
-                    total += q
-                    bad += int(np.count_nonzero(np.abs(factored - literal) > 1e-6 * q * q))
+            factored = F_factored_grid(chi1, chi2, js, js)
+            literal = F_bruteforce_grid(chi1, chi2, js, js)
+            total += literal.size
+            bad += int(np.count_nonzero(np.abs(factored - literal) > 1e-6 * q * q))
     return _check(
         "factored kernel equals literal summation (q <= 200, all j pairs)",
         bad == 0,
@@ -694,18 +685,23 @@ SUITES = {
 
 
 def run_suite(name: str, full: bool = True) -> dict:
+    """Run suite ``name`` (or all of them): its checks, whether all passed, and
+    a trace of {suite: {ms, checks}} for each suite run."""
     if name == "all":
-        checks = []
-        for key in SUITES:
-            checks.extend(run_suite(key, full)["checks"])
-        return {"suite": "all", "passed": all(c["passed"] for c in checks), "checks": checks}
+        runs = [run_suite(key, full) for key in SUITES]
+        checks = [c for run in runs for c in run["checks"]]
+        trace = {key: value for run in runs for key, value in run["trace"].items()}
+        return {"suite": "all", "passed": all(c["passed"] for c in checks), "checks": checks,
+                "trace": trace}
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     t0 = time.perf_counter()
     checks = SUITES[name](full=full)
+    ms = (time.perf_counter() - t0) * 1000
     return {
         "suite": name,
         "passed": all(c["passed"] for c in checks),
-        "runtime_s": round(time.perf_counter() - t0, 2),
+        "runtime_s": round(ms / 1000, 2),
         "checks": checks,
+        "trace": {name: {"ms": round(ms, 1), "checks": len(checks)}},
     }

@@ -15,6 +15,7 @@ from twinsieve.characters import (
     F_bruteforce,
     F_bruteforce_all_m,
     F_factored,
+    F_factored_all_m,
     character_group,
     festi_bound_check,
     gauss_sum,
@@ -414,7 +415,7 @@ def test_F_factored_past_the_cap_raises_for_every_m():
 def test_literal_F_matches_its_definition():
     # c(a, j) and F(m) summed term by term with cmath.exp, against the
     # phase-matrix routes, for every pair of characters mod q <= 12
-    from twinsieve.characters import _restricted_c_all
+    from twinsieve.characters import _restricted_c_rows
 
     for q in range(1, 13):
         chars = character_group(q)
@@ -426,13 +427,13 @@ def test_literal_F_matches_its_definition():
 
         c = {}
         for chi in chars:
-            for j in js:
+            for j, row in zip(js, _restricted_c_rows(chi, tuple(js))):
                 kept = [
                     b for b in range(q)
                     if j == 0 or math.gcd(b + 2, rad) == math.gcd(j, rad)
                 ]
                 c[chi, j] = [sum(chi.value(b) * e(a * b) for b in kept) for a in range(q)]
-                gap = np.max(np.abs(_restricted_c_all(chi, j) - c[chi, j]))
+                gap = np.max(np.abs(row - c[chi, j]))
                 assert gap <= 1e-9, (q, chi, j, gap)
         units = [a for a in range(q) if math.gcd(a, q) == 1]
         for chi1 in chars:
@@ -445,6 +446,93 @@ def test_literal_F_matches_its_definition():
                         ]
                         gap = np.max(np.abs(F_bruteforce_all_m(chi1, chi2, j1, j2) - want))
                         assert gap <= 1e-9, (q, chi1, chi2, j1, j2, gap)
+
+
+def _grid_characters(q):
+    """The principal and quadratic characters mod q and a spread of the group."""
+    group = character_group(q)
+    return [principal_character(q), quadratic_character(q), *group[1 :: max(1, len(group) // 3)]]
+
+
+def test_literal_grid_matches_a_plain_double_sum():
+    # F over the whole (j1, j2) grid against the double sum over units a and
+    # restricted b1, b2, summed in plain Python with cmath.exp
+    from twinsieve.characters import F_bruteforce_grid
+
+    for q in (5, 9, 12, 15, 20):
+        js = [0] + _all_j(q)
+        rad = math.prod(p for p, _ in _factor_pp(q))
+        units = [a for a in range(q) if math.gcd(a, q) == 1]
+
+        def e(x):
+            return cmath.exp(2j * math.pi * x / q)
+
+        def c(chi, j, a):
+            return sum(
+                chi.value(b) * e(a * b) for b in range(q)
+                if j == 0 or math.gcd(b + 2, rad) == math.gcd(j, rad)
+            )
+
+        chars = _grid_characters(q)[:3]
+        for chi1 in chars:
+            for chi2 in chars:
+                grid = F_bruteforce_grid(chi1, chi2, js, js)
+                assert grid.shape == (len(js), len(js), q)
+                for k1, j1 in enumerate(js):
+                    for k2, j2 in enumerate(js):
+                        pair = [c(chi1, j1, a) * c(chi2, j2, a) for a in units]
+                        want = [sum(x * e(-a * m) for x, a in zip(pair, units)) for m in range(q)]
+                        gap = np.max(np.abs(grid[k1, k2] - want))
+                        assert gap <= 1e-9 * q * q, (q, chi1, chi2, j1, j2, gap)
+
+
+def test_grid_views_equal_their_grid_cells_bit_for_bit():
+    from twinsieve.characters import F_bruteforce_grid, F_factored_all_m, F_factored_grid
+
+    for q in (2, 5, 8, 12, 15, 30, 60):
+        js1 = [0] + _all_j(q)
+        js2 = js1[:0:-1]  # another order, without j = 0
+        for chi1 in _grid_characters(q):
+            for chi2 in _grid_characters(q)[:3]:
+                literal = F_bruteforce_grid(chi1, chi2, js1, js2)
+                factored = F_factored_grid(chi1, chi2, js1, js2)
+                for k1, j1 in enumerate(js1):
+                    for k2, j2 in enumerate(js2):
+                        view = F_bruteforce_all_m(chi1, chi2, j1, j2)
+                        assert view.tobytes() == literal[k1, k2].tobytes(), (q, j1, j2)
+                        view = F_factored_all_m(chi1, chi2, j1, j2)
+                        assert view.tobytes() == factored[k1, k2].tobytes(), (q, j1, j2)
+
+
+def test_factored_grid_equals_literal_grid_at_every_m():
+    from twinsieve.characters import F_bruteforce_grid, F_factored_grid
+
+    for q in (3, 4, 7, 12, 15, 20, 45, 50, 60, 105):
+        js1 = [0] + _all_j(q)
+        js2 = js1[::-1]
+        for chi1 in _grid_characters(q):
+            for chi2 in _grid_characters(q):
+                literal = F_bruteforce_grid(chi1, chi2, js1, js2)
+                factored = F_factored_grid(chi1, chi2, js1, js2)
+                gap = np.max(np.abs(factored - literal))
+                assert gap <= 1e-9 * q * q, (q, chi1, chi2, gap)
+
+
+def test_factored_grid_past_the_cap_raises():
+    from twinsieve.characters import F_BRUTE_CAP, F_factored_grid, _Part
+
+    # the primitive pair of test_F_factored_past_the_cap_raises_for_every_m,
+    # behind a component mod 3 whose local value may vanish
+    q = 3 * 2**13
+    assert 2**13 > F_BRUTE_CAP
+    chi = DirichletCharacter(q, (_Part(3, 1, (0,)), _Part(2, 13, (0, 1))))
+    with pytest.raises(ValueError, match="no closed form"):
+        F_factored_grid(chi, chi, (0, 1, 3), (1, 2, 6))
+    for view in (F_factored_all_m, lambda *args: F_factored(*args, 5)):
+        with pytest.raises(ValueError, match="no closed form"):
+            view(chi, chi, 3, 3)
+    chi0 = principal_character(q)
+    assert not np.any(F_factored_grid(chi0, chi, (0, 1), (2, 6)))
 
 
 def test_F_multiplicativity():
@@ -651,8 +739,8 @@ def test_cached_arrays_are_read_only():
         ch._unit_residues(12)[0],
         ch._unit_residues(12)[1],
         ch._restriction_mask(15, 3),
-        ch._restricted_c_all(chi, 1),
-        ch._F_local_odd_prime(chi, chi, 1, 7),
+        ch._restricted_c_rows(chi, (0, 1, 7)),
+        ch._F_local_odd_prime(chi, chi),
         ch._primitive_value_rows(13),
         ch._value_rows(12, character_group(12)),
         ntt._twiddles(ntt.P1, 16, False),

@@ -201,6 +201,16 @@ def test_verify_subcommand(tmp_path, capsys):
     assert rep["results"]["passed"] is True
 
 
+def test_verify_trace_holds_each_suite_time_and_check_count(tmp_path):
+    assert run_cli(["verify", "--suite", "singular", "--fast", "--out", str(tmp_path)]) == 0
+    rep = load_report(tmp_path, "verify")
+    assert set(rep) == {"command", "config", "results", "provenance", "trace"}
+    assert set(rep["results"]) == {"suite", "passed", "checks"}
+    assert set(rep["trace"]) == {"singular"}
+    suite = rep["trace"]["singular"]
+    assert suite["checks"] == len(rep["results"]["checks"]) and suite["ms"] > 0
+
+
 def test_verify_all_fast_reports_the_benchmark_checks(tmp_path):
     # the benchmark's verify-fast workload compares these names with its
     # reference; a renamed or dropped check fails here first
@@ -543,6 +553,7 @@ def test_bv_refuses_Q_above_N_before_building_a_table(tmp_path, monkeypatch, cap
     ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--bogus", "1"],
     ["bogus"],
     ["bv", "--N", "500", "--Q", "501"],
+    ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "-1,0.1"],
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2
@@ -595,6 +606,17 @@ def test_bad_flag_values_name_the_flag(tmp_path, capsys, flag, argv):
     # argparse converts and checks every flag, so the message names it
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
+
+
+def test_a_leading_minus_reaches_the_flag_converter_in_both_spellings(tmp_path, capsys):
+    # argparse once took -1,0.1 for a flag and said --rough expected one argument
+    errs = []
+    for rough in (["--rough", "-1,0.1"], ["--rough=-1,0.1"]):
+        argv = ["scan", "--N", "500", "--k1", "2", "--k2", "3", *rough, "--out", str(tmp_path)]
+        assert run_cli(argv) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == ("error: argument --rough: expected two comma-separated "
+                                  "finite exponents a1,a2 >= 0, got '-1,0.1'\n")
 
 
 def _mask_runtime(text: str) -> str:
