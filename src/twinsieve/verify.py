@@ -701,7 +701,6 @@ def run_suite(name: str, full: bool = True) -> dict:
     return {
         "suite": name,
         "passed": all(c["passed"] for c in checks),
-        "runtime_s": round(ms / 1000, 2),
         "checks": checks,
         "trace": {name: {"ms": round(ms, 1), "checks": len(checks)}},
     }
