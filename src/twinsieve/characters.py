@@ -4,7 +4,7 @@ Characters mod q are stored through their prime-power components: one
 exponent per cyclic generator of (Z/p^a)^x, the smallest primitive root
 for odd p and {-1, 5} at 2^a.  This makes multiplication, conjugation,
 evaluation and enumeration one loop over the generators, deterministic
-in order; only conductors and primitive parts treat 2 apart.  One
+in order; only conductors treat 2 apart.  One
 evaluator, ``_character_values``, turns discrete logs into values, for a
 whole stack of characters mod q in one pass; the value tables of one
 character, of the primitive characters of a conductor and of a whole
@@ -37,7 +37,6 @@ __all__ = [
     "primitive_characters",
     "principal_character",
     "quadratic_character",
-    "primitive_part",
     "gauss_sum",
     "gauss_sum_formula",
     "gauss_sum_formula_all",
@@ -245,30 +244,6 @@ def character_group(q: int) -> tuple[DirichletCharacter, ...]:
     return tuple(DirichletCharacter(q, parts) for parts in itertools.product(*choices))
 
 
-def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
-    """The primitive character inducing chi (to the modulus chi.conductor)."""
-    f = chi.conductor
-    parts = []
-    for part in chi.parts:
-        if not any(part.exponents):
-            continue
-        p, beta = part.p, _valuation(f, part.p)
-        if p == 2:
-            e_minus, e_five = (*part.exponents, 0, 0)[:2]
-            exps = (e_minus, e_five >> _valuation(e_five, 2)) if e_five else (1,)
-        else:
-            (phi,), (e,) = part.orders, part.exponents
-            phi_new = (p - 1) * p ** (beta - 1)
-            dl = int(_dlog_tables(p, part.alpha)[0][_primitive_root(p, beta) % part.modulus])
-            num = e * dl * phi_new
-            if num % phi != 0:
-                raise AssertionError("conductor/exponent mismatch")
-            exps = ((num // phi) % phi_new,)
-        parts.append(_Part(p, beta, exps))
-    assert math.prod(part.modulus for part in parts) == f
-    return DirichletCharacter(f, tuple(parts))
-
-
 @lru_cache(maxsize=64)
 def _unit_residues(q: int) -> tuple[np.ndarray, np.ndarray]:
     """(mask, units): the residues r mod q coprime to q, as a read-only mask and array."""
@@ -356,15 +331,24 @@ def _primitive_value_rows(f: int) -> np.ndarray:
 # Gauss sums
 
 
-@lru_cache(maxsize=16)
+#: the phase matrices by q: 32 MiB keeps one of any q <= 1448 (16 q^2 bytes);
+#: a larger one, up to q = F_BRUTE_CAP, is built for its call and let go
+_PHASE_MATRICES = _BytesLRU(32 * 2**20)
+
+
 def _phase_matrix(q: int) -> np.ndarray:
-    """e_q(a*b) as a read-only q x q matrix (used by the brute-force oracles).
+    """e_q(a*b) as a read-only q x q matrix (used by the brute-force oracles),
+    kept in ``_PHASE_MATRICES``.
 
     Each entry is the q-th root of unity at a*b mod q: q complex
     exponentials instead of q^2, and the argument is reduced exactly.
     """
-    a = np.arange(q)
-    return _read_only(np.exp(2j * np.pi * a / q)[np.outer(a, a) % q])
+
+    def build(q: int) -> np.ndarray:
+        a = np.arange(q)
+        return _read_only(np.exp(2j * np.pi * a / q)[np.outer(a, a) % q])
+
+    return _PHASE_MATRICES.get(q, build)
 
 
 def gauss_sum(chi: DirichletCharacter, a: int) -> complex:
@@ -437,11 +421,18 @@ def _restriction_mask(q: int, j: int) -> np.ndarray:
     return _read_only(np.gcd(np.arange(q) + 2, rad) == math.gcd(j, rad))
 
 
+def _check_restrictions(q: int, js) -> None:
+    """Refuse a restriction j of ``js`` that is neither 0 nor a divisor of rad(q)."""
+    rad = _radical(q)
+    for j in js:
+        if j != 0 and rad % j != 0:
+            raise ValueError(f"j={j} does not divide rad(q)={rad}")
+
+
 def modified_gauss_sum(chi: DirichletCharacter, a: int, j: int) -> complex:
     """Gauss sum over units b with (b+2, rad q) = (j, rad q); j=0 lifts the restriction."""
     q = chi.q
-    if j != 0 and _radical(q) % j != 0:
-        raise ValueError(f"j={j} does not divide rad(q)={_radical(q)}")
+    _check_restrictions(q, (j,))
     vals = _value_table(chi)
     b = np.arange(q)
     if j != 0:
@@ -498,6 +489,7 @@ def F_bruteforce_grid(chi1: DirichletCharacter, chi2: DirichletCharacter, js1, j
     matrix, so it has the bits of that cell summed alone."""
     _check_pair(chi1, chi2)
     q = chi1.q
+    _check_restrictions(q, (*js1, *js2))
     prod = _restricted_c_rows(chi1, tuple(js1))[:, None] * _restricted_c_rows(chi2, tuple(js2))
     prod[..., ~_unit_residues(q)[0]] = 0
     # sum of e_q(-am) prod(a) as conj(E @ conj(prod)): the same floats with one E per q
@@ -576,10 +568,7 @@ def F_factored_grid(chi1: DirichletCharacter, chi2: DirichletCharacter, js1, js2
     """
     _check_pair(chi1, chi2)
     q = chi1.q
-    rad = _radical(q)
-    for j in (*js1, *js2):
-        if j != 0 and rad % j != 0:
-            raise ValueError(f"j={j} does not divide rad(q)={rad}")
+    _check_restrictions(q, (*js1, *js2))
     out = np.ones((len(js1), len(js2), q), dtype=np.complex128)
     m = np.arange(q)
     for part in chi1.parts:

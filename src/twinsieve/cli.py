@@ -254,8 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
         "convolution. Artifacts: convolve.csv (m, value) and convolve.json.",
     )
     p.add_argument("--N", type=_positive_int, required=True)
-    p.add_argument("--kind1", required=True, help="Lambda0|Lambda|Lambda_k|Lambda_E3star")
-    p.add_argument("--kind2", required=True)
+    # sieve_twisted needs a weight map, which only the library can hand over
+    kinds = ["Lambda0", "Lambda", "Lambda_k", "Lambda_E3star"]
+    p.add_argument("--kind1", required=True, choices=kinds)
+    p.add_argument("--kind2", required=True, choices=kinds)
     p.add_argument("--k", type=_positive_int, default=3, help="k for Lambda_k kinds")
     p.add_argument("--indicator", action="store_true", help="0/1 indicator variants")
     p.add_argument("--exact", action="store_true",
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # p3_margin reads the functions at s = 5, so s_max starts there
     p.add_argument("--smax", type=_number_in("[5, 20]", lambda x: 5 <= x <= 20), default=10.0)
-    # the march is a Python loop of (s_max - 1) / h steps: 2.5 s at h = 1e-5, s_max = 20
+    # the march takes one cumsum per unit block, over (s_max - 1) / h nodes in all
     p.add_argument("--h", type=_number_in("[1e-5, 1]", lambda x: 1e-5 <= x <= 1), default=5e-4)
     p.add_argument("--eps", type=_number_in("(0, 0.01)", lambda x: 0 < x < 0.01), default=1e-3)
     _add_common(p)

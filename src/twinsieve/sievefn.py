@@ -8,8 +8,9 @@ samples the 2-D integrand directly (chen_constants_monte_carlo).
 The pair (f, F) satisfies the delay system (sF)' = f(s-1), (sf)' = F(s-1)
 with closed initial segments F(s) = 2 e^gamma / s on [1, 3] and
 f(s) = 2 e^gamma log(s-1)/s on [2, 4] (f = 0 below 2).  The grid marches
-the delay system with the trapezoid rule; junction consistency between the
-closed forms and the integrated representation is part of the contract.
+the delay system one unit block at a time, each block one running
+trapezoid integral; junction consistency between the closed forms and the
+integrated representation is part of the contract.
 """
 
 from __future__ import annotations
@@ -42,25 +43,26 @@ class LinearSieveFunctions:
     F: np.ndarray
     junction_error: float
 
-    def F_at(self, x: float) -> float:
-        if x < 1.0:
-            raise ValueError(f"F undefined below 1 (got {x})")
-        if x <= 3.0:
-            return TWO_E_GAMMA / x
-        return self._on_grid(x, self.F)
+    def F_at(self, x):
+        """F at x, a float or an array of floats (then an array of the same shape)."""
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 1.0):
+            raise ValueError(f"F undefined below 1 (got {x.min()})")
+        out = np.where(x <= 3.0, TWO_E_GAMMA / x, self._on_grid(x, self.F))
+        return out if out.ndim else float(out)
 
     def f_at(self, x: float) -> float:
         if x <= 2.0:
             return 0.0
         if x <= 4.0:
             return TWO_E_GAMMA * math.log(x - 1.0) / x
-        return self._on_grid(x, self.f)
+        return float(self._on_grid(x, self.f))
 
-    def _on_grid(self, x: float, values: np.ndarray) -> float:
+    def _on_grid(self, x, values: np.ndarray):
         """values interpolated at x; past the last node nothing was computed."""
-        if x > self.s[-1]:
-            raise ValueError(f"s={x} lies past the grid's last node {self.s[-1]}")
-        return float(np.interp(x, self.s, values))
+        if np.any(x > self.s[-1]):
+            raise ValueError(f"s={np.max(x)} lies past the grid's last node {self.s[-1]}")
+        return np.interp(x, self.s, values)
 
 
 def solve_linear_sieve_functions(s_max: float, h: float) -> LinearSieveFunctions:
@@ -91,19 +93,24 @@ def solve_linear_sieve_functions(s_max: float, h: float) -> LinearSieveFunctions
     in_f_closed = (s >= 2.0 - 1e-15) & (s <= 4.0 + 1e-15)
     f[in_f_closed] = TWO_E_GAMMA * np.log(np.maximum(s[in_f_closed] - 1.0, 1.0)) / s[in_f_closed]
     lag = steps_per_unit
-    for i in range(n):
-        x_next = s[i + 1]
-        if x_next > 3.0 + 1e-12:
-            # (sF)' = f(s-1)
-            fa = f[i - lag] if i - lag >= 0 else 0.0
-            fb = f[i + 1 - lag]
-            F[i + 1] = (s[i] * F[i] + 0.5 * h * (fa + fb)) / x_next
-        if x_next > 4.0 + 1e-12:
-            # (sf)' = F(s-1)
-            Fa = F[i - lag]
-            Fb = F[i + 1 - lag]
-            f[i + 1] = (s[i] * f[i] + 0.5 * h * (Fa + Fb)) / x_next
-    junction = _junction_error(s, f, F, h, steps_per_unit)
+
+    def march(values, source, start, a):
+        """values on (s_a, s_a + 1] (clipped to the grid) from (s values)' =
+        source(s - 1), with s values = start at s_a; returns s values at the end."""
+        b = min(a + lag, n)
+        integral = _running_integral(start, source[a - lag : b - lag + 1], h)
+        values[a + 1 : b + 1] = integral / s[a + 1 : b + 1]
+        return integral[-1]
+
+    # one unit block at a time: F on (3+j, 4+j] reads f on [2+j, 3+j], and
+    # f on (4+j, 5+j] reads the F just marched; sF and sf run on across blocks
+    i3 = 2 * lag  # index of s = 3
+    sF, sf = s[i3] * F[i3], s[i3 + lag] * f[i3 + lag]
+    for a in range(i3, n, lag):
+        sF = march(F, f, sF, a)
+        if a + lag < n:
+            sf = march(f, F, sf, a + lag)
+    junction = _junction_error(s, F, h, steps_per_unit)
     return LinearSieveFunctions(h=h, s=s, f=f, F=F, junction_error=junction)
 
 
@@ -117,18 +124,19 @@ def margin_grid_end(eps: float, h: float) -> float:
     return 1.0 + k / steps_per_unit
 
 
-def _junction_error(s, f, F, h, steps_per_unit) -> float:
+def _running_integral(start: float, y: np.ndarray, h: float) -> np.ndarray:
+    """start plus the trapezoid integral of y (nodes h apart) from its first
+    node to each later one: the one trapezoid rule of the march and its checks."""
+    return start + np.cumsum(h / 2 * (y[:-1] + y[1:]))
+
+
+def _junction_error(s, F, h, steps_per_unit) -> float:
     """Integrate each function across its closed window and compare at the far end."""
+    i3 = 2 * steps_per_unit  # index of s = 3
     # sf(s) = int_2^s F(u-1) du, checked at s = 4 against 2 e^gamma log 3
-    i2 = int(round(1.0 * steps_per_unit))  # index of s = 2
-    i4 = int(round(3.0 * steps_per_unit))  # index of s = 4
-    lag = steps_per_unit
-    acc = 0.0
-    for i in range(i2, i4):
-        acc += 0.5 * h * (F[i - lag] + F[i + 1 - lag])
+    acc = _running_integral(0.0, F[: i3 + 1], h)[-1]
     err_f = abs(acc - TWO_E_GAMMA * math.log(3.0))
     # sF(s) = F(1) + int_1^s f(u-1) du is constant on [1, 3]: f vanishes there
-    i3 = int(round(2.0 * steps_per_unit))
     err_F = abs(s[i3] * F[i3] - TWO_E_GAMMA)
     return max(err_f, err_F)
 
@@ -136,7 +144,7 @@ def _junction_error(s, f, F, h, steps_per_unit) -> float:
 def _weighted_lower(fns: LinearSieveFunctions, s: float, upper: float, nodes: int) -> float:
     """f(s) - (1/2) int_1^upper F(s - t)/t dt, trapezoid rule on ``nodes`` points."""
     grid = np.linspace(1.0, upper, nodes)
-    vals = np.array([fns.F_at(s - t) / t for t in grid])
+    vals = fns.F_at(s - grid) / grid
     return fns.f_at(s) - 0.5 * float(np.trapezoid(vals, grid))
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .arith import PrimeTable, _divisors, factorize, omega_counts, tau_k
+from .arith import PrimeTable, _divisors, omega_counts
 
 __all__ = [
     "SieveWeights",
@@ -36,7 +36,7 @@ __all__ = [
     "p3_pointwise_check",
     "vector_sieve_lower",
     "sie1_identity_check",
-    "fundlem_pointwise_bound",
+    "fundlem_pointwise_check",
     "rho_range",
 ]
 
@@ -385,45 +385,46 @@ def sie1_identity_check(
     return abs(lhs - rhs) <= rel_tol * scale + 1e-13 * conditioning
 
 
-def fundlem_pointwise_bound(
-    theta: SieveWeights,
-    n: int,
-    z: float,
-    beta: float,
-    D: float,
-    table: PrimeTable,
-) -> bool:
-    """Pointwise envelope for a beta sieve against the rough indicator.
+def _fundlem_sides(
+    theta: SieveWeights, n_max: int, z: float, beta: float, D: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the envelope of fundlem_pointwise_check for n = 0..n_max
+    as two arrays (index 0 unused)."""
+    s = math.log(D) / math.log(z)
+    if s <= beta + 1:
+        raise ValueError("need s = log D / log z > beta + 1")
+    # the least range prime dividing n (inf if none): n is rough at w iff it exceeds w
+    least = np.full(n_max + 1, np.inf)
+    for p in sorted(theta.primes, reverse=True):
+        least[p::p] = p
+    lhs = np.abs(apply_sieve_range(theta, n_max) - (least > z))
+    # tau(n) over all of n, not only the sieve range: each d < sqrt(n) pairs with n/d
+    tau = np.zeros(n_max + 1, dtype=np.int64)
+    for d in range(1, math.isqrt(n_max) + 1):
+        tau[d * d] += 1
+        tau[d * (d + 1) :: d] += 2
+    ratio = (beta - 1.0) / (beta + 1.0)
+    r0 = max(math.floor((s - beta - 1.0) / 2.0) + 1, 1)
+    min_range_prime = min(theta.primes, default=None)
+    total = np.zeros(n_max + 1)
+    for r in range(r0, r0 + 201):
+        z_r = z ** (ratio**r)
+        if min_range_prime is None or z_r < min_range_prime:
+            total += 2.0 ** (-r + 1)  # geometric tail, every n is rough from here
+            break
+        total += 2.0 ** (-r) * (least > z_r)
+    return lhs, tau**2 * total
+
+
+def fundlem_pointwise_check(
+    theta: SieveWeights, n_max: int, z: float, beta: float, D: float
+) -> np.ndarray:
+    """The n in [1, n_max] violating the pointwise envelope of a beta sieve
+    against the rough indicator:
 
     |theta(n) - rho(n, z)| <= tau(n)^2 sum_{r > (s-beta-1)/2} 2^-r
     rho(n, z_r), with z_r = z^(((beta-1)/(beta+1))^r) and s = log D/log z.
     Primes outside the sieve range do not count toward roughness.
     """
-    s = math.log(D) / math.log(z)
-    if s <= beta + 1:
-        raise ValueError("need s = log D / log z > beta + 1")
-    range_primes = theta.primes
-    fac = [p for p in range_primes if n % p == 0]
-    theta_n = apply_sieve(theta, n)
-    indicator = 0.0 if any(p <= z for p in fac) else 1.0
-    lhs = abs(theta_n - indicator)
-    # tau(n)^2 over all of n, not only the sieve range
-    tau_sq = tau_k(factorize(n, table), 2) ** 2
-    ratio = (beta - 1.0) / (beta + 1.0)
-    r0 = math.floor((s - beta - 1.0) / 2.0) + 1
-    r0 = max(r0, 1)
-    total = 0.0
-    r = r0
-    min_range_prime = min(range_primes) if range_primes else None
-    while True:
-        z_r = z ** (ratio**r)
-        if min_range_prime is None or z_r < min_range_prime:
-            total += 2.0 ** (-r + 1)  # geometric tail, indicator is 1 from here
-            break
-        rough = 0.0 if any(p <= z_r for p in fac) else 1.0
-        total += 2.0 ** (-r) * rough
-        r += 1
-        if r > r0 + 200:
-            break
-    rhs = tau_sq * total
-    return lhs <= rhs + 1e-12
+    lhs, rhs = _fundlem_sides(theta, n_max, z, beta, D)
+    return np.flatnonzero(lhs[1:] > rhs[1:] + 1e-12) + 1

@@ -55,7 +55,7 @@ from .sieves import (
     apply_sieve_range,
     beta_sieve,
     fundamental_lemma_envelope,
-    fundlem_pointwise_bound,
+    fundlem_pointwise_check,
     linear_sieve,
     p3_pointwise_check,
     rho_range,
@@ -372,10 +372,8 @@ def suite_sieves(full: bool = True) -> list[dict]:
         primes = [int(p) for p in table.primes_upto(z)]
         for sign in ("upper", "lower"):
             theta = beta_sieve(beta, D, primes, sign)
-            for n in range(1, (10**4 if full else 2000) + 1):
-                if not fundlem_pointwise_bound(theta, n, z, beta, D, table):
-                    fund_ok = False
-                    break
+            bad = fundlem_pointwise_check(theta, 10**4 if full else 2000, z, beta, D)
+            fund_ok &= bad.size == 0
     out.append(_check("pointwise envelope sweeps at (beta,s) in {(2,5),(3,6)}", fund_ok, ""))
 
     rng = random.Random(137)

@@ -24,7 +24,6 @@ from twinsieve.characters import (
     local_sigma,
     modified_gauss_sum,
     primitive_characters,
-    primitive_part,
     principal_character,
     quadratic_character,
     u_P,
@@ -125,11 +124,6 @@ def test_conductors_explicit():
     lifted = quadratic_character(9)
     assert lifted.conductor == 3
     assert quadratic_character(5).conductor == 5
-    prim = primitive_part(lifted)
-    assert prim.q == 3
-    for n in range(20):
-        if math.gcd(n, 9) == 1:
-            assert cmath.isclose(lifted.value(n), prim.value(n), abs_tol=1e-12)
 
 
 def test_conductor_definitional():
@@ -171,17 +165,6 @@ def test_conductor_matches_definition_on_value_tables():
             assert vars(chi)["conductor"] == want  # computed once, kept on the object
 
 
-def test_primitive_part_induces():
-    for q in (12, 16, 36, 45, 40):
-        for chi in character_group(q):
-            star = primitive_part(chi)
-            assert star.q == chi.conductor
-            assert star.conductor == star.q
-            for n in range(1, q + 1):
-                if math.gcd(n, q) == 1:
-                    assert cmath.isclose(chi.value(n), star.value(n), abs_tol=1e-10)
-
-
 def test_primitive_characters_count():
     # sum over f | q of #primitive(f) = phi(q)
     for q in (12, 24, 40):
@@ -213,8 +196,7 @@ def test_primitive_value_rows_stack_the_value_tables_bit_for_bit():
 
 
 def test_one_function_turns_discrete_logs_into_values():
-    # every value comes from _character_values; primitive_part reads one
-    # discrete log to rescale an exponent, and no other function reads them
+    # every value comes from _character_values: no other function reads discrete logs
     from twinsieve import characters as ch
 
     tree = ast.parse(Path(ch.__file__).read_text())
@@ -223,7 +205,7 @@ def test_one_function_turns_discrete_logs_into_values():
         if isinstance(node, ast.FunctionDef) and node.name != "_dlog_tables"
         and any(getattr(n, "id", None) == "_dlog_tables" for n in ast.walk(node))
     }
-    assert readers == {"_character_values", "primitive_part"}
+    assert readers == {"_character_values"}
 
 
 def test_primitive_value_rows_are_kept_under_a_byte_cap():
@@ -237,6 +219,21 @@ def test_primitive_value_rows_are_kept_under_a_byte_cap():
         assert cache.nbytes == sum(a.nbytes for a in cache._items.values()) <= cache.cap
     # 60 has 32 primitive characters: 30720 bytes, over the cap and never kept
     assert 60 not in cache._items and 5 in cache._items
+
+
+def test_phase_matrices_are_kept_under_a_byte_cap():
+    from twinsieve import characters as ch
+
+    cache = ch._PHASE_MATRICES
+    assert cache.cap == 32 * 2**20
+    small = ch._phase_matrix(60)
+    assert ch._phase_matrix(60) is small  # kept: built once
+    big = ch._phase_matrix(2048)  # 64 MiB: returned for its call, never kept
+    assert big.shape == (2048, 2048) and not big.flags.writeable
+    assert cache.nbytes == sum(a.nbytes for a in cache._items.values()) <= cache.cap
+    assert 2048 not in cache._items and ch._phase_matrix(60) is small
+    # the largest q whose matrix fits the cap
+    assert 16 * 1448**2 <= cache.cap < 16 * 1449**2
 
 
 def test_gauss_sum_examples():
@@ -516,6 +513,22 @@ def test_factored_grid_equals_literal_grid_at_every_m():
                 factored = F_factored_grid(chi1, chi2, js1, js2)
                 gap = np.max(np.abs(factored - literal))
                 assert gap <= 1e-9 * q * q, (q, chi1, chi2, gap)
+
+
+def test_both_F_routes_refuse_a_j_off_the_radical_alike():
+    from twinsieve.characters import F_bruteforce_grid, F_factored_grid
+
+    chi = character_group(15)[3]
+    routes = (F_bruteforce_all_m, F_factored_all_m, F_bruteforce_grid, F_factored_grid)
+    for route, args in zip(routes, ((7, 1), (7, 1), ((0, 7), (1,)), ((0, 7), (1,)))):
+        with pytest.raises(ValueError) as err:
+            route(chi, chi, *args)
+        assert str(err.value) == "j=7 does not divide rad(q)=15", route
+    for route, args in zip(routes, ((1, 9), (1, 9), ((1,), (3, 9)), ((1,), (3, 9)))):
+        with pytest.raises(ValueError, match="j=9 does not divide rad"):
+            route(chi, chi, *args)
+    with pytest.raises(ValueError, match="j=7 does not divide rad"):
+        modified_gauss_sum(chi, 1, 7)
 
 
 def test_factored_grid_past_the_cap_raises():

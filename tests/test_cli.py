@@ -601,6 +601,9 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     ("--eps", ["sievefn", "--eps", "nan"]),
     # a march at h = 1e-9 would ask numpy for tens of GiB
     ("--h", ["sievefn", "--h", "1e-9"]),
+    # refused when parsed, before the prime table is built
+    ("--kind1", ["convolve", "--N", "100", "--kind1", "foo", "--kind2", "Lambda0"]),
+    ("--kind1", ["convolve", "--N", "100", "--kind1", "sieve_twisted", "--kind2", "Lambda0"]),
 ])
 def test_bad_flag_values_name_the_flag(tmp_path, capsys, flag, argv):
     # argparse converts and checks every flag, so the message names it

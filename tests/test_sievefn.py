@@ -53,6 +53,61 @@ def test_junction_continuity(fns):
     assert fns.junction_error <= 10 * fns.h
 
 
+def _per_step_march(s_max, h):
+    """The delay system marched one node at a time: s F and s f each take one
+    trapezoid step, divided by s at every node."""
+    from twinsieve.sievefn import TWO_E_GAMMA
+
+    lag = round(1 / h)
+    s = 1.0 + np.arange(int(round((s_max - 1.0) * lag)) + 1) / lag
+    F = np.where(s <= 3.0, TWO_E_GAMMA / s, 0.0)
+    f = np.where((s >= 2.0) & (s <= 4.0), TWO_E_GAMMA * np.log(np.maximum(s - 1.0, 1.0)) / s, 0.0)
+    for i in range(2 * lag, len(s) - 1):
+        F[i + 1] = (s[i] * F[i] + 0.5 * h * (f[i - lag] + f[i + 1 - lag])) / s[i + 1]
+        if i >= 3 * lag:
+            f[i + 1] = (s[i] * f[i] + 0.5 * h * (F[i - lag] + F[i + 1 - lag])) / s[i + 1]
+    return s, f, F
+
+
+@pytest.mark.filterwarnings("ignore:step h=")
+def test_block_march_equals_the_per_step_march_to_roundoff():
+    for s_max, h in [(10.0, 1e-3), (7.485, 5e-4), (8.0, 1.0), (6.3, 0.1)]:
+        fns = solve_linear_sieve_functions(s_max, h)
+        s, f, F = _per_step_march(s_max, h)
+        assert np.array_equal(fns.s, s)
+        assert np.max(np.abs(fns.F - F)) <= 1e-13 and np.max(np.abs(fns.f - f)) <= 1e-13
+
+
+def test_junction_and_weighted_lower_equal_a_per_node_evaluation(fns):
+    from twinsieve.sievefn import TWO_E_GAMMA, _weighted_lower
+
+    # the junction's integral summed one trapezoid at a time
+    lag = round(1 / fns.h)
+    acc = 0.0
+    for i in range(lag, 3 * lag):
+        acc += 0.5 * fns.h * (fns.F[i - lag] + fns.F[i + 1 - lag])
+    closed = abs(fns.s[2 * lag] * fns.F[2 * lag] - TWO_E_GAMMA)
+    assert fns.junction_error == max(abs(acc - TWO_E_GAMMA * math.log(3.0)), closed)
+    # the weighted lower part with F read one node at a time
+    def F_node(x):
+        return TWO_E_GAMMA / x if x <= 3.0 else float(np.interp(x, fns.s, fns.F))
+
+    for s, upper, nodes in [(5.0, 10.0 / 3.0, 2001), (7.485, 4.985, 4001)]:
+        grid = np.linspace(1.0, upper, nodes)
+        vals = np.array([F_node(s - t) / t for t in grid])
+        want = fns.f_at(s) - 0.5 * float(np.trapezoid(vals, grid))
+        assert _weighted_lower(fns, s, upper, nodes) == want
+
+
+def test_F_at_takes_an_array(fns):
+    x = np.linspace(1.0, float(fns.s[-1]), 777)
+    assert np.array_equal(fns.F_at(x), [fns.F_at(float(v)) for v in x])
+    assert isinstance(fns.F_at(2.5), float) and isinstance(fns.F_at(7.0), float)
+    for bad in ([0.5, 2.0], [2.0, float(fns.s[-1]) + 1e-9]):
+        with pytest.raises(ValueError):
+            fns.F_at(np.array(bad))
+
+
 def test_monotonicity(fns):
     # 0 <= f <= 1 <= F up to trapezoid discretization error O(h^2)
     assert np.all(np.diff(fns.F) <= 1e-12)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from twinsieve.arith import build_prime_table
+from twinsieve.arith import build_prime_table, factorize, tau_k
 from twinsieve.sieves import (
     LocalDensity,
     SieveWeights,
@@ -14,7 +14,7 @@ from twinsieve.sieves import (
     beta_sieve,
     curly_V,
     fundamental_lemma_envelope,
-    fundlem_pointwise_bound,
+    fundlem_pointwise_check,
     linear_sieve,
     p3_minorant_eval,
     p3_minorant_range,
@@ -267,6 +267,27 @@ def test_sie1_identity_random_draws(table):
         assert sie1_identity_check(P_set, lam, j, e, g), (trial, P_set, j, e)
 
 
+def _fundlem_sides_literal(theta, n, z, beta, D, table):
+    """Both sides of the pointwise envelope at one n, read off its own factors."""
+    s = math.log(D) / math.log(z)
+    fac = [p for p in theta.primes if n % p == 0]
+    indicator = 0.0 if any(p <= z for p in fac) else 1.0
+    lhs = abs(apply_sieve(theta, n) - indicator)
+    tau_sq = tau_k(factorize(n, table), 2) ** 2
+    ratio = (beta - 1.0) / (beta + 1.0)
+    r = max(math.floor((s - beta - 1.0) / 2.0) + 1, 1)
+    r_last = r + 200
+    total = 0.0
+    while r <= r_last:
+        z_r = z ** (ratio**r)
+        if not theta.primes or z_r < min(theta.primes):
+            total += 2.0 ** (-r + 1)
+            break
+        total += 2.0 ** (-r) * (0.0 if any(p <= z_r for p in fac) else 1.0)
+        r += 1
+    return lhs, tau_sq * total
+
+
 def test_fundlem_pointwise(table):
     # (beta, s) sweeps; z chosen so the range is nontrivial
     for beta, s in [(2.0, 5.0), (3.0, 6.0)]:
@@ -275,13 +296,41 @@ def test_fundlem_pointwise(table):
         primes = [int(p) for p in table.primes_upto(z)]
         for sign in ("upper", "lower"):
             theta = beta_sieve(beta, D, primes, sign)
-            for n in range(1, 10**4 + 1):
-                assert fundlem_pointwise_bound(theta, n, z, beta, D, table), (
-                    beta,
-                    s,
-                    sign,
-                    n,
-                )
+            bad = fundlem_pointwise_check(theta, 10**4, z, beta, D)
+            assert bad.size == 0, (beta, s, sign, bad[:5])
     with pytest.raises(ValueError):
         theta = beta_sieve(2.0, 8.0, [3, 5], "upper")
-        fundlem_pointwise_bound(theta, 7, 10.0, 2.0, 8.0, table)
+        fundlem_pointwise_check(theta, 7, 10.0, 2.0, 8.0)
+
+
+def test_fundlem_range_sides_equal_the_per_n_evaluation_bit_for_bit(table):
+    from twinsieve.sieves import _fundlem_sides
+
+    n_max = 3000
+    for beta, s, z in [(2.0, 5.0, 10.0), (3.0, 6.0, 10.0), (2.0, 3.5, 30.0),
+                       (20.0, 25.0, 10.0), (2.5, 8.0, 20.0)]:
+        D = z**s
+        primes = [int(p) for p in table.primes_upto(z)]
+        for sign in ("upper", "lower"):
+            theta = beta_sieve(beta, D, primes, sign)
+            lhs, rhs = _fundlem_sides(theta, n_max, z, beta, D)
+            for n in range(1, n_max + 1):
+                want = _fundlem_sides_literal(theta, n, z, beta, D, table)
+                assert (lhs[n], rhs[n]) == want, (beta, s, z, sign, n)
+    # no range primes: every n is rough and the envelope is the whole tail
+    empty = beta_sieve(2.0, 1e5, [], "upper")
+    lhs, rhs = _fundlem_sides(empty, 50, 10.0, 2.0, 1e5)
+    assert [(lhs[n], rhs[n]) for n in range(1, 51)] == [
+        _fundlem_sides_literal(empty, n, 10.0, 2.0, 1e5, table) for n in range(1, 51)
+    ]
+
+
+def test_fundlem_range_finds_the_violations_the_per_n_evaluation_finds(table):
+    # a weight system far from any beta sieve breaks the envelope
+    theta = SieveWeights({1: 1.0, 2: -10.0, 15: 7.5, 49: 3.0}, level=49.0,
+                         primes=frozenset({2, 3, 5, 7}))
+    z, beta, D = 10.0, 2.0, 10.0**5
+    sides = {n: _fundlem_sides_literal(theta, n, z, beta, D, table) for n in range(1, 2001)}
+    literal = [n for n, (lhs, rhs) in sides.items() if lhs > rhs + 1e-12]
+    assert len(literal) == 171
+    assert fundlem_pointwise_check(theta, 2000, z, beta, D).tolist() == literal
