@@ -63,7 +63,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=512)
 def _generator_orders(p: int, alpha: int) -> tuple[int, ...]:
     """Orders of the generators of (Z/p^alpha)^x: a primitive root for odd p;
     -1 (alpha >= 2) and 5 (alpha >= 3) at 2^alpha."""
@@ -76,7 +75,7 @@ def _generator_orders(p: int, alpha: int) -> tuple[int, ...]:
     return (2, 2 ** (alpha - 2))
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512)  # 16 B x p^alpha each at most: 8 MiB if p^alpha <= 1024
 def _dlog_tables(p: int, alpha: int) -> tuple[np.ndarray, ...]:
     """One read-only table per generator of (Z/p^alpha)^x: dl[x] is x's exponent
     on that generator (x = prod g_i^dl_i[x] mod p^alpha), -1 off the units."""
@@ -114,7 +113,6 @@ class _Part:
         return _Part(self.p, self.alpha, tuple(e % o for e, o in zip(exponents, self.orders)))
 
 
-@lru_cache(maxsize=1024)
 def _part_specs(q: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(p, alpha, generator orders) per prime power of q: odd primes increasing, then 2."""
     return tuple(
@@ -198,7 +196,7 @@ class DirichletCharacter:
             ),
         )
 
-    @lru_cache(maxsize=2048)
+    @lru_cache(maxsize=2048)  # 1.6 kB each, with the character in its key: 3.2 MiB
     def component(self, modulus: int) -> "DirichletCharacter":
         """The character mod ``modulus`` in the factorization over prime powers.
 
@@ -219,12 +217,12 @@ def _character(q: int, exponents) -> DirichletCharacter:
     )
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024)  # 1.2 kB each: 1.2 MiB
 def principal_character(q: int) -> DirichletCharacter:
     return _character(q, lambda p, orders: (0,) * len(orders))
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024)  # 1.2 kB each: 1.2 MiB
 def quadratic_character(q: int) -> DirichletCharacter:
     """Real character mod q: Legendre component at each odd prime, principal at 2."""
     return _character(
@@ -232,7 +230,7 @@ def quadratic_character(q: int) -> DirichletCharacter:
     )
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64)  # phi(q) x 0.5 kB each: 8.8 MiB if q <= 300
 def character_group(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) characters mod q, their exponents in lexicographic order."""
     if not 1 <= q <= GROUP_BUDGET:
@@ -244,7 +242,7 @@ def character_group(q: int) -> tuple[DirichletCharacter, ...]:
     return tuple(DirichletCharacter(q, parts) for parts in itertools.product(*choices))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64)  # 9 B x q each (bool mask, int64 units): 0.8 MiB if q <= 1500
 def _unit_residues(q: int) -> tuple[np.ndarray, np.ndarray]:
     """(mask, units): the residues r mod q coprime to q, as a read-only mask and array."""
     r = np.arange(q)
@@ -278,17 +276,22 @@ def _value_rows(q: int, chars) -> np.ndarray:
     return _read_only(out)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096)  # 16 B x q each: 18.75 MiB if q <= 300
 def _value_table(chi: DirichletCharacter) -> np.ndarray:
     """chi(r) for every residue r mod q (0 on non-units), read-only: the
     one-row case of ``_value_rows``."""
     return _value_rows(chi.q, (chi,))[0]
 
 
-@lru_cache(maxsize=128)
 def primitive_characters(f: int) -> tuple[DirichletCharacter, ...]:
     """All primitive characters of conductor exactly f."""
     return tuple(chi for chi in character_group(f) if chi.conductor == f)
+
+
+def _primitive_count(f: int) -> int:
+    """len(primitive_characters(f)) without building a character: the product
+    over p^a || f of phi(p^a) - phi(p^(a-1)), the primitive ones mod p^a."""
+    return math.prod(p - 2 if a == 1 else p ** (a - 2) * (p - 1) ** 2 for p, a in _factor_pp(f))
 
 
 class _BytesLRU:
@@ -331,24 +334,18 @@ def _primitive_value_rows(f: int) -> np.ndarray:
 # Gauss sums
 
 
-#: the phase matrices by q: 32 MiB keeps one of any q <= 1448 (16 q^2 bytes);
-#: a larger one, up to q = F_BRUTE_CAP, is built for its call and let go
-_PHASE_MATRICES = _BytesLRU(32 * 2**20)
-
-
 def _phase_matrix(q: int) -> np.ndarray:
-    """e_q(a*b) as a read-only q x q matrix (used by the brute-force oracles),
-    kept in ``_PHASE_MATRICES``.
+    """e_q(a*b) as a q x q matrix (used by the brute-force oracles), built
+    afresh on each call: 16 q^2 bytes, 256 MiB at q = F_BRUTE_CAP.
 
     Each entry is the q-th root of unity at a*b mod q: q complex
-    exponentials instead of q^2, and the argument is reduced exactly.
+    exponentials instead of q^2, and the argument is reduced exactly, in
+    place and in int32 while q^2 < 2^31 (half the bytes of int64).
     """
-
-    def build(q: int) -> np.ndarray:
-        a = np.arange(q)
-        return _read_only(np.exp(2j * np.pi * a / q)[np.outer(a, a) % q])
-
-    return _PHASE_MATRICES.get(q, build)
+    a = np.arange(q, dtype=np.int32 if q * q < 2**31 else np.int64)
+    index = np.multiply.outer(a, a)
+    np.remainder(index, q, out=index)
+    return np.exp(2j * np.pi * a / q)[index]  # np.take would copy index to int64
 
 
 def gauss_sum(chi: DirichletCharacter, a: int) -> complex:
@@ -414,7 +411,7 @@ def gauss_sum_formula_all(chi: DirichletCharacter) -> np.ndarray:
     return _gauss_formula_rows((chi,))[0]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64)  # q bytes each: 19 kB if q <= 300
 def _restriction_mask(q: int, j: int) -> np.ndarray:
     """Residues b mod q with (b+2, rad q) = (j, rad q), as a read-only mask."""
     rad = _radical(q)
@@ -441,17 +438,16 @@ def modified_gauss_sum(chi: DirichletCharacter, a: int, j: int) -> complex:
     return complex(np.sum(vals * np.exp(2j * np.pi * (a % q) * b / q)))
 
 
-@lru_cache(maxsize=128)
-def _restricted_c_rows(chi: DirichletCharacter, js: tuple[int, ...]) -> np.ndarray:
+def _restricted_c_rows(chi: DirichletCharacter, js, E: np.ndarray) -> np.ndarray:
     """c_chi(a, j) for all a mod q by direct summation, one row per j of ``js``
-    (j=0 means unrestricted), as a read-only (len(js), q) array.
+    (j=0 means unrestricted), as a (len(js), q) array; E is the phase matrix of q.
 
-    The rows go through the phase matrix as a stack of matrix-vector
-    products, so each row has the bits of its j summed alone."""
+    The rows go through E as a stack of matrix-vector products, so each
+    row has the bits of its j summed alone."""
     q = chi.q
     keep = [np.ones(q, dtype=bool) if j == 0 else _restriction_mask(q, j) for j in js]
     rows = np.where(keep, _value_table(chi), 0)
-    return _read_only((_phase_matrix(q) @ rows[..., None])[..., 0])
+    return (E @ rows[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +486,14 @@ def F_bruteforce_grid(chi1: DirichletCharacter, chi2: DirichletCharacter, js1, j
     _check_pair(chi1, chi2)
     q = chi1.q
     _check_restrictions(q, (*js1, *js2))
-    prod = _restricted_c_rows(chi1, tuple(js1))[:, None] * _restricted_c_rows(chi2, tuple(js2))
+    E = _phase_matrix(q)  # one per call, for both stacks of c rows and the sum over a
+    prod = _restricted_c_rows(chi1, js1, E)[:, None] * _restricted_c_rows(chi2, js2, E)
     prod[..., ~_unit_residues(q)[0]] = 0
-    # sum of e_q(-am) prod(a) as conj(E @ conj(prod)): the same floats with one E per q
-    return np.conj(_phase_matrix(q) @ np.conj(prod)[..., None])[..., 0]
+    # sum of e_q(-am) prod(a) as conj(E @ conj(prod)): the same floats as with conj(E)
+    return np.conj(E @ np.conj(prod)[..., None])[..., 0]
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024)  # 144 B x p each, a (3, 3, p) complex table: 28 MiB if p <= 200
 def _F_local_odd_prime(chi1: DirichletCharacter, chi2: DirichletCharacter) -> np.ndarray:
     """F at an odd prime modulus p via Gauss-sum reductions, for each
     restriction state of j1 and of j2 (j = 0, gcd 1, gcd p, in that order)

@@ -119,9 +119,11 @@ def _parse_k(text: str) -> float:
     if text in ("inf", "infinity", "none"):
         return math.inf
     try:
-        return int(text)
+        if int(text) >= 1:
+            return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'inf', got {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1 or 'inf', got {text!r}")
 
 
 def _int_at_least(low: int):
@@ -166,19 +168,30 @@ def _exponent(text: str) -> float:
 
 
 def _comma_separated(what: str, *types):
-    """type= converter for 'x,y,...': one field per type, or any number of ints."""
+    """type= converter for 'x,y,...': one field per type, or any number of
+    integers >= 1."""
 
     def convert(text: str) -> list:
         parts = text.split(",")
-        kinds = types or (int,) * len(parts)
+        kinds = types or (_positive_int,) * len(parts)
         if len(parts) == len(kinds):
             try:
                 return [kind(part) for kind, part in zip(kinds, parts)]
-            except ValueError:
+            except (ValueError, argparse.ArgumentTypeError):
                 pass
         raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
 
     return convert
+
+
+def _hypothesis(text: str) -> list:
+    """type= converter for --hyp: 'r,beta' that ExceptionalZeroHypothesis accepts."""
+    r, beta = _comma_separated("r,beta (an integer and a number)", int, float)(text)
+    try:
+        ExceptionalZeroHypothesis.build(r, beta)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
+    return [r, beta]
 
 
 def _config_path(argv: list[str]) -> str | None:
@@ -207,7 +220,7 @@ def _config_flags(path: str) -> list[str]:
 
 def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory for artifacts")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
+    sub.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for randomized sweeps")
     sub.add_argument("--threads", type=_positive_int, default=1,
                      help="worker count (accepted for config stability; engines are deterministic)")
     sub.add_argument("--config", default=None,
@@ -275,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--cutoff", type=_int_at_least(100), default=100_000)
-    p.add_argument("--hyp", type=_comma_separated("r,beta (an integer and a number)", int, float),
-                   default=None, help="r,beta synthetic exceptional zero")
+    p.add_argument("--hyp", type=_hypothesis, default=None,
+                   help="r,beta synthetic exceptional zero")
     p.add_argument("--N", type=_positive_int, default=10_000)
     p.add_argument("--P", type=_positive_int, default=100)
     _add_common(p)
@@ -317,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--N", type=_positive_int, required=True)
     p.add_argument("--Q", type=_positive_int, required=True)
-    p.add_argument("--P-list", type=_comma_separated("comma-separated integers"),
+    p.add_argument("--P-list", type=_comma_separated("comma-separated integers >= 1"),
                    default="1,10,100", dest="P_list")
     p.add_argument("--weight", choices=["Lambda", "mu"], default="mu")
     _add_common(p)
@@ -439,7 +452,8 @@ def _cmd_bv(args, out_dir: Path, t0: float) -> int:
         raise ValueError(f"argument --Q: expected an integer <= --N ({args.N}), got {args.Q}")
     # Lambda reads the primes <= N; mu only those <= isqrt(N)
     limit = max(args.N if args.weight == "Lambda" else math.isqrt(args.N) + 1, 1000)
-    table = _prime_table(args, limit, bv_peak_bytes(args.N, args.Q, args.weight, limit))
+    plan = bv_peak_bytes(args.N, args.Q, max(args.P_list), args.weight, limit)
+    table = _prime_table(args, limit, plan)
     profile = bv_profile(args.N, args.Q, args.P_list, args.weight, table)
     rows = profile.rows
     _write_csv(

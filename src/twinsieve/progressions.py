@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import PrimeTable, _divisors, _factor_pp, _table_bytes
-from .characters import (
-    _PRIMITIVE_ROWS, _primitive_value_rows, _unit_residues, primitive_characters,
-)
+from .characters import _PRIMITIVE_ROWS, _primitive_count, _primitive_value_rows, _unit_residues
 
 __all__ = [
     "BVProfile",
@@ -213,7 +211,7 @@ def _discrepancies(R: np.ndarray, q: int, P_list) -> tuple[np.ndarray, int]:
     coprime, _ = _unit_residues(q)
     phi = int(np.count_nonzero(coprime))
     conductors = [f for f in sorted(_divisors(_factor_pp(q))) if f <= P_list[-1]]
-    counts = [len(primitive_characters(f)) for f in conductors]
+    counts = [_primitive_count(f) for f in conductors]
     buf = np.empty((1 + sum(counts), q), dtype=complex)
     buf[0] = 0
     i = 1
@@ -316,20 +314,38 @@ def bv_profile(
     return BVProfile(rows, trace)
 
 
-def bv_peak_bytes(N: int, Q: int, weight: str, table_limit: int) -> int:
-    """The planned peak memory of ``bv_profile`` at N and Q, in bytes, before
-    anything is built: the prime table to ``table_limit`` (``_table_bytes``);
-    the weight arrays on 0..N at their widths per entry, which for mu are
-    1 B for mu itself, 4 B for the int32 prime product, 4 B for the int32
-    arange it is compared with and 1 B for the sign flip, and for Lambda
-    8 B; the largest residue-sum buffer, the largest modulus summed
-    directly over w at 8 B per entry; and the stacked character rows, at
-    most the byte cap of their cache."""
+def bv_peak_bytes(N: int, Q: int, P: int, weight: str, table_limit: int) -> int:
+    """The planned peak memory of ``bv_profile`` at N, Q and largest P, in
+    bytes, from those numbers alone, before anything is built:
+
+    - the prime table to ``table_limit`` (``_table_bytes``);
+    - the weight arrays on 0..N at their widths per entry, which for mu are
+      1 B for mu itself, 4 B for the int32 prime product, 4 B for the int32
+      arange it is compared with and 1 B for the sign flip, and for Lambda
+      8 B;
+    - the largest residue-sum buffer, the largest modulus summed directly
+      over w at 8 B per entry;
+    - what the characters caches keep for conductors f <= F = min(Q, P)
+      and moduli q <= Q, at their worst: the primitive rows, at most their
+      byte cap; 64 groups of at most F characters, under 512 B each;
+      discrete-log tables of at most 512 prime powers <= F, 16 B per
+      residue; unit masks and residues of 64 moduli, 9 B per residue;
+    - ``_discrepancies``' stacked buffer at q <= Q, 16 B per residue for the
+      zero row and each character of conductor <= P; there are at most
+      phi(q) < Q of them, and at most sum_{f <= P} phi(f) <= P(P+1)/2;
+    - the primitive rows of one conductor f <= F as they are built, under
+      f rows of f residues at 56 B each: the 16 B complex row and the
+      evaluator's float phases (8 B) and complex temporaries (2 x 16 B).
+    """
     per_entry = {"mu": 1 + 4 + 4 + 1, "Lambda": 8}[weight]
     passes = _residue_sum_passes(N + 1, Q, weight == "mu")
     largest = max((math.prod(moduli) for moduli in passes), default=0)
+    F = min(Q, P)
+    caches = _PRIMITIVE_ROWS.cap + 64 * 512 * F + 16 * F * min(F, 512) + 64 * 9 * Q
+    stacked = 16 * Q * (1 + min(Q, P * (P + 1) // 2))
+    built = 56 * F**2
     return (_table_bytes(table_limit) + per_entry * (N + 1) + 8 * largest
-            + _PRIMITIVE_ROWS.cap)
+            + caches + stacked + built)
 
 
 def profile_totals(rows) -> dict:

@@ -173,6 +173,11 @@ def test_primitive_characters_count():
             if q % f == 0:
                 total += len(primitive_characters(f))
         assert total == len(character_group(q))
+    # the closed form the bv kernel sizes its rows by, with no character built
+    from twinsieve.characters import _primitive_count
+
+    for f in range(1, 301):
+        assert _primitive_count(f) == len(primitive_characters(f)), f
 
 
 def test_primitive_value_rows_stack_the_value_tables_bit_for_bit():
@@ -221,19 +226,17 @@ def test_primitive_value_rows_are_kept_under_a_byte_cap():
     assert 60 not in cache._items and 5 in cache._items
 
 
-def test_phase_matrices_are_kept_under_a_byte_cap():
+def test_phase_matrices_are_built_afresh_and_kept_nowhere():
     from twinsieve import characters as ch
 
-    cache = ch._PHASE_MATRICES
-    assert cache.cap == 32 * 2**20
-    small = ch._phase_matrix(60)
-    assert ch._phase_matrix(60) is small  # kept: built once
-    big = ch._phase_matrix(2048)  # 64 MiB: returned for its call, never kept
-    assert big.shape == (2048, 2048) and not big.flags.writeable
-    assert cache.nbytes == sum(a.nbytes for a in cache._items.values()) <= cache.cap
-    assert 2048 not in cache._items and ch._phase_matrix(60) is small
-    # the largest q whose matrix fits the cap
-    assert 16 * 1448**2 <= cache.cap < 16 * 1449**2
+    for q in (1, 7, 60):
+        first, second = ch._phase_matrix(q), ch._phase_matrix(q)
+        assert first is not second and np.array_equal(first, second)
+        a = np.arange(q)
+        assert np.array_equal(first, np.exp(2j * np.pi * a / q)[np.outer(a, a) % q])
+    # the one byte-capped store holds primitive rows; no cache wraps the builder
+    assert not hasattr(ch, "_PHASE_MATRICES") and not hasattr(ch._phase_matrix, "cache_info")
+    assert [v for v in vars(ch).values() if isinstance(v, ch._BytesLRU)] == [ch._PRIMITIVE_ROWS]
 
 
 def test_gauss_sum_examples():
@@ -298,7 +301,7 @@ def test_closed_form_gauss_sums_call_no_direct_summation():
                 reached(n.id, seen)
         return seen
 
-    direct = {"_phase_matrix", "_restricted_c_all", "modified_gauss_sum", "gauss_sum"}
+    direct = {"_phase_matrix", "_restricted_c_rows", "modified_gauss_sum", "gauss_sum"}
     for name in ("_local_gauss_formulas", "_gauss_formula_rows", "_F_local_odd_prime"):
         assert not reached(name, set()) & direct, name
 
@@ -412,7 +415,7 @@ def test_F_factored_past_the_cap_raises_for_every_m():
 def test_literal_F_matches_its_definition():
     # c(a, j) and F(m) summed term by term with cmath.exp, against the
     # phase-matrix routes, for every pair of characters mod q <= 12
-    from twinsieve.characters import _restricted_c_rows
+    from twinsieve.characters import _phase_matrix, _restricted_c_rows
 
     for q in range(1, 13):
         chars = character_group(q)
@@ -424,7 +427,7 @@ def test_literal_F_matches_its_definition():
 
         c = {}
         for chi in chars:
-            for j, row in zip(js, _restricted_c_rows(chi, tuple(js))):
+            for j, row in zip(js, _restricted_c_rows(chi, js, _phase_matrix(q))):
                 kept = [
                     b for b in range(q)
                     if j == 0 or math.gcd(b + 2, rad) == math.gcd(j, rad)
@@ -746,13 +749,11 @@ def test_cached_arrays_are_read_only():
     chi = character_group(7)[1]
     arrays = [
         ch._value_table(chi),
-        ch._phase_matrix(7),
         *ch._dlog_tables(7, 2),
         *ch._dlog_tables(2, 4),
         ch._unit_residues(12)[0],
         ch._unit_residues(12)[1],
         ch._restriction_mask(15, 3),
-        ch._restricted_c_rows(chi, (0, 1, 7)),
         ch._F_local_odd_prime(chi, chi),
         ch._primitive_value_rows(13),
         ch._value_rows(12, character_group(12)),
@@ -772,6 +773,14 @@ def test_caches_are_bounded():
         if hasattr(f, "cache_info") and f.__module__ == mod.__name__
     ]
     funcs.append(ch.DirichletCharacter.component)
-    assert len(funcs) > 10
+    # the caches kept because removing them cost time (each with its bytes
+    # written beside it); a new one, or one dropped, changes this set
+    assert {f.__name__ for f in funcs} == {
+        "_factor_pp", "_primitive_root", "_hb_coefficients", "_twiddles",
+        "_dlog_tables", "component", "principal_character", "quadratic_character",
+        "character_group", "_unit_residues", "_value_table", "_restriction_mask",
+        "_F_local_odd_prime",
+    }
+    assert len(funcs) == 13
     for f in funcs:
         assert f.cache_info().maxsize is not None, f.__name__

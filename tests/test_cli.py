@@ -360,7 +360,7 @@ def test_table_plans_are_checked_against_the_budget(tmp_path, monkeypatch, capsy
     # line and no file; the plan itself runs
     plan = 4 * (limit + 1)
     if argv[0] == "bv":
-        plan = bv_peak_bytes(2000, 12, "Lambda" if "Lambda" in argv else "mu", limit)
+        plan = bv_peak_bytes(2000, 12, 100, "Lambda" if "Lambda" in argv else "mu", limit)
     out = tmp_path / "out"
     monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(plan - 1))
     assert run_cli(argv + ["--out", str(out)]) == 2
@@ -376,7 +376,7 @@ def test_bv_memory_plan_counts_its_weight_arrays(tmp_path, monkeypatch, capsys):
     # N = 10^5, mu: the table to 1000 fits 100 kB, mu's sieve arrays at 10 B
     # per entry do not; bv stops before building anything
     budget = 10**5
-    plan = bv_peak_bytes(10**5, 50, "mu", 1000)
+    plan = bv_peak_bytes(10**5, 50, 100, "mu", 1000)
     assert 4 * 1001 < budget < 10 * (10**5 + 1) < plan
     monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(budget))
     argv = ["bv", "--N", str(10**5), "--Q", "50", "--out", str(tmp_path)]
@@ -386,6 +386,21 @@ def test_bv_memory_plan_counts_its_weight_arrays(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())  # no report, no CSV
     monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(plan))
     assert run_cli(argv) == 0
+
+
+def test_bv_memory_plan_counts_the_character_rows(tmp_path, monkeypatch, capsys):
+    # Q = P = 1500: the stacked buffer of every character mod q <= 1500 and the
+    # rows of one conductor near 1500 as they are built peak some 185 MiB
+    # above the import; a plan of the table, the weights and the row cache
+    # alone said 9 MiB
+    plan = bv_peak_bytes(10**5, 1500, 1500, "mu", 1000)
+    assert plan > 16 * 1500 * 1501 + 56 * 1500**2
+    monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(plan - 1))
+    argv = ["bv", "--N", str(10**5), "--Q", "1500", "--P-list", "1500", "--weight", "mu"]
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"error: bv plans a peak of {plan} bytes, "
+                                       f"over the memory budget of {plan - 1} bytes\n")
+    assert not list(tmp_path.iterdir())  # refused before anything is built
 
 
 def test_only_the_commands_build_prime_tables():
@@ -609,6 +624,71 @@ def test_bad_flag_values_name_the_flag(tmp_path, capsys, flag, argv):
     # argparse converts and checks every flag, so the message names it
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
+
+
+# every numeric and choice flag of every subcommand: the small run it is
+# appended to (the last occurrence of a flag wins), then one value inside its
+# domain and one outside
+_BASE_ARGV = {
+    "scan": ["scan", "--N", "500", "--k1", "2", "--k2", "3"],
+    "convolve": ["convolve", "--N", "100", "--kind1", "Lambda0", "--kind2", "Lambda0"],
+    "sseries": ["sseries", "--m", "4", "--cutoff", "1000"],
+    "verify": ["verify", "--suite", "scan", "--fast"],
+    "sievefn": ["sievefn", "--smax", "5", "--h", "0.01"],
+    "bv": ["bv", "--N", "500", "--Q", "5"],
+}
+_FLAG_DOMAINS = [
+    ("scan", "--N", "400", "3"),
+    ("scan", "--k1", "inf", "0"),
+    ("scan", "--k2", "2", "-1"),
+    ("scan", "--rough", "0,0.1", "0.1,inf"),
+    ("scan", "--cutoff", "100", "99"),
+    ("scan", "--samples", "1", "0"),
+    ("convolve", "--N", "50", "0"),
+    ("convolve", "--kind1", "Lambda_E3star", "foo"),
+    ("convolve", "--kind2", "Lambda_k", "sieve_twisted"),
+    ("convolve", "--k", "1", "0"),
+    ("convolve", "--limit", "1", "-3"),
+    ("sseries", "--m", "1", "0"),
+    ("sseries", "--cutoff", "100", "99"),
+    ("sseries", "--hyp", "24,1", "16,0.5"),
+    ("sseries", "--N", "1", "0"),
+    ("sseries", "--P", "1", "0"),
+    ("verify", "--suite", "singular", "bogus"),
+    ("sievefn", "--smax", "20", "4.99"),
+    ("sievefn", "--h", "1", "1e-6"),
+    ("sievefn", "--eps", "0.009", "0.01"),
+    ("bv", "--N", "5", "0"),
+    ("bv", "--Q", "500", "501"),
+    ("bv", "--P-list", "1,500", "1,0"),
+    ("bv", "--weight", "Lambda", "foo"),
+    *((command, flag, good, bad) for command in _BASE_ARGV
+      for flag, good, bad in [("--seed", "7", "-7"), ("--threads", "2", "0")]),
+]
+
+
+def test_the_flag_domain_table_lists_every_numeric_and_choice_flag():
+    from twinsieve.cli import build_parser
+
+    (subparsers,) = build_parser()._subparsers._group_actions
+    want = {
+        (command, action.option_strings[-1])
+        for command, sub in subparsers.choices.items() for action in sub._actions
+        if action.type is not None or action.choices is not None
+    }
+    assert {(command, flag) for command, flag, _, _ in _FLAG_DOMAINS} == want
+
+
+@pytest.mark.parametrize("command,flag,good,bad", _FLAG_DOMAINS)
+def test_every_flag_takes_its_domain_and_refuses_outside_it(tmp_path, capsys, command, flag,
+                                                            good, bad):
+    out = tmp_path / "bad"
+    assert run_cli(_BASE_ARGV[command] + [flag, bad, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1, err
+    assert not out.exists() or not list(out.iterdir())  # no report, no CSV
+    assert run_cli(_BASE_ARGV[command] + [flag, good, "--out", str(tmp_path / "good")]) == 0
+    assert (tmp_path / "good" / f"{command}.json").exists()
 
 
 def test_a_leading_minus_reaches_the_flag_converter_in_both_spellings(tmp_path, capsys):
