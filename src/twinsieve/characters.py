@@ -263,8 +263,9 @@ def _character_values(q: int, chars, r) -> np.ndarray:
     for j, (p, alpha, orders) in enumerate(_part_specs(q)):
         for g, (o, dl) in enumerate(zip(orders, _dlog_tables(p, alpha))):
             e = np.array([chi.parts[j].exponents[g] for chi in chars], dtype=np.int64)
-            frac = frac + e.reshape(-1, *[1] * np.ndim(r)) * dl[r % p**alpha] / o
-    return np.exp(2j * np.pi * frac)
+            frac += e.reshape(-1, *[1] * np.ndim(r)) * dl[r % p**alpha] / o
+    out = np.multiply(frac, 2j * np.pi)
+    return np.exp(out, out=out)
 
 
 def _value_rows(q: int, chars) -> np.ndarray:
@@ -334,18 +335,11 @@ def _primitive_value_rows(f: int) -> np.ndarray:
 # Gauss sums
 
 
-def _phase_matrix(q: int) -> np.ndarray:
-    """e_q(a*b) as a q x q matrix (used by the brute-force oracles), built
-    afresh on each call: 16 q^2 bytes, 256 MiB at q = F_BRUTE_CAP.
-
-    Each entry is the q-th root of unity at a*b mod q: q complex
-    exponentials instead of q^2, and the argument is reduced exactly, in
-    place and in int32 while q^2 < 2^31 (half the bytes of int64).
-    """
-    a = np.arange(q, dtype=np.int32 if q * q < 2**31 else np.int64)
-    index = np.multiply.outer(a, a)
-    np.remainder(index, q, out=index)
-    return np.exp(2j * np.pi * a / q)[index]  # np.take would copy index to int64
+def _phase_sums(x: np.ndarray) -> np.ndarray:
+    """sum over b mod q of x[..., b] e_q(ab), for every a mod q (q = the last
+    axis's length): the one direct sum of this module, a length-q DFT of
+    each row.  A row of a stack has the bits of that row transformed alone."""
+    return np.fft.ifft(x, axis=-1, norm="forward")
 
 
 def gauss_sum(chi: DirichletCharacter, a: int) -> complex:
@@ -427,27 +421,19 @@ def _check_restrictions(q: int, js) -> None:
 
 
 def modified_gauss_sum(chi: DirichletCharacter, a: int, j: int) -> complex:
-    """Gauss sum over units b with (b+2, rad q) = (j, rad q); j=0 lifts the restriction."""
-    q = chi.q
-    _check_restrictions(q, (j,))
-    vals = _value_table(chi)
-    b = np.arange(q)
-    if j != 0:
-        keep = _restriction_mask(q, j)
-        vals, b = vals[keep], b[keep]
-    return complex(np.sum(vals * np.exp(2j * np.pi * (a % q) * b / q)))
+    """Gauss sum over units b with (b+2, rad q) = (j, rad q); j=0 lifts the
+    restriction: entry a mod q of its row of _restricted_c_rows."""
+    _check_restrictions(chi.q, (j,))
+    return complex(_restricted_c_rows(chi, (j,))[0, a % chi.q])
 
 
-def _restricted_c_rows(chi: DirichletCharacter, js, E: np.ndarray) -> np.ndarray:
+def _restricted_c_rows(chi: DirichletCharacter, js) -> np.ndarray:
     """c_chi(a, j) for all a mod q by direct summation, one row per j of ``js``
-    (j=0 means unrestricted), as a (len(js), q) array; E is the phase matrix of q.
-
-    The rows go through E as a stack of matrix-vector products, so each
-    row has the bits of its j summed alone."""
+    (j=0 means unrestricted), as a (len(js), q) array; each row has the bits
+    of its j summed alone."""
     q = chi.q
     keep = [np.ones(q, dtype=bool) if j == 0 else _restriction_mask(q, j) for j in js]
-    rows = np.where(keep, _value_table(chi), 0)
-    return (E @ rows[..., None])[..., 0]
+    return _phase_sums(np.where(keep, _value_table(chi), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +467,15 @@ def F_bruteforce_grid(chi1: DirichletCharacter, chi2: DirichletCharacter, js1, j
     """F(chi1, chi2, j1, j2, m) for every j1 of ``js1``, j2 of ``js2`` and m mod q
     by literal summation over units a: the oracle route, shape (len js1, len js2, q).
 
-    Every (j1, j2) cell is its own matrix-vector product with the phase
-    matrix, so it has the bits of that cell summed alone."""
+    Every (j1, j2) cell is its own transform, so it has the bits of that
+    cell summed alone."""
     _check_pair(chi1, chi2)
     q = chi1.q
     _check_restrictions(q, (*js1, *js2))
-    E = _phase_matrix(q)  # one per call, for both stacks of c rows and the sum over a
-    prod = _restricted_c_rows(chi1, js1, E)[:, None] * _restricted_c_rows(chi2, js2, E)
+    prod = _restricted_c_rows(chi1, js1)[:, None] * _restricted_c_rows(chi2, js2)
     prod[..., ~_unit_residues(q)[0]] = 0
-    # sum of e_q(-am) prod(a) as conj(E @ conj(prod)): the same floats as with conj(E)
-    return np.conj(E @ np.conj(prod)[..., None])[..., 0]
+    # the sum of e_q(-am) prod(a) is the conjugate of the e_q(am) sum of conj(prod)
+    return np.conj(_phase_sums(np.conj(prod)))
 
 
 @lru_cache(maxsize=1024)  # 144 B x p each, a (3, 3, p) complex table: 28 MiB if p <= 200

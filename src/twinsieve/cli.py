@@ -33,7 +33,8 @@ from .convolve import build_sequence, convolve, exceptional_scan, scan_peak_byte
 from .progressions import bv_peak_bytes, bv_profile, profile_totals
 from .sieves import linear_sieve
 from .sievefn import (
-    chen_constants, chen_margin, margin_grid_end, p3_margin, solve_linear_sieve_functions,
+    chen_constants, chen_margin, margin_grid_end, p3_margin, sievefn_peak_bytes,
+    solve_linear_sieve_functions,
 )
 from .singular import main_term_M, partial_singular_series, singular_series
 from .verify import SUITES, run_suite
@@ -47,17 +48,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _prime_table(args: argparse.Namespace, limit: int, plan: int | None = None) -> PrimeTable:
-    """The command's prime table to ``limit``, built only after the run's
-    planned peak in bytes (by default the table's own 4 B per entry) is
-    checked against TWINSIEVE_MEMORY_BUDGET, in bytes; unset, the budget is
-    the size of the largest table."""
-    plan = 4 * (limit + 1) if plan is None else plan
+def _check_budget(args: argparse.Namespace, plan: int) -> None:
+    """Refuse the run if its planned peak in bytes exceeds
+    TWINSIEVE_MEMORY_BUDGET, in bytes; unset, the budget is the size of the
+    largest prime table."""
     raw = os.environ.get("TWINSIEVE_MEMORY_BUDGET")
     budget = 4 * TABLE_LIMIT_MAX if raw is None else int(raw)
     if plan > budget:
         raise ConfigurationError(f"{args.command} plans a peak of {plan} bytes, "
                                  f"over the memory budget of {budget} bytes")
+
+
+def _prime_table(args: argparse.Namespace, limit: int, plan: int | None = None) -> PrimeTable:
+    """The command's prime table to ``limit``, built only after the run's
+    planned peak (by default the table's own 4 B per entry) passes
+    _check_budget."""
+    _check_budget(args, 4 * (limit + 1) if plan is None else plan)
     return build_prime_table(limit)
 
 
@@ -429,7 +435,9 @@ def _cmd_sievefn(args, out_dir: Path, t0: float) -> int:
     # chen_margin reads f and F up to s = (1/2 - eps) 15, past a --smax below
     # 7.5: the march runs on to that node, and its values up to --smax do not
     # depend on where it stops.  Nothing is written until every result is in.
-    fns = solve_linear_sieve_functions(max(args.smax, margin_grid_end(args.eps, args.h)), args.h)
+    s_max = max(args.smax, margin_grid_end(args.eps, args.h))
+    _check_budget(args, sievefn_peak_bytes(s_max, args.h))
+    fns = solve_linear_sieve_functions(s_max, args.h)
     consts = chen_constants(args.eps)
     results = {
         "junction_error": float(fns.junction_error),
@@ -440,9 +448,10 @@ def _cmd_sievefn(args, out_dir: Path, t0: float) -> int:
         "quad_error": consts.quad_error,
         "chen_margins": chen_margin(fns, consts, args.eps),
     }
-    shown = fns.s <= args.smax + fns.h / 2  # the nodes a march to --smax makes
+    # the nodes a march to --smax makes: s increases, so they are a prefix
+    shown = int(fns.s.searchsorted(args.smax + fns.h / 2, side="right"))
     _write_csv(out_dir / "sievefn.csv", ["s", "f", "F"],
-               zip(fns.s[shown], fns.f[shown], fns.F[shown]))
+               zip(fns.s[:shown], fns.f[:shown], fns.F[:shown]))
     _write_report(out_dir, args, results, t0)
     return 0
 

@@ -28,7 +28,7 @@ from .characters import (
     _distinct,
     _festi_bound,
     _gauss_formula_rows,
-    _phase_matrix,
+    _phase_sums,
     _restriction_mask,
     _unit_residues,
     _value_rows,
@@ -180,7 +180,7 @@ def _gauss_formula_sweep(q_max: int = 300) -> dict:
     arg = None
     for q in range(1, q_max + 1):
         chars = character_group(q)
-        direct = _value_rows(q, chars) @ _phase_matrix(q)  # E is symmetric
+        direct = _phase_sums(_value_rows(q, chars))
         formula = _gauss_formula_rows(chars)
         devs = np.max(np.abs(formula - direct), axis=1)
         over = np.flatnonzero(devs > 1e-8 * q)
@@ -203,25 +203,21 @@ def _festi_sweep(pp_max: int = 125) -> dict:
         q = p**alpha
         chars = character_group(q)
         coprime = _unit_residues(q)[0]
-        E = _phase_matrix(q)
         index = {chi: k for k, chi in enumerate(chars)}
         conj = [index[chi.conjugate()] for chi in chars]
         conj_pair = np.eye(len(chars), dtype=bool)[conj]  # chi1 == conj(chi2)
-        # (phi, q) stacks of restricted sums c(a, j), one product per j with
-        # the value tables; |F| for every pair is one more product,
-        # |X @ conj(E)| = |conj(X) @ E| with the one phase matrix E
+        # conj c(a, j) for every character, one (phi, q) stack per j: |F| is
+        # |sum_a e_q(-am) c1(a) c2(a)|, the modulus of the e_q(am) sum of the
+        # conjugate product
         V = _value_rows(q, chars)
-        C = {j: np.where(_restriction_mask(q, j), V, 0) @ E for j in (1, p)}
-        for j1 in (1, p):
-            C1 = np.where(coprime, C[j1], 0)
-            for j2 in (1, p):
-                F_abs = np.abs(np.conj(C1[:, None] * C[j2][None]) @ E)
-                bound = np.where(
-                    conj_pair[:, :, None],
-                    _festi_bound(p, alpha, j1, j2, True),
-                    _festi_bound(p, alpha, j1, j2, False),
-                )
-                bad += int(np.any(F_abs > bound + 1e-6, axis=2).sum())
+        C = {j: np.conj(_phase_sums(np.where(_restriction_mask(q, j), V, 0))) for j in (1, p)}
+        # F and the bound are symmetric under (chi1, j1) <-> (chi2, j2): over
+        # all pairs, the (p, 1) cell counts what the (1, p) cell does
+        for j1, j2, weight in ((1, 1, 1), (1, p, 2), (p, p, 1)):
+            F_abs = np.abs(_phase_sums(np.where(coprime, C[j1], 0)[:, None] * C[j2][None]))
+            over = F_abs > _festi_bound(p, alpha, j1, j2, False) + 1e-6
+            over[conj_pair] = F_abs[conj_pair] > _festi_bound(p, alpha, j1, j2, True) + 1e-6
+            bad += weight * int(np.any(over, axis=2).sum())
     return _check(
         "restricted-kernel magnitude bounds at prime powers <= 125",
         not bad,

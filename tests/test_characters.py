@@ -226,16 +226,24 @@ def test_primitive_value_rows_are_kept_under_a_byte_cap():
     assert 60 not in cache._items and 5 in cache._items
 
 
-def test_phase_matrices_are_built_afresh_and_kept_nowhere():
+def test_phase_sums_are_the_direct_double_sum():
     from twinsieve import characters as ch
 
-    for q in (1, 7, 60):
-        first, second = ch._phase_matrix(q), ch._phase_matrix(q)
-        assert first is not second and np.array_equal(first, second)
-        a = np.arange(q)
-        assert np.array_equal(first, np.exp(2j * np.pi * a / q)[np.outer(a, a) % q])
-    # the one byte-capped store holds primitive rows; no cache wraps the builder
-    assert not hasattr(ch, "_PHASE_MATRICES") and not hasattr(ch._phase_matrix, "cache_info")
+    rng = np.random.default_rng(3)
+    for q in (1, 2, 7, 12, 60):
+        x = rng.standard_normal((3, q)) + 1j * rng.standard_normal((3, q))
+        got = ch._phase_sums(x)
+        for row, sums in zip(x, got):
+            want = [
+                sum(row[b] * cmath.exp(2j * math.pi * a * b / q) for b in range(q))
+                for a in range(q)
+            ]
+            assert np.max(np.abs(sums - want)) <= 1e-12 * q, q
+            # a row of the stack has the bits of that row summed alone
+            alone = ch._phase_sums(row)
+            assert np.array_equal(sums.view(np.uint64), alone.view(np.uint64)), q
+    # the one direct sum is a transform: no q x q phase matrix is built or kept
+    assert not hasattr(ch, "_phase_matrix") and not hasattr(ch, "_PHASE_MATRICES")
     assert [v for v in vars(ch).values() if isinstance(v, ch._BytesLRU)] == [ch._PRIMITIVE_ROWS]
 
 
@@ -301,7 +309,7 @@ def test_closed_form_gauss_sums_call_no_direct_summation():
                 reached(n.id, seen)
         return seen
 
-    direct = {"_phase_matrix", "_restricted_c_rows", "modified_gauss_sum", "gauss_sum"}
+    direct = {"_phase_sums", "_restricted_c_rows", "modified_gauss_sum", "gauss_sum"}
     for name in ("_local_gauss_formulas", "_gauss_formula_rows", "_F_local_odd_prime"):
         assert not reached(name, set()) & direct, name
 
@@ -412,10 +420,30 @@ def test_F_factored_past_the_cap_raises_for_every_m():
     assert not np.any(F_factored_all_m(chi0, chi, 1, 1))
 
 
+def test_literal_F_at_the_cap_holds_no_q_by_q_array():
+    # a primitive pair mod F_BRUTE_CAP = 2^12 takes its local F from the
+    # literal route, which holds O(q) memory: a q x q array would be 256 MiB
+    import tracemalloc
+
+    from twinsieve.characters import F_BRUTE_CAP, F_factored_all_m, _Part
+
+    alpha = F_BRUTE_CAP.bit_length() - 1
+    assert F_BRUTE_CAP == 2**alpha
+    chi = DirichletCharacter(F_BRUTE_CAP, (_Part(2, alpha, (0, 1)),))
+    assert chi.conductor == F_BRUTE_CAP
+    tracemalloc.start()
+    try:
+        F_factored_all_m(chi, chi.conjugate(), 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
 def test_literal_F_matches_its_definition():
     # c(a, j) and F(m) summed term by term with cmath.exp, against the
-    # phase-matrix routes, for every pair of characters mod q <= 12
-    from twinsieve.characters import _phase_matrix, _restricted_c_rows
+    # direct-sum routes, for every pair of characters mod q <= 12
+    from twinsieve.characters import _restricted_c_rows
 
     for q in range(1, 13):
         chars = character_group(q)
@@ -427,7 +455,7 @@ def test_literal_F_matches_its_definition():
 
         c = {}
         for chi in chars:
-            for j, row in zip(js, _restricted_c_rows(chi, js, _phase_matrix(q))):
+            for j, row in zip(js, _restricted_c_rows(chi, js)):
                 kept = [
                     b for b in range(q)
                     if j == 0 or math.gcd(b + 2, rad) == math.gcd(j, rad)
@@ -725,6 +753,25 @@ def test_festi_bounds_small():
         festi_bound_check(
             principal_character(6), principal_character(6), 1, 1, 0
         )
+
+
+def test_festi_sweep_counts_the_swapped_cell_twice(monkeypatch):
+    # with every bound cut to 0.6 of itself, the pairs violating it at prime
+    # powers <= 49 number 9,231 over all four (j1, j2) cells; the sweep
+    # computes (1, p) once and counts it for (p, 1) as well
+    from twinsieve import verify
+
+    bound = verify._festi_bound
+    monkeypatch.setattr(verify, "_festi_bound", lambda *args: 0.6 * bound(*args))
+    assert verify._festi_sweep(49)["detail"] == "9231 violations"
+    # the (p, 1) cell of every pair is the (1, p) cell of the swapped pair
+    for q, p in ((9, 3), (8, 2), (25, 5)):
+        chars = character_group(q)
+        for chi1 in chars[:: max(1, len(chars) // 5)]:
+            for chi2 in chars:
+                a = F_bruteforce_all_m(chi1, chi2, p, 1)
+                b = F_bruteforce_all_m(chi2, chi1, 1, p)
+                assert np.max(np.abs(a - b)) <= 1e-9 * q * q, (q, chi1, chi2)
 
 
 def test_equal_characters_are_shared():

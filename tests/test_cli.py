@@ -372,6 +372,24 @@ def test_table_plans_are_checked_against_the_budget(tmp_path, monkeypatch, capsy
     assert run_cli(argv + ["--out", str(out)]) == 0
 
 
+def test_sievefn_plans_its_grid_against_the_budget(tmp_path, monkeypatch, capsys):
+    # sievefn builds no table: its plan is the march's grid to the furthest
+    # node it reads, from --smax, --h and --eps alone; one byte short of the
+    # plan is the one error line and no file, and the plan itself runs
+    from twinsieve.sievefn import margin_grid_end, sievefn_peak_bytes
+
+    plan = sievefn_peak_bytes(max(6.0, margin_grid_end(1e-3, 1e-3)), 1e-3)
+    assert plan > sievefn_peak_bytes(6.0, 1e-3)  # the march runs on to s = 7.485
+    argv = ["sievefn", "--smax", "6", "--h", "0.001", "--out", str(tmp_path / "out")]
+    monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(plan - 1))
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == (f"error: sievefn plans a peak of {plan} bytes, "
+                                       f"over the memory budget of {plan - 1} bytes\n")
+    assert not list((tmp_path / "out").iterdir())
+    monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(plan))
+    assert run_cli(argv) == 0
+
+
 def test_bv_memory_plan_counts_its_weight_arrays(tmp_path, monkeypatch, capsys):
     # N = 10^5, mu: the table to 1000 fits 100 kB, mu's sieve arrays at 10 B
     # per entry do not; bv stops before building anything
