@@ -244,10 +244,12 @@ def character_group(q: int) -> tuple[DirichletCharacter, ...]:
 
 @lru_cache(maxsize=64)  # 9 B x q each (bool mask, int64 units): 0.8 MiB if q <= 1500
 def _unit_residues(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mask, units): the residues r mod q coprime to q, as a read-only mask and array."""
-    r = np.arange(q)
-    coprime = np.gcd(r, q) == 1
-    return _read_only(coprime), _read_only(r[coprime])
+    """(mask, units): the residues r mod q coprime to q, as a read-only mask and
+    array; the mask has the multiples of each prime of q sieved out."""
+    coprime = np.ones(q, dtype=bool)
+    for p, _ in _factor_pp(q):
+        coprime[::p] = False
+    return _read_only(coprime), _read_only(np.flatnonzero(coprime))
 
 
 def _character_values(q: int, chars, r) -> np.ndarray:
@@ -284,9 +286,27 @@ def _value_table(chi: DirichletCharacter) -> np.ndarray:
     return _value_rows(chi.q, (chi,))[0]
 
 
+def _primitive_exponents(p: int, alpha: int, orders: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The exponents, in lexicographic order, of the components mod p^alpha
+    whose conductor is p^alpha: p does not divide e at an odd p (at alpha = 1
+    that is e != 0); at 2^alpha, e_-1 = 1 at 4 and e_5 odd from 8 on; none
+    at 2."""
+    if p != 2:
+        return [(e,) for e in range(orders[0]) if e % p]
+    if alpha < 3:
+        return [(1,)] if alpha == 2 else []
+    return [(e_minus, e_five) for e_minus in range(2) for e_five in range(1, orders[1], 2)]
+
+
 def primitive_characters(f: int) -> tuple[DirichletCharacter, ...]:
-    """All primitive characters of conductor exactly f."""
-    return tuple(chi for chi in character_group(f) if chi.conductor == f)
+    """All primitive characters of conductor exactly f, in the order of
+    ``character_group(f)``: the product of every prime-power part's
+    primitive components."""
+    choices = [
+        [_Part(p, a, exps) for exps in _primitive_exponents(p, a, orders)]
+        for p, a, orders in _part_specs(f)
+    ]
+    return tuple(DirichletCharacter(f, parts) for parts in itertools.product(*choices))
 
 
 def _primitive_count(f: int) -> int:

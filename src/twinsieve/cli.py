@@ -17,7 +17,6 @@ exit status 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -67,12 +66,25 @@ def _prime_table(args: argparse.Namespace, limit: int, plan: int | None = None) 
     return build_prime_table(limit)
 
 
+#: csv.writer's default line terminator
+_CSV_EOL = "\r\n"
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """The bytes ``csv.writer`` writes for the header and the ``_fmt`` rows,
+    joined here a whole row at a time: every field is a plain word or a
+    number, which csv.writer never quotes."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        fh.write(",".join(header) + _CSV_EOL)
+        fh.writelines(",".join(map(_fmt, row)) + _CSV_EOL for row in rows)
+
+
+def _block_rows(*columns, block: int = 2**12):
+    """The rows of equal-length array ``columns``, as Python numbers (which
+    format faster than numpy scalars), converted ``block`` rows at a time
+    so that no whole column of Python objects is held."""
+    for i in range(0, len(columns[0]), block):
+        yield from zip(*(c[i : i + block].tolist() for c in columns))
 
 
 # namespace entries reported elsewhere: the top-level command, provenance's
@@ -451,7 +463,7 @@ def _cmd_sievefn(args, out_dir: Path, t0: float) -> int:
     # the nodes a march to --smax makes: s increases, so they are a prefix
     shown = int(fns.s.searchsorted(args.smax + fns.h / 2, side="right"))
     _write_csv(out_dir / "sievefn.csv", ["s", "f", "F"],
-               zip(fns.s[:shown], fns.f[:shown], fns.F[:shown]))
+               _block_rows(fns.s[:shown], fns.f[:shown], fns.F[:shown]))
     _write_report(out_dir, args, results, t0)
     return 0
 

@@ -321,6 +321,12 @@ def _median(x: np.ndarray) -> float:
     return float(x[mid] if len(x) % 2 else (x[mid - 1] + x[mid]) / 2)
 
 
+#: what a scan holds whatever its N: numpy.random, imported on the first
+#: sample draw (5.4 MiB of RSS), and the sampling's Python objects; scans
+#: at N = 1e4 peak 7.3-7.4 MiB above the import of the CLI
+_SCAN_WORKING_SET = 8 * 2**20
+
+
 def scan_peak_bytes(N: int, alpha1: float, alpha2: float, table_limit: int) -> int:
     """The planned peak memory of a scan at N, in bytes, before anything is
     built.  The peak is the product's second forward transform, of length
@@ -331,11 +337,13 @@ def scan_peak_bytes(N: int, alpha1: float, alpha2: float, table_limit: int) -> i
     that numpy's FFT makes of it.  The rounded outputs and the int32 counts
     come after the transform buffers are freed, and take less.  The packing
     counts both classes unless both thresholds reach 3, which empties class
-    1 (n = 1 mod 6 makes 3 divide n + 2)."""
+    1 (n = 1 mod 6 makes 3 divide n + 2).  The fixed working set
+    ``_SCAN_WORKING_SET`` comes on top."""
     rough = min(_threshold(N, alpha1)[0], _threshold(N, alpha2)[0]) >= 3
     s, slots = _packing(N, [5] if rough else [1, 5])
     transform = _transform_len(s * slots, s * slots)
-    return _table_bytes(table_limit) + 2 * (N + 1) + 2 * s * slots + 5 * transform * 8
+    return (_table_bytes(table_limit) + 2 * (N + 1) + 2 * s * slots + 5 * transform * 8
+            + _SCAN_WORKING_SET)
 
 
 def exceptional_scan(

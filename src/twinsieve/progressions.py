@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import PrimeTable, _divisors, _factor_pp, _table_bytes
+from .arith import PrimeTable, _table_bytes
 from .characters import _PRIMITIVE_ROWS, _primitive_count, _primitive_value_rows, _unit_residues
 
 __all__ = [
@@ -188,49 +188,69 @@ def _residue_sum_table(w: np.ndarray, Q: int, dtypes: Counter | None = None):
                 yield d, _widened(counted_sums(R_m, d, bound_m * (m // d)))
 
 
-def _discrepancies(R: np.ndarray, q: int, P_list) -> tuple[np.ndarray, int]:
+def _conductor_plan(Q: int, F: float) -> list[list[tuple[int, int]]]:
+    """plan[q] for 0 <= q <= Q: the (f, k_f) of every conductor f | q with
+    f <= F and k_f = ``_primitive_count(f)`` > 0 primitive characters, in
+    increasing f.  Each f <= min(F, Q) is counted once and sieved onto its
+    multiples, so a whole profile shares one plan."""
+    plan = [[] for _ in range(Q + 1)]
+    for f in range(1, int(min(F, Q)) + 1):
+        k_f = _primitive_count(f)
+        if k_f:
+            conductor = (f, k_f)
+            for q in range(f, Q + 1, f):
+                plan[q].append(conductor)
+    return plan
+
+
+def _discrepancies(R: np.ndarray, q: int, P_list, conductors) -> tuple[np.ndarray, int]:
     """(disc, summed): disc[i, a] = sum_n w(n) u_P(n a^-1; q) with
     P = P_list[i], all a mod q, and the count of characters summed.
 
-    ``R`` holds the residue sums of w mod q and ``P_list`` is increasing.
-    Each character mod q with conductor f <= P (f a divisor of q)
-    contributes its induced sum restricted to n coprime to q (the
-    imprimitivity correction is exact: the induced character vanishes on
-    non-units).  Non-units a get 0.
+    ``R`` holds the residue sums of w mod q, ``P_list`` is increasing and
+    ``conductors`` is q's entry of a ``_conductor_plan`` to max P.  Each
+    character mod q with conductor f <= P contributes its induced sum
+    restricted to n coprime to q (the imprimitivity correction is exact:
+    the induced character vanishes on non-units).  Non-units a get 0.
 
-    The characters of every conductor f <= max P are one block, in
-    increasing f: row 0 of one C-contiguous buffer is the zero correction
-    and each further row one induced character, tiled from its conductor's
-    stacked table and zeroed off the units.  The stacked matmul runs the
-    per-row complex dot that np.dot runs on a contiguous vector (a gemv over
-    the block, or rows gathered F-ordered, rounds differently); the rows
-    become conj(chi) * (chi . R), and one axis-0 accumulate adds them one
-    after another, so the running sum at each P boundary has the floats of
-    a per-character loop ``corr += conj(chi) * np.dot(chi, R)`` bit for bit.
+    The characters of every planned conductor are one block, in increasing
+    f: row 0 of one C-contiguous buffer is the zero correction and each
+    further row one character, tiled from its conductor's stacked table.
+    The rows are not zeroed off the units; R is, once, so each dot sums
+    chi(r) x 0 where the induced character has 0 x R(r).  The stacked
+    matmul runs the per-row complex dot that np.dot runs on a contiguous
+    vector (a gemv over the block, or rows gathered F-ordered, rounds
+    differently); the rows become conj(chi) * (chi . R), and one axis-0
+    reduce per P adds the rows up to its boundary one after another onto
+    the running sum, kept in the boundary row.  So the sum at each P has
+    the floats of a per-character loop ``corr += conj(chi) * np.dot(chi, R)``
+    bit for bit, on the units; the other columns are dropped.
     """
-    coprime, _ = _unit_residues(q)
-    phi = int(np.count_nonzero(coprime))
-    conductors = [f for f in sorted(_divisors(_factor_pp(q))) if f <= P_list[-1]]
-    counts = [_primitive_count(f) for f in conductors]
-    buf = np.empty((1 + sum(counts), q), dtype=complex)
+    coprime, units = _unit_residues(q)
+    # the row of the last character of conductor <= P, for each P
+    ends = [sum(k_f for f, k_f in conductors if f <= P) for P in P_list]
+    buf = np.empty((1 + ends[-1], q), dtype=complex)
     buf[0] = 0
     i = 1
-    for f, k_f in zip(conductors, counts):
+    for f, k_f in conductors:
         buf[i : i + k_f].reshape(k_f, q // f, f)[...] = _primitive_value_rows(f)[:, None, :]
         i += k_f
     chars = buf[1:]
-    np.copyto(chars, 0, where=~coprime)
     R_complex = R.astype(complex)  # the cast np.dot would make per character
+    R_complex[~coprime] = 0
     dots = (chars[:, None, :] @ R_complex[:, None]).ravel()
     np.conj(chars, out=chars)
     chars *= dots[:, None]
-    np.add.accumulate(buf, axis=0, out=buf)
-    # the running sum after the last character of conductor <= P
-    ends = [sum(k_f for f, k_f in zip(conductors, counts) if f <= P) for P in P_list]
-    corr = buf[ends]
+    start = 0
+    for end in ends:
+        buf[end] = np.add.reduce(buf[start : end + 1], axis=0)
+        start = end
+    corr = buf[ends][:, units]
     if np.any(np.abs(corr.imag) >= 1e-6 * (np.abs(corr.real) + 1)):
         raise ValueError(f"character correction mod {q} is not real")
-    return np.where(coprime, R - corr.real / phi, 0.0), ends[-1]
+    disc = np.zeros((len(P_list), q))
+    disc[:, units] = R[units] - corr.real / len(units)
+    return disc, ends[-1]
 
 
 def bv_discrepancy(
@@ -249,7 +269,8 @@ def bv_discrepancy(
         w = weight_array(weight, N, table)
     if q == 1:
         return 0.0
-    return float(_discrepancies(_residue_sums(w, q), q, [P])[0][0, a % q])
+    conductors = _conductor_plan(q, P)[q]
+    return float(_discrepancies(_residue_sums(w, q), q, [P], conductors)[0][0, a % q])
 
 
 @dataclass(frozen=True)
@@ -281,15 +302,17 @@ def bv_profile(
         raise ValueError(f"need 1 <= Q <= N and every P >= 1, got Q={Q}, P={P_list}")
     t0 = time.perf_counter()
     w = weight_array(weight, N, table)
+    t1 = time.perf_counter()
+    plan = _conductor_plan(Q, P_list[-1])
     clock = time.perf_counter()
-    weights_s, sums_s, corrections_s = clock - t0, 0.0, 0.0
+    weights_s, sums_s, corrections_s = t1 - t0, 0.0, clock - t1
     summed = 0
     dtypes = Counter()
     rows = [{"P": P, "q": 1, "a_max": 1, "discrepancy": 0.0} for P in P_list]
     for q, R in _residue_sum_table(w, Q, dtypes):
         now = time.perf_counter()
         sums_s += now - clock
-        disc, k = _discrepancies(R, q, P_list)
+        disc, k = _discrepancies(R, q, P_list, plan[q])
         summed += k
         units = _unit_residues(q)[1]
         best = units[np.argmax(np.abs(disc[:, units]), axis=1)]
@@ -327,27 +350,38 @@ def bv_peak_bytes(N: int, Q: int, P: int, weight: str, table_limit: int) -> int:
       over w at 8 B per entry;
     - what the characters caches keep for conductors f <= F = min(Q, P)
       and moduli q <= Q, at their worst: the primitive rows, at most their
-      byte cap; 64 groups of at most F characters, under 512 B each;
-      discrete-log tables of at most 512 prime powers <= F, 16 B per
-      residue; unit masks and residues of 64 moduli, 9 B per residue;
-    - ``_discrepancies``' stacked buffer at q <= Q, 16 B per residue for the
-      zero row and each character of conductor <= P; there are at most
-      phi(q) < Q of them, and at most sum_{f <= P} phi(f) <= P(P+1)/2;
+      byte cap; discrete-log tables of at most 512 prime powers <= F, 16 B
+      per residue; unit masks and residues of 64 moduli, 9 B per residue;
+    - the conductor plan: one list per modulus, 88 B with room for four
+      entries and under 16 B per entry with its spare room (CPython grows a
+      list to at most 9/8 of its length plus 6); an entry per multiple
+      q <= Q of each f <= F, under Q (1 + ln F) of them; and a 112 B (f, k_f)
+      tuple per conductor;
+    - ``_discrepancies``' (1 + K) x q block at q <= Q, 16 B per residue for
+      the zero row and each of the K characters of conductor <= P; K is
+      under phi(q) < Q and at most sum_{f <= P} phi(f) <= P(P+1)/2;
     - the primitive rows of one conductor f <= F as they are built, under
       f rows of f residues at 41 B each (40.1 B measured by tracemalloc at
       f = 997): the 16 B complex row, the evaluator's float phases (8 B)
       and either their two 8 B temporaries or the 16 B complex values it
-      exponentiates in place.
+      exponentiates in place;
+    - what glibc's allocator keeps of the freed blocks and rows instead of
+      returning it: 16 B per residue of one more F x F stack.  At N = 1e5
+      and Q = P = 700, 1000 and 1500, bv as a CLI child peaks 1.2, 4.3 and
+      2.7-12.4 MiB (ru_maxrss above the import) over the terms before this
+      one, which is 7.5, 15.3 and 34.3 MiB.
     """
     per_entry = {"mu": 1 + 4 + 4 + 1, "Lambda": 8}[weight]
     passes = _residue_sum_passes(N + 1, Q, weight == "mu")
     largest = max((math.prod(moduli) for moduli in passes), default=0)
     F = min(Q, P)
-    caches = _PRIMITIVE_ROWS.cap + 64 * 512 * F + 16 * F * min(F, 512) + 64 * 9 * Q
+    caches = _PRIMITIVE_ROWS.cap + 16 * F * min(F, 512) + 64 * 9 * Q
+    plan = 88 * (Q + 1) + math.ceil(16 * Q * (1 + math.log(F))) + 112 * F
     stacked = 16 * Q * (1 + min(Q, P * (P + 1) // 2))
     built = 41 * F**2
+    kept = 16 * F**2
     return (_table_bytes(table_limit) + per_entry * (N + 1) + 8 * largest
-            + caches + stacked + built)
+            + caches + plan + stacked + built + kept)
 
 
 def profile_totals(rows) -> dict:

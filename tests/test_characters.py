@@ -180,6 +180,25 @@ def test_primitive_characters_count():
         assert _primitive_count(f) == len(primitive_characters(f)), f
 
 
+def test_primitive_characters_equal_the_conductor_filter_in_order():
+    # the product of each prime-power part's primitive components is the
+    # whole group filtered by conductor, in the group's lexicographic order
+    for f in range(1, 301):
+        want = tuple(chi for chi in character_group(f) if chi.conductor == f)
+        assert primitive_characters(f) == want, f
+
+
+def test_unit_residues_equal_the_gcd_definition():
+    from twinsieve.characters import _unit_residues
+
+    for q in range(1, 1001):
+        r = np.arange(q)
+        coprime = np.gcd(r, q) == 1
+        mask, units = _unit_residues(q)
+        assert mask.dtype == bool and np.array_equal(mask, coprime), q
+        assert units.dtype == r.dtype and np.array_equal(units, r[coprime]), q
+
+
 def test_primitive_value_rows_stack_the_value_tables_bit_for_bit():
     from twinsieve.characters import _primitive_value_rows, _value_rows
 

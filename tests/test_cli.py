@@ -24,6 +24,41 @@ def load_report(out_dir, command):
         return json.load(fh)
 
 
+def test_csv_rows_are_the_bytes_csv_writer_writes(tmp_path):
+    # _write_csv joins each row itself; csv.writer of the _fmt fields is the
+    # oracle, on ints, Python and numpy floats and numbers %.12g prints oddly
+    import csv
+
+    import numpy as np
+
+    from twinsieve.cli import _block_rows, _fmt, _write_csv
+
+    def written_by_csv_writer(path, header, rows):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(x) for x in row])
+        return path.read_bytes()
+
+    floats = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, 5e-324, 1.5e300, 123456789012345.0,
+              float("nan"), float("inf"), float("-inf")]
+    rows = [(i, -i * 10**12, x, np.float64(x), np.int64(i)) for i, x in enumerate(floats)]
+    header = ["P", "q", "a_max", "discrepancy", "lambda_d"]
+    for name, body in (("rows", rows), ("empty", [])):
+        _write_csv(tmp_path / name, header, body)
+        want = written_by_csv_writer(tmp_path / f"{name}.want", header, body)
+        assert (tmp_path / name).read_bytes() == want, name
+    # numpy columns converted in blocks give the rows of the numpy scalars
+    s, f = np.linspace(1.0, 2.0, 11), np.array(floats[:11])
+    blocked = list(_block_rows(s, f, block=4))
+    assert repr(blocked) == repr(list(zip(s.tolist(), f.tolist())))  # nan != nan
+    assert all(type(x) is float for row in blocked for x in row)
+    _write_csv(tmp_path / "blocked", ["s", "f"], blocked)
+    assert (tmp_path / "blocked").read_bytes() == written_by_csv_writer(
+        tmp_path / "blocked.want", ["s", "f"], zip(s, f))
+
+
 def test_cli_imports_numpy_and_the_standard_library_only():
     # every CLI launch pays for its imports; a quadrature library here once
     # cost half of a one-second scan
@@ -348,6 +383,28 @@ def test_scan_memory_plan_covers_the_transform(tmp_path, monkeypatch, capsys):
     ]) == 0
 
 
+@pytest.mark.parametrize("argv,alpha", [
+    (["scan", "--N", "10000", "--k1", "inf", "--k2", "inf", "--samples", "8"], 0.0),
+    (["scan", "--N", "10000", "--k1", "2", "--k2", "3", "--rough", "0.1,0.1", "--samples", "8"], 0.1),
+])
+def test_small_scan_plans_cover_their_fixed_working_set(tmp_path, monkeypatch, capsys, argv, alpha):
+    # scans at N = 1e4 peak 7.3-7.4 MiB above the import (numpy.random alone is
+    # 5.4 MiB) against transform plans under 1 MiB; the plan counts that set,
+    # so one byte under it is refused before anything is built, and it runs
+    from twinsieve.convolve import scan_peak_bytes
+
+    plan = scan_peak_bytes(10**4, alpha, alpha, 10**4 + 2)
+    assert plan > 7.4 * 2**20
+    out = tmp_path / "out"
+    monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(plan - 1))
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: scan plans a peak of {plan} bytes, "
+                                       f"over the memory budget of {plan - 1} bytes\n")
+    assert not list(out.iterdir())
+    monkeypatch.setenv("TWINSIEVE_MEMORY_BUDGET", str(plan))
+    assert run_cli(argv + ["--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("argv,limit", [
     (["convolve", "--N", "1000", "--kind1", "Lambda0", "--kind2", "Lambda0"], 1002),
     (["sseries", "--m", "4", "--cutoff", "10000"], 10_000),
@@ -408,7 +465,7 @@ def test_bv_memory_plan_counts_its_weight_arrays(tmp_path, monkeypatch, capsys):
 
 def test_bv_memory_plan_counts_the_character_rows(tmp_path, monkeypatch, capsys):
     # Q = P = 1500: the stacked buffer of every character mod q <= 1500 and the
-    # rows of one conductor near 1500 as they are built peak some 185 MiB
+    # rows of one conductor near 1500 as they are built peak some 143-157 MiB
     # above the import; a plan of the table, the weights and the row cache
     # alone said 9 MiB
     plan = bv_peak_bytes(10**5, 1500, 1500, "mu", 1000)

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from twinsieve.arith import (
 )
 from twinsieve.characters import _value_table, primitive_characters, u_P
 from twinsieve.progressions import (
+    _conductor_plan,
     _discrepancies,
     _residue_sum_table,
     _residue_sums,
@@ -227,7 +230,8 @@ def test_bv_profile_rows_match_a_per_q_drive(table, weight):
     want = [{"P": P, "q": 1, "a_max": 1, "discrepancy": 0.0} for P in P_list]
     for q in range(2, Q + 1):
         units = np.nonzero(np.gcd(np.arange(q), q) == 1)[0]
-        for P, disc in zip(P_list, _discrepancies(_residue_sums(w, q), q, P_list)[0]):
+        conductors = _conductor_plan(q, P_list[-1])[q]
+        for P, disc in zip(P_list, _discrepancies(_residue_sums(w, q), q, P_list, conductors)[0]):
             best = units[np.argmax(np.abs(disc[units]))]
             want.append({"P": P, "q": q, "a_max": int(best), "discrepancy": float(disc[best])})
     assert bv_profile(N, Q, P_list, weight, table).rows == want
@@ -259,12 +263,38 @@ def _discrepancies_per_character(R, q, P_list):
 
 @pytest.mark.parametrize("weight", ["mu", "Lambda"])
 def test_discrepancies_equal_the_per_character_loop_bit_for_bit(table, weight):
+    # compared as bits: array_equal passes -0.0 as 0.0, which bv.csv prints as -0
     w = weight_array(weight, 10**5, table)
+    plan = _conductor_plan(300, 300)
     for q, R in _residue_sum_table(w, 300):
         P_list = sorted({1, 10, 100, q})
-        got, summed = _discrepancies(R, q, P_list)
-        assert np.array_equal(got, _discrepancies_per_character(R, q, P_list)), q
+        got, summed = _discrepancies(R, q, P_list, plan[q])
+        want = _discrepancies_per_character(R, q, P_list)
+        assert got.shape == want.shape and got.dtype == want.dtype, q
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), q
         assert summed == sum(len(primitive_characters(f)) for f in _divisors(_factor_pp(q)))
+
+
+def test_conductor_plan_lists_the_divisors_with_primitive_characters():
+    for Q, F in ((1, 1), (12, 5), (60, 60), (100, 10), (30, 2.5)):
+        plan = _conductor_plan(Q, F)
+        assert len(plan) == Q + 1 and plan[0] == []
+        for q in range(1, Q + 1):
+            want = [(f, len(primitive_characters(f))) for f in sorted(_divisors(_factor_pp(q)))
+                    if f <= F and primitive_characters(f)]
+            assert plan[q] == want, (Q, F, q)
+
+
+def test_bv_profile_rows_equal_the_bench_reference_sign_included(table):
+    # the bv-mu workload's rows as bv.csv prints them (%.12g), so a tie whose
+    # sign or zero sign flips fails here before the benchmark's check sees it
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference" / "bv-mu.json"
+    ref = json.loads(path.read_text())
+    rows = bv_profile(10**6, 500, [1, 10, 100], "mu", table).rows
+    assert len(rows) == len(ref["rows"])
+    for row, (P, q, disc) in zip(rows, ref["rows"]):
+        assert (row["P"], row["q"]) == (P, q)
+        assert "%.12g" % row["discrepancy"] == "%.12g" % disc, (P, q)
 
 
 def test_bv_profile_trace_counts_its_work(table):
