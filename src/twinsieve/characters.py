@@ -14,8 +14,9 @@ The kernel F(chi1, chi2, j1, j2, m) couples two restricted Gauss sums
 against an additive phase.  It is computed two independent ways, each for
 a grid of restrictions (j1, j2) and every m mod q at once, with the tables
 of one (j1, j2) as 1x1 views: literal summation (the oracle) and a factored
-route through prime-power local values.  The singular series reads
-neither, only the closed-form local densities of ``local_sigma``.
+route through the Ramanujan fold at each prime power; the two share only
+the restricted value rows.  The singular series reads neither, only the
+closed-form local densities of ``local_sigma``.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ __all__ = [
 ]
 
 GROUP_BUDGET = 10**6
-#: largest prime-power modulus at which F falls back to literal summation
-F_BRUTE_CAP = 4096
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -447,13 +446,19 @@ def modified_gauss_sum(chi: DirichletCharacter, a: int, j: int) -> complex:
     return complex(_restricted_c_rows(chi, (j,))[0, a % chi.q])
 
 
+def _restricted_rows(chi: DirichletCharacter, js) -> np.ndarray:
+    """chi(b) on the b of each restriction j of ``js`` and 0 elsewhere (j=0
+    means unrestricted): the value rows both routes of F start from, (len(js), q)."""
+    q = chi.q
+    keep = [np.ones(q, dtype=bool) if j == 0 else _restriction_mask(q, j) for j in js]
+    return np.where(keep, _value_table(chi), 0)
+
+
 def _restricted_c_rows(chi: DirichletCharacter, js) -> np.ndarray:
     """c_chi(a, j) for all a mod q by direct summation, one row per j of ``js``
     (j=0 means unrestricted), as a (len(js), q) array; each row has the bits
     of its j summed alone."""
-    q = chi.q
-    keep = [np.ones(q, dtype=bool) if j == 0 else _restriction_mask(q, j) for j in js]
-    return _phase_sums(np.where(keep, _value_table(chi), 0))
+    return _phase_sums(_restricted_rows(chi, js))
 
 
 # ---------------------------------------------------------------------------
@@ -498,37 +503,22 @@ def F_bruteforce_grid(chi1: DirichletCharacter, chi2: DirichletCharacter, js1, j
     return np.conj(_phase_sums(np.conj(prod)))
 
 
-@lru_cache(maxsize=1024)  # 144 B x p each, a (3, 3, p) complex table: 28 MiB if p <= 200
-def _F_local_odd_prime(chi1: DirichletCharacter, chi2: DirichletCharacter) -> np.ndarray:
-    """F at an odd prime modulus p via Gauss-sum reductions, for each
-    restriction state of j1 and of j2 (j = 0, gcd 1, gcd p, in that order)
-    and every m mod p: a cached, read-only (3, 3, p) array.
+def _F_local(chi1: DirichletCharacter, chi2: DirichletCharacter, s1, s2) -> np.ndarray:
+    """F at a prime power q = p^alpha by the Ramanujan fold, for every
+    restriction state of ``s1`` and ``s2`` (0, 1 or p) and every m mod q.
 
-    Each restricted slot is expanded through c(a,1) = c(a) - c(a,p) into the
-    four primitive pieces:
-
-      F(-,-,m) = tau(chi1) tau(chi2) c_{conj(chi1 chi2)}(-m)
-      F(-,p,m) = chi2(-2) (p chi1(m+2) - (p-1) [chi1 principal])
-      F(p,-,m) = chi1(-2) (p chi2(m+2) - (p-1) [chi2 principal])
-      F(p,p,m) = chi1 chi2(-2) c_p(-(m+4))
-
-    Each piece is read off for all m at once: tau and c from
-    _gauss_formula_rows (the closed form, never the direct sums that check
-    it), the value tables and the Ramanujan sum c_p.
+    Summing e_q(a(b1 + b2 - m)) over the units a first gives the Ramanujan
+    sum r_q(n) = q [q | n] - (q/p) [(q/p) | n], so with K the cyclic
+    convolution of the two restricted value rows and K' its fold mod q/p,
+    F(m) = q K(m) - (q/p) K'(m mod q/p).  K is one FFT per stack and one
+    inverse FFT of their product; no Gauss sum is formed.
     """
-    p = chi1.q
-    m = np.arange(p)
-    v1, v2 = _value_table(chi1), _value_table(chi2)
-    c1, c2, c12 = _gauss_formula_rows((chi1, chi2, (chi1 * chi2).conjugate()))
-    pieces = np.array([
-        [c1[1] * c2[1] * c12[-m % p],
-         v2[-2 % p] * (p * v1[(m + 2) % p] - (p - 1) * chi1.is_principal)],
-        [v1[-2 % p] * (p * v2[(m + 2) % p] - (p - 1) * chi2.is_principal),
-         v1[-2 % p] * v2[-2 % p] * np.where((m + 4) % p == 0, p - 1, -1)],
-    ])
-    # j = 0 takes the unrestricted piece, gcd 1 the difference, gcd p the restricted one
-    expand = np.array([[1, 0], [1, -1], [0, 1]])
-    return _read_only(np.einsum("ax,by,xym->abm", expand, expand, pieces))
+    q = chi1.q
+    p = _radical(q)
+    spectra = [np.fft.fft(_restricted_rows(chi, s)) for chi, s in ((chi1, s1), (chi2, s2))]
+    K = np.fft.ifft(spectra[0][:, None] * spectra[1])
+    folded = K.reshape(len(s1), len(s2), p, q // p).sum(axis=2)
+    return q * K - q // p * np.tile(folded, p)
 
 
 def F_factored(
@@ -559,14 +549,10 @@ def F_factored_grid(chi1: DirichletCharacter, chi2: DirichletCharacter, js1, js2
     """F for every j1 of ``js1``, j2 of ``js2`` and m mod q, shape (len js1,
     len js2, q): the product of the components' local all-m tables.
 
-    At p^alpha a restriction j acts only through its state, 0 for j = 0 and
-    gcd(j, p) otherwise, so each component builds one local table per pair
-    of states that occurs and gathers them into the grid: zeros at a square
-    prime power not matched by both conductors; the cached table of
-    _F_local_odd_prime at odd primes; literal summation at the other prime
-    powers up to F_BRUTE_CAP.  Past the cap a surviving primitive pair
-    raises ValueError for every m, also where another component's local
-    value vanishes (no closed form covers that corner).
+    F is exactly 0 at a square prime power not matched by both conductors.
+    Elsewhere, at p^alpha a restriction j acts only through its state, 0 for
+    j = 0 and gcd(j, p) otherwise, so each component folds one local table
+    per pair of states that occurs (_F_local) and gathers them into the grid.
     """
     _check_pair(chi1, chi2)
     q = chi1.q
@@ -574,21 +560,12 @@ def F_factored_grid(chi1: DirichletCharacter, chi2: DirichletCharacter, js1, js2
     out = np.ones((len(js1), len(js2), q), dtype=np.complex128)
     m = np.arange(q)
     for part in chi1.parts:
-        p, alpha, mod = part.p, part.alpha, part.modulus
+        p, mod = part.p, part.modulus
         comp1, comp2 = chi1.component(mod), chi2.component(mod)
+        if part.alpha > 1 and min(comp1.conductor, comp2.conductor) < mod:
+            return np.zeros_like(out)  # an unmatched square prime power
         (s1, i1), (s2, i2) = (_distinct([j and math.gcd(j, p) for j in js]) for js in (js1, js2))
-        if alpha > 1 and (comp1.conductor < mod or comp2.conductor < mod):
-            local = np.zeros((len(s1), len(s2), mod))  # unmatched square prime powers
-        elif p != 2 and alpha == 1:
-            # the state s sits at index min(s, 2) of the local table
-            local = _F_local_odd_prime(comp1, comp2)[np.minimum(s1, 2)][:, np.minimum(s2, 2)]
-        elif mod <= F_BRUTE_CAP:
-            local = F_bruteforce_grid(comp1, comp2, s1, s2)
-        else:
-            raise ValueError(
-                f"no closed form for a primitive pair at {p}^{alpha} > cap {F_BRUTE_CAP}"
-            )
-        out *= local[..., m % mod][i1][:, i2]
+        out *= _F_local(comp1, comp2, s1, s2)[..., m % mod][i1][:, i2]
     return out
 
 
@@ -691,7 +668,8 @@ def local_sigma(
                 return 1.0
             comp = hyp.chi.component(2**t)
             val = F_bruteforce(comp, comp, 1, 1, m)
-            assert abs(val.imag) < 1e-9
+            if abs(val.imag) >= 1e-9:
+                raise ValueError(f"sigma_tilde at 2 is not real: {val}")
             return float(val.real)
         if p not in hyp.odd_primes():
             raise ValueError("sigma_tilde needs a prime dividing the exceptional modulus")

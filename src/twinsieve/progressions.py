@@ -204,14 +204,15 @@ def _conductor_plan(Q: int, F: float) -> list[list[tuple[int, int]]]:
 
 
 def _discrepancies(R: np.ndarray, q: int, P_list, conductors) -> tuple[np.ndarray, int]:
-    """(disc, summed): disc[i, a] = sum_n w(n) u_P(n a^-1; q) with
-    P = P_list[i], all a mod q, and the count of characters summed.
+    """(disc, summed): disc[i, k] = sum_n w(n) u_P(n a^-1; q) with
+    P = P_list[i] and a = ``_unit_residues(q)[1][k]``, the k-th unit mod q,
+    and the count of characters summed.
 
     ``R`` holds the residue sums of w mod q, ``P_list`` is increasing and
     ``conductors`` is q's entry of a ``_conductor_plan`` to max P.  Each
     character mod q with conductor f <= P contributes its induced sum
     restricted to n coprime to q (the imprimitivity correction is exact:
-    the induced character vanishes on non-units).  Non-units a get 0.
+    the induced character vanishes on non-units).
 
     The characters of every planned conductor are one block, in increasing
     f: row 0 of one C-contiguous buffer is the zero correction and each
@@ -224,7 +225,7 @@ def _discrepancies(R: np.ndarray, q: int, P_list, conductors) -> tuple[np.ndarra
     reduce per P adds the rows up to its boundary one after another onto
     the running sum, kept in the boundary row.  So the sum at each P has
     the floats of a per-character loop ``corr += conj(chi) * np.dot(chi, R)``
-    bit for bit, on the units; the other columns are dropped.
+    bit for bit, on the units; only the unit columns are kept.
     """
     coprime, units = _unit_residues(q)
     # the row of the last character of conductor <= P, for each P
@@ -248,9 +249,7 @@ def _discrepancies(R: np.ndarray, q: int, P_list, conductors) -> tuple[np.ndarra
     corr = buf[ends][:, units]
     if np.any(np.abs(corr.imag) >= 1e-6 * (np.abs(corr.real) + 1)):
         raise ValueError(f"character correction mod {q} is not real")
-    disc = np.zeros((len(P_list), q))
-    disc[:, units] = R[units] - corr.real / len(units)
-    return disc, ends[-1]
+    return R[units] - corr.real / len(units), ends[-1]
 
 
 def bv_discrepancy(
@@ -269,8 +268,8 @@ def bv_discrepancy(
         w = weight_array(weight, N, table)
     if q == 1:
         return 0.0
-    conductors = _conductor_plan(q, P)[q]
-    return float(_discrepancies(_residue_sums(w, q), q, [P], conductors)[0][0, a % q])
+    disc = _discrepancies(_residue_sums(w, q), q, [P], _conductor_plan(q, P)[q])[0]
+    return float(disc[0, np.searchsorted(_unit_residues(q)[1], a % q)])
 
 
 @dataclass(frozen=True)
@@ -314,9 +313,9 @@ def bv_profile(
         sums_s += now - clock
         disc, k = _discrepancies(R, q, P_list, plan[q])
         summed += k
-        units = _unit_residues(q)[1]
-        best = units[np.argmax(np.abs(disc[:, units]), axis=1)]
-        for P, a, d in zip(P_list, best.tolist(), disc[np.arange(len(P_list)), best].tolist()):
+        best = np.argmax(np.abs(disc), axis=1)
+        a_max = _unit_residues(q)[1][best]
+        for P, a, d in zip(P_list, a_max.tolist(), disc[np.arange(len(P_list)), best].tolist()):
             rows.append({"P": P, "q": q, "a_max": a, "discrepancy": d})
         clock = time.perf_counter()
         corrections_s += clock - now

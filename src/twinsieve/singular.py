@@ -116,24 +116,17 @@ def singular_series(m: int, cutoff: int, table: PrimeTable) -> SingularSeriesVal
 
 
 def singular_series_alt(m: int, cutoff: int, table: PrimeTable) -> float:
-    """Same series through the local densities: prod (1 + sigma(p,m)/phi2(p)^2)."""
+    """Same series through the local densities: ``partial_singular_series``
+    over the primes <= cutoff and the primes > cutoff dividing m(m+2)(m+4)."""
     _check_arguments(m, cutoff, table)
-    value = 1.0 + local_sigma("sigma", 2, m)
-    for p in table.primes_upto(cutoff):
-        p = int(p)
-        if p == 2:
-            continue
-        value *= 1.0 + local_sigma("sigma", p, m) / (p - 2) ** 2
-    for p in sorted(_special_primes(m, table)):
-        if p > cutoff:
-            value *= 1.0 + local_sigma("sigma", p, m) / (p - 2) ** 2
-    return value
+    beyond = [p for p in _special_primes(m, table) if p > cutoff]
+    return partial_singular_series(m, table.primes_upto(cutoff).tolist() + beyond)
 
 
 def partial_singular_series(m: int, primes) -> float:
     """prod over the given primes of (1 + sigma(p,m)/phi2(p)^2)."""
     value = 1.0
-    for p in sorted(set(int(p) for p in primes)):
+    for p in sorted(set(map(int, primes))):
         phi2_sq = 1 if p == 2 else (p - 2) ** 2
         value *= 1.0 + local_sigma("sigma", p, m) / phi2_sq
     return value

@@ -536,11 +536,12 @@ def suite_convolution(full: bool = True) -> list[dict]:
     for _ in range(50 if full else 10):
         a = rng.integers(0, 1000, n)
         b = rng.integers(0, 1000, n)
-        # the direct sum in doubles is exact: every product and partial sum
-        # of these nonnegative integers is an integer below 2^53
-        assert min(len(a), len(b)) * int(a.max()) * int(b.max()) < 2**53
+        # the direct sum in doubles is exact while every product and partial
+        # sum of these nonnegative integers is an integer below 2^53; a draw
+        # past that bound fails the check, since its oracle is not exact
+        bounded = min(len(a), len(b)) * int(a.max()) * int(b.max()) < 2**53
         direct = np.convolve(a.astype(np.float64), b.astype(np.float64))
-        if not np.array_equal(exact_convolve(a, b), direct):
+        if not (np.array_equal(exact_convolve(a, b), direct) and bounded):
             exact_ok = False
     out.append(_check("modular transform vs direct convolution (50 pairs at 4096)", exact_ok, ""))
 

@@ -14,6 +14,7 @@ from twinsieve.characters import (
     ExceptionalZeroHypothesis,
     F_bruteforce,
     F_bruteforce_all_m,
+    F_bruteforce_grid,
     F_factored,
     F_factored_all_m,
     character_group,
@@ -329,7 +330,7 @@ def test_closed_form_gauss_sums_call_no_direct_summation():
         return seen
 
     direct = {"_phase_sums", "_restricted_c_rows", "modified_gauss_sum", "gauss_sum"}
-    for name in ("_local_gauss_formulas", "_gauss_formula_rows", "_F_local_odd_prime"):
+    for name in ("_local_gauss_formulas", "_gauss_formula_rows", "_F_local"):
         assert not reached(name, set()) & direct, name
 
 
@@ -421,35 +422,34 @@ def test_F_factored_vs_bruteforce_all_pairs_all_m():
                         assert gap <= 1e-9 * q * q, (q, chi1, chi2, j1, j2, gap)
 
 
-def test_F_factored_past_the_cap_raises_for_every_m():
-    from twinsieve.characters import F_BRUTE_CAP, F_factored_all_m, _Part
+def test_F_factored_at_2_to_the_13_equals_literal_for_every_m():
+    from twinsieve.characters import F_factored_all_m, _Part
 
     # 5 generates the units mod 2^13 to order 2^11; an odd exponent on it
-    # makes the component primitive, so the pair survives past the cap
+    # makes the component primitive, so the pair takes its local F from the fold
     q = 2**13
-    assert q > F_BRUTE_CAP
     chi = DirichletCharacter(q, (_Part(2, 13, (0, 1)),))
     assert chi.conductor == q
-    with pytest.raises(ValueError, match="no closed form"):
-        F_factored_all_m(chi, chi, 1, 1)
-    with pytest.raises(ValueError, match="no closed form"):
-        F_factored(chi, chi, 1, 1, 0)
-    # a deficient conductor at 2^13 is an unmatched square: zeros, no raise
+    for chi2 in (chi, chi.conjugate()):
+        literal = F_bruteforce_all_m(chi, chi2, 1, 1)
+        gap = np.max(np.abs(F_factored_all_m(chi, chi2, 1, 1) - literal))
+        assert gap <= 1e-9 * q * q, gap
+    assert abs(F_factored(chi, chi, 1, 1, 0) - F_bruteforce(chi, chi, 1, 1, 0)) <= 1e-9 * q * q
+    # a deficient conductor at 2^13 is an unmatched square: exact zeros
     chi0 = principal_character(q)
     assert not np.any(F_factored_all_m(chi0, chi, 1, 1))
 
 
 def test_literal_F_at_the_cap_holds_no_q_by_q_array():
-    # a primitive pair mod F_BRUTE_CAP = 2^12 takes its local F from the
-    # literal route, which holds O(q) memory: a q x q array would be 256 MiB
+    # a primitive pair mod 2^12 takes its local F from the fold, which holds
+    # O(q) memory: a q x q array would be 256 MiB
     import tracemalloc
 
-    from twinsieve.characters import F_BRUTE_CAP, F_factored_all_m, _Part
+    from twinsieve.characters import F_factored_all_m, _Part
 
-    alpha = F_BRUTE_CAP.bit_length() - 1
-    assert F_BRUTE_CAP == 2**alpha
-    chi = DirichletCharacter(F_BRUTE_CAP, (_Part(2, alpha, (0, 1)),))
-    assert chi.conductor == F_BRUTE_CAP
+    q = 2**12
+    chi = DirichletCharacter(q, (_Part(2, 12, (0, 1)),))
+    assert chi.conductor == q
     tracemalloc.start()
     try:
         F_factored_all_m(chi, chi.conjugate(), 1, 1)
@@ -581,21 +581,46 @@ def test_both_F_routes_refuse_a_j_off_the_radical_alike():
         modified_gauss_sum(chi, 1, 7)
 
 
-def test_factored_grid_past_the_cap_raises():
-    from twinsieve.characters import F_BRUTE_CAP, F_factored_grid, _Part
+def test_factored_grid_at_3_times_2_to_the_13_equals_literal():
+    from twinsieve.characters import F_factored_grid, _Part
 
-    # the primitive pair of test_F_factored_past_the_cap_raises_for_every_m,
+    # the primitive pair of test_F_factored_at_2_to_the_13_equals_literal_for_every_m,
     # behind a component mod 3 whose local value may vanish
     q = 3 * 2**13
-    assert 2**13 > F_BRUTE_CAP
     chi = DirichletCharacter(q, (_Part(3, 1, (0,)), _Part(2, 13, (0, 1))))
-    with pytest.raises(ValueError, match="no closed form"):
-        F_factored_grid(chi, chi, (0, 1, 3), (1, 2, 6))
-    for view in (F_factored_all_m, lambda *args: F_factored(*args, 5)):
-        with pytest.raises(ValueError, match="no closed form"):
-            view(chi, chi, 3, 3)
+    js1, js2 = (0, 1, 3), (1, 2, 6)
+    literal = F_bruteforce_grid(chi, chi, js1, js2)
+    gap = np.max(np.abs(F_factored_grid(chi, chi, js1, js2) - literal))
+    assert gap <= 1e-9 * q * q, gap
+    for m in (0, 5, q - 4):
+        assert abs(F_factored(chi, chi, 3, 3, m) - F_bruteforce(chi, chi, 3, 3, m)) <= 1e-9 * q * q
     chi0 = principal_character(q)
     assert not np.any(F_factored_grid(chi0, chi, (0, 1), (2, 6)))
+
+
+def test_factored_grid_never_calls_the_literal_route(monkeypatch):
+    # every local factor comes from the fold: at 2-powers and p^alpha too,
+    # and with no direct Gauss sum, so the sweeps compare two independent routes
+    from twinsieve import characters as ch
+
+    cases = []
+    for q in range(2, 65):
+        group = character_group(q)
+        chars = list(group[:: max(1, len(group) // 4)]) + [quadratic_character(q)]
+        js = [0] + _all_j(q)
+        for chi1 in chars:
+            for chi2 in chars:
+                cases.append((q, chi1, chi2, js, F_bruteforce_grid(chi1, chi2, js, js)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the factored route reached a direct sum")
+
+    for name in ("F_bruteforce_grid", "_phase_sums", "_restricted_c_rows",
+                 "modified_gauss_sum", "gauss_sum"):
+        monkeypatch.setattr(ch, name, refuse)
+    for q, chi1, chi2, js, literal in cases:
+        gap = np.max(np.abs(ch.F_factored_grid(chi1, chi2, js, js) - literal))
+        assert gap <= 1e-9 * q * q, (q, chi1, chi2, gap)
 
 
 def test_F_multiplicativity():
@@ -808,6 +833,17 @@ def test_equal_characters_are_shared():
             assert {same: 1}[named] == 1
 
 
+def test_sigma_tilde_at_2_refuses_a_value_that_is_not_real(monkeypatch):
+    from twinsieve import characters as ch
+
+    hyp = ExceptionalZeroHypothesis.build(12, 0.9)
+    assert local_sigma("sigma_tilde", 2, 4, hyp) == F_bruteforce(
+        hyp.chi.component(4), hyp.chi.component(4), 1, 1, 4).real
+    monkeypatch.setattr(ch, "F_bruteforce", lambda *args: complex(1.0, 0.5))
+    with pytest.raises(ValueError, match="sigma_tilde at 2 is not real"):
+        local_sigma("sigma_tilde", 2, 4, hyp)
+
+
 def test_cached_arrays_are_read_only():
     from twinsieve import characters as ch
     from twinsieve import ntt
@@ -820,7 +856,6 @@ def test_cached_arrays_are_read_only():
         ch._unit_residues(12)[0],
         ch._unit_residues(12)[1],
         ch._restriction_mask(15, 3),
-        ch._F_local_odd_prime(chi, chi),
         ch._primitive_value_rows(13),
         ch._value_rows(12, character_group(12)),
         ntt._twiddles(ntt.P1, 16, False),
@@ -845,8 +880,7 @@ def test_caches_are_bounded():
         "_factor_pp", "_primitive_root", "_hb_coefficients", "_twiddles",
         "_dlog_tables", "component", "principal_character", "quadratic_character",
         "character_group", "_unit_residues", "_value_table", "_restriction_mask",
-        "_F_local_odd_prime",
     }
-    assert len(funcs) == 13
+    assert len(funcs) == 12
     for f in funcs:
         assert f.cache_info().maxsize is not None, f.__name__

@@ -501,6 +501,14 @@ def test_only_the_commands_build_prime_tables():
     assert builders == {"cli.py", "verify.py"}
 
 
+def test_library_code_has_no_bare_assert():
+    # a failed precondition is a ValueError or a failed check, never an
+    # AssertionError traceback (and python -O would drop the assert)
+    for path in sorted(Path(twinsieve.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+
+
 def test_config_file_overrides(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("m = 6\ncutoff = 20000\n")
