@@ -634,16 +634,15 @@ def local_sigma(
     kind "sigma" is F(principal, principal); "sigma_prime" pairs the
     principal character with the exceptional one; "sigma_tilde" pairs the
     exceptional character with itself (at p = 2 this is evaluated literally
-    at modulus 2^t, the only case without a stated closed form).
+    at modulus 2^t, the only case without a stated closed form).  The plain
+    density also takes an int array of primes p (with m in int64) and gives
+    one float per prime.
     """
     if kind == "sigma":
-        if p == 2:
-            return 1.0 if m % 2 == 0 else -1.0
-        if m % p == 0 or (m + 4) % p == 0:
-            return float(p - 4)
-        if (m + 2) % p == 0:
-            return float(2 * p - 4)
-        return -4.0
+        # an odd p divides at most one of m, m + 2, m + 4
+        odd = p * ((m % p == 0) + 2 * ((m + 2) % p == 0) + ((m + 4) % p == 0)) - 4
+        value = np.where(p == 2, 1 - 2 * (m % 2), odd)
+        return value.astype(float) if np.ndim(p) else float(value)
     if hyp is None:
         raise ValueError(f"kind={kind!r} requires an exceptional hypothesis")
 

@@ -250,6 +250,8 @@ def chen_constants_monte_carlo(
     if samples < 2:
         raise ValueError(f"samples={samples}: the stderr needs at least 2")
     rng = np.random.default_rng(seed)
+    buffers = np.empty((2, min(samples, _MC_BLOCK)))
+    inside_buf = np.empty(buffers.shape[1], dtype=bool)
     results = []
     for t1_lo, t1_hi, t2_lo in _switching_windows(eps):
         if t1_lo >= t1_hi:
@@ -261,12 +263,18 @@ def chen_constants_monte_carlo(
             size = min(_MC_BLOCK, samples - start)
             t1 = rng.uniform(t1_lo, t1_hi, size)
             t2 = rng.uniform(t2_min, t2_max, size)
-            inside = (t2 >= t2_lo(t1)) & (t2 <= np.minimum((1.0 - t1) / 2.0, 0.9 - t1))
-            # 1 / (t1 t2 (1 - t1 - t2)), positive on the whole box
-            vals = t1 * t2
-            vals *= 1.0 - t1 - t2
+            c, vals, inside = buffers[0, :size], buffers[1, :size], inside_buf[:size]
+            # t2_lo(t1) <= t2 <= min((1 - t1)/2, 0.9 - t1)
+            np.less_equal(t2, np.divide(np.subtract(1.0, t1, out=c), 2.0, out=vals), out=inside)
+            inside &= t2 <= np.subtract(0.9, t1, out=vals)
+            inside &= t2 >= t2_lo(t1)
+            # 1 / (t1 t2 (1 - t1 - t2)), finite and positive on the whole box,
+            # so a multiply by the mask zeroes the samples outside the window
+            c -= t2
+            np.multiply(t1, t2, out=vals)
+            vals *= c
             np.divide(1.0, vals, out=vals)
-            vals[~inside] = 0.0
+            vals *= inside
             block_mean = float(vals.mean())
             vals -= block_mean
             block_m2 = float(np.square(vals, out=vals).sum())

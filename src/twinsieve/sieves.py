@@ -310,22 +310,44 @@ def p3_pointwise_check(
     return bad
 
 
-def vector_sieve_lower(A, B, A_plus, A_minus, B_plus, B_minus) -> float:
+def vector_sieve_lower(A, B, A_plus, A_minus, B_plus, B_minus):
     """Two-factor lower bound A+B- + (A- - A+)B+ <= AB.
 
     Preconditions (checked): A*B- <= A*B, max(B-, 0) <= B+, A- <= A <= A+.
+    Floats give a float; arrays give the bounds elementwise, and a
+    precondition that fails at any element raises.
     """
-    if not (A * B_minus <= A * B + 1e-12):
+    if not np.all(A * B_minus <= A * B + 1e-12):
         raise ValueError("need A B- <= A B")
-    if not (max(B_minus, 0.0) <= B_plus + 1e-12):
+    if not np.all(np.maximum(B_minus, 0.0) <= B_plus + 1e-12):
         raise ValueError("need max(B-, 0) <= B+")
-    if not (A_minus <= A + 1e-12 and A <= A_plus + 1e-12):
+    if not np.all((A_minus <= A + 1e-12) & (A <= A_plus + 1e-12)):
         raise ValueError("need A- <= A <= A+")
     return A_plus * B_minus + (A_minus - A_plus) * B_plus
 
 
 # ---------------------------------------------------------------------------
 # sieve identities
+
+
+def _subset_products(factors: list[float]) -> list[float]:
+    """The product of factors[i] over the set bits i of each mask 0 .. 2^k - 1,
+    built by doubling (the order of ``arith._divisors`` on squarefree input)."""
+    out = [1.0]
+    for f in factors:
+        out += [v * f for v in out]
+    return out
+
+
+def _subset_sums(values: list[float]) -> list[float]:
+    """The sum of values[y] over the submasks y of each mask x, one bit at a time."""
+    out = list(values)
+    for i in range(len(out).bit_length() - 1):
+        bit = 1 << i
+        for x in range(len(out)):
+            if x & bit:
+                out[x] += out[x ^ bit]
+    return out
 
 
 def sie1_identity_check(
@@ -343,43 +365,42 @@ def sie1_identity_check(
          mu((b,e)) / h((b,e)),
     with V = prod (1 - g(p)) and theta(n) = sum_{d|n} lambda_d.
 
+    The divisors of P are bitmasks x over its sorted primes (bit i for the
+    i-th), so a gcd is x & y and a coprime product x | y: g, h and mu are
+    lists over x built by doubling, and theta is one subset-sum pass over
+    lambda.
+
     Equality is judged relative to the larger of the two values and the
     summand magnitudes: the RHS cancels catastrophically when the true
     value is tiny, so a purely relative test would reject roundoff noise.
     """
     P_list = sorted({int(p) for p in P_set})
-    prodP = 1
-    for p in P_list:
-        prodP *= p
+    prodP = math.prod(P_list)
     if prodP % j != 0 or prodP % e != 0 or math.gcd(j, e) != 1:
         raise ValueError("need j | P, e | P, (j, e) = 1")
-    lhs = 0.0
-    lhs_mag = 0.0
-    over = prodP // e // j  # e, j coprime divisors of squarefree P
-    for c in _divisors((p, 1) for p in P_list if j % p == 0):
-        for d in _divisors((p, 1) for p in P_list if over % p == 0):
-            term = lam.coefficients.get(c * d * e, 0.0) * g.g(d)
-            lhs += term
-            lhs_mag += abs(term)
-    lhs *= g.g(e)
-    lhs_mag *= g.g(e)
+    k = len(P_list)
+    J, E = (sum(1 << i for i, p in enumerate(P_list) if n % p == 0) for n in (j, e))
+    over = (1 << k) - 1 & ~(J | E)  # P/(ej): e, j coprime divisors of squarefree P
+    g_x = _subset_products([g.g(p) for p in P_list])
+    h_x = _subset_products([g.h(p) for p in P_list])
+    mu_x = _subset_products([-1.0] * k)
+    lam_x = [lam.coefficients.get(d, 0.0) for d in _divisors((p, 1) for p in P_list)]
+    theta = _subset_sums(lam_x)
 
-    V = 1.0
-    for p in P_list:
-        V *= 1.0 - g.g_on_primes.get(p, 0.0)
-    mu_e = (-1) ** sum(1 for p in P_list if e % p == 0)
-    rhs = 0.0
-    rhs_mag = 0.0
-    for b in _divisors((p, 1) for p in P_list if (prodP // j) % p == 0):
-        theta_jb = apply_sieve(lam, j * b)
-        gb = math.gcd(b, e)
-        mu_gb = (-1) ** sum(1 for p in P_list if gb % p == 0)
-        term = theta_jb * g.h(b) * mu_gb / g.h(gb)
-        rhs += term
-        rhs_mag += abs(term)
-    prefactor = V * (g.h(j) / g.g(j)) * mu_e * g.h(e)
-    rhs *= prefactor
-    rhs_mag *= abs(prefactor)
+    # x = cde over c | j, d | P/(ej): the masks holding every bit of e
+    lhs_terms = [lam_x[x] * g_x[x & over] for x in range(1 << k) if (x & E) == E]
+    lhs = sum(lhs_terms) * g_x[E]
+    lhs_mag = sum(map(abs, lhs_terms)) * g_x[E]
+
+    V = math.prod(1.0 - g.g_on_primes.get(p, 0.0) for p in P_list)
+    rhs_terms = [
+        theta[J | b] * h_x[b] * mu_x[b & E] / h_x[b & E]
+        for b in range(1 << k)
+        if not b & J  # b | P/j
+    ]
+    prefactor = V * (h_x[J] / g_x[J]) * mu_x[E] * h_x[E]
+    rhs = sum(rhs_terms) * prefactor
+    rhs_mag = sum(map(abs, rhs_terms)) * abs(prefactor)
     scale = max(abs(lhs), abs(rhs), 1e-30)
     conditioning = lhs_mag + rhs_mag
     return abs(lhs - rhs) <= rel_tol * scale + 1e-13 * conditioning

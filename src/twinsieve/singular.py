@@ -119,17 +119,18 @@ def singular_series_alt(m: int, cutoff: int, table: PrimeTable) -> float:
     """Same series through the local densities: ``partial_singular_series``
     over the primes <= cutoff and the primes > cutoff dividing m(m+2)(m+4)."""
     _check_arguments(m, cutoff, table)
-    beyond = [p for p in _special_primes(m, table) if p > cutoff]
-    return partial_singular_series(m, table.primes_upto(cutoff).tolist() + beyond)
+    beyond = np.array([p for p in _special_primes(m, table) if p > cutoff], dtype=np.int64)
+    return partial_singular_series(m, np.concatenate((table.primes_upto(cutoff), beyond)))
 
 
 def partial_singular_series(m: int, primes) -> float:
-    """prod over the given primes of (1 + sigma(p,m)/phi2(p)^2)."""
-    value = 1.0
-    for p in sorted(set(map(int, primes))):
-        phi2_sq = 1 if p == 2 else (p - 2) ** 2
-        value *= 1.0 + local_sigma("sigma", p, m) / phi2_sq
-    return value
+    """prod over the given primes of (1 + sigma(p,m)/phi2(p)^2), each prime
+    once, multiplied in increasing p (one sequential ``np.multiply.reduce``)."""
+    p = np.sort(np.asarray(primes if isinstance(primes, np.ndarray) else list(primes), np.int64))
+    p = p[np.diff(p, prepend=0) != 0]
+    # (p - 2.0)^2 rounds once, as the exact int square does on its way to float
+    phi2_sq = np.where(p == 2, 1.0, (p - 2.0) ** 2)
+    return float(np.multiply.reduce(1.0 + local_sigma("sigma", p, m) / phi2_sq))
 
 
 def _goldbach_generic_factor(p: int) -> float:

@@ -372,19 +372,17 @@ def suite_sieves(full: bool = True) -> list[dict]:
             fund_ok &= bad.size == 0
     out.append(_check("pointwise envelope sweeps at (beta,s) in {(2,5),(3,6)}", fund_ok, ""))
 
+    # six draws per tuple, one rng.uniform each for A, B, A-, A+, B-, B+ in
+    # turn: uniform(a, b) is a + (b - a) random(), the same float on arrays
     rng = random.Random(137)
-    vec_ok = True
-    for _ in range(10**4):
-        A = rng.uniform(0, 5)
-        B = rng.uniform(-1, 5)
-        A_minus = A - rng.uniform(0, 2)
-        A_plus = A + rng.uniform(0, 2)
-        B_minus = B - rng.uniform(0, 2)
-        B_plus = max(B_minus, 0) + rng.uniform(0, 2) + max(0.0, B - max(B_minus, 0))
-        if not (A * B_minus <= A * B and max(B_minus, 0) <= B_plus):
-            continue
-        if vector_sieve_lower(A, B, A_plus, A_minus, B_plus, B_minus) > A * B + 1e-9:
-            vec_ok = False
+    u = np.array([rng.random() for _ in range(6 * 10**4)]).reshape(-1, 6).T
+    A, B = 5 * u[0], -1 + 6 * u[1]
+    A_minus, A_plus, B_minus = A - 2 * u[2], A + 2 * u[3], B - 2 * u[4]
+    B_floor = np.maximum(B_minus, 0)
+    B_plus = B_floor + 2 * u[5] + np.maximum(0.0, B - B_floor)
+    keep = (A * B_minus <= A * B) & (B_floor <= B_plus)
+    kept = [v[keep] for v in (A, B, A_plus, A_minus, B_plus, B_minus)]
+    vec_ok = not np.any(vector_sieve_lower(*kept) > kept[0] * kept[1] + 1e-9)
     out.append(_check("vector-sieve inequality on 1e4 random tuples", vec_ok, ""))
 
     w = admissible_pre_sieve(3, 3**1000, 3, "upper", table=table)
@@ -626,13 +624,14 @@ def suite_bv(full: bool = True) -> list[dict]:
     worst = 0.0
     wl = weight_array("Lambda", N, table)
     for q in range(2, 51):
+        residues = np.arange(1, N + 1) % q
         for P in (1, 3, 10):
             for a in (1, q - 1):
                 if math.gcd(a, q) != 1:
                     continue
                 got = bv_discrepancy(N, q, a, P, "Lambda", table, w=wl)
                 u = u_P(np.arange(q), a, q, P)  # 0 off the units
-                want = float(np.dot(wl[1:], u[np.arange(1, N + 1) % q]))
+                want = float(np.dot(wl[1:], u[residues]))
                 worst = max(worst, abs(got - want))
                 if abs(got - want) > 1e-6:
                     loop_ok = False

@@ -217,6 +217,27 @@ def test_monte_carlo_ragged_blocks_stay_within_3_sigma(samples):
     assert abs(b2 - c.c_B2) <= 3 * e2
 
 
+def test_monte_carlo_bits_are_pinned():
+    # the seeded draws and every float of the block sums, as float.hex: the
+    # in-place block buffers must price the same samples the same way
+    got = chen_constants_monte_carlo(1e-3, 10**5, 0)
+    assert [v.hex() for v in got] == [
+        "0x1.febf09087f117p-2", "0x1.533eb16eb9e43p-16",
+        "0x1.a5ce6daa05015p-10", "0x1.130936abbd6b5p-24",
+    ]
+
+
+def test_a_one_percent_bias_fails_the_three_sigma_check(monkeypatch):
+    from twinsieve import verify
+
+    name = "quadrature vs Monte-Carlo within 3 sigma"
+    assert {c["check"]: c["passed"] for c in verify.suite_sievefn(full=False)}[name]
+    # 1.01 times the integrand moves each estimate and its stderr by 1 %
+    monkeypatch.setattr(verify, "chen_constants_monte_carlo", lambda *args, **kwargs: tuple(
+        1.01 * v for v in chen_constants_monte_carlo(*args, **kwargs)))
+    assert not {c["check"]: c["passed"] for c in verify.suite_sievefn(full=False)}[name]
+
+
 def test_monte_carlo_needs_two_samples():
     with pytest.raises(ValueError):
         chen_constants_monte_carlo(1e-3, samples=1)

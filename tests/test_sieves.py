@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from twinsieve.arith import build_prime_table, factorize, tau_k
+from twinsieve.arith import _divisors, build_prime_table, factorize, tau_k
 from twinsieve.sieves import (
     LocalDensity,
     SieveWeights,
@@ -196,6 +196,29 @@ def test_vector_sieve_randomized():
         assert got <= A * B + 1e-9
 
 
+def test_vector_sieve_arrays_equal_the_scalar_calls():
+    rng = np.random.default_rng(38)
+    A, B = rng.uniform(0, 5, 500), rng.uniform(-1, 5, 500)
+    A_minus, A_plus = A - rng.uniform(0, 2, 500), A + rng.uniform(0, 2, 500)
+    B_minus = B - rng.uniform(0, 2, 500)
+    B_plus = np.maximum(B_minus, 0) + rng.uniform(0, 2, 500)
+    cols = (A, B, A_plus, A_minus, B_plus, B_minus)
+    got = vector_sieve_lower(*cols)
+    want = [vector_sieve_lower(*row) for row in zip(*(c.tolist() for c in cols))]
+    assert np.array_equal(got, want)
+    # one row that breaks a precondition raises for the whole array
+    for k, value, message in (
+        (5, B[7] + 1.0, "A B-"),  # B- > B with A > 0
+        (4, -1.0, "max"),  # B+ < max(B-, 0)
+        (2, A[7] - 0.5, "A-"),  # A+ < A
+        (3, A[7] + 0.5, "A-"),  # A- > A
+    ):
+        broken = [c.copy() for c in cols]
+        broken[k][7] = value
+        with pytest.raises(ValueError, match=message):
+            vector_sieve_lower(*broken)
+
+
 def test_p3_minorant_pointwise(table):
     N = 10**10
     eps = 1e-3
@@ -265,6 +288,73 @@ def test_sie1_identity_random_draws(table):
             elif r < 0.6:
                 e *= p
         assert sie1_identity_check(P_set, lam, j, e, g), (trial, P_set, j, e)
+
+
+def _sie1_literal(P_set, lam, j, e, g, theta_lam=None, rel_tol=1e-10):
+    """sie1_identity_check by its literal divisor sums: g and h recomputed at
+    each divisor and theta(jb) by a scan of the weights (of ``theta_lam`` when
+    given, so that the two sides can read different lambda)."""
+    theta_lam = theta_lam or lam
+    P_list = sorted(P_set)
+    prodP = math.prod(P_list)
+
+    def divisors_of(n):
+        return _divisors((p, 1) for p in P_list if n % p == 0)
+
+    lhs = lhs_mag = 0.0
+    over = prodP // e // j
+    for c in divisors_of(j):
+        for d in divisors_of(over):
+            term = lam.coefficients.get(c * d * e, 0.0) * g.g(d)
+            lhs += term
+            lhs_mag += abs(term)
+    lhs *= g.g(e)
+    lhs_mag *= g.g(e)
+    V = math.prod(1.0 - g.g_on_primes.get(p, 0.0) for p in P_list)
+    mu_e = (-1) ** sum(1 for p in P_list if e % p == 0)
+    rhs = rhs_mag = 0.0
+    for b in divisors_of(prodP // j):
+        gb = math.gcd(b, e)
+        mu_gb = (-1) ** sum(1 for p in P_list if gb % p == 0)
+        term = apply_sieve(theta_lam, j * b) * g.h(b) * mu_gb / g.h(gb)
+        rhs += term
+        rhs_mag += abs(term)
+    prefactor = V * (g.h(j) / g.g(j)) * mu_e * g.h(e)
+    rhs *= prefactor
+    rhs_mag *= abs(prefactor)
+    scale = max(abs(lhs), abs(rhs), 1e-30)
+    return abs(lhs - rhs) <= rel_tol * scale + 1e-13 * (lhs_mag + rhs_mag)
+
+
+def test_sie1_identity_equals_the_literal_sums_and_can_fail(monkeypatch):
+    import twinsieve.sieves as sieves
+
+    rng = random.Random(103)
+    primes_pool = [3, 5, 7, 11, 13, 17, 19, 23, 29]
+    subset_sums = sieves._subset_sums
+    for trial in range(200):
+        P_set = sorted(rng.sample(primes_pool, rng.randrange(1, 7)))
+        divs = [1]
+        for p in P_set:
+            divs += [d * p for d in divs]
+        coeffs = {d: rng.uniform(-1, 1) for d in divs if rng.random() < 0.7}
+        lam = SieveWeights(coeffs, level=max(divs), primes=frozenset(P_set))
+        g = LocalDensity({p: rng.uniform(0.05, 0.9) for p in P_set})
+        split = [rng.randrange(3) for _ in P_set]  # into j, e, or neither
+        j = math.prod(p for p, s in zip(P_set, split) if s == 0)
+        e = math.prod(p for p, s in zip(P_set, split) if s == 1)
+        assert sie1_identity_check(P_set, lam, j, e, g)
+        assert _sie1_literal(P_set, lam, j, e, g), trial
+
+        # lambda_e moved by 1e-3 on the theta side alone breaks the identity
+        at = divs.index(e)
+        shifted = SieveWeights({**coeffs, e: coeffs.get(e, 0.0) + 1e-3}, lam.level, lam.primes)
+        assert not _sie1_literal(P_set, lam, j, e, g, theta_lam=shifted), trial
+        monkeypatch.setattr(
+            sieves, "_subset_sums", lambda v: subset_sums(v[:at] + [v[at] + 1e-3] + v[at + 1 :])
+        )
+        assert not sie1_identity_check(P_set, lam, j, e, g), trial
+        monkeypatch.setattr(sieves, "_subset_sums", subset_sums)
 
 
 def _fundlem_sides_literal(theta, n, z, beta, D, table):
