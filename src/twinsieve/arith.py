@@ -183,6 +183,7 @@ def factorize_extended(n: int, table: PrimeTable) -> Factorization:
     return Factorization(tuple(sorted(pairs)))
 
 
+# at most 9 distinct primes below 2^32: 0.8 kB an entry, 3.3 MiB in all
 @lru_cache(maxsize=4096)
 def _factor_pp(q: int) -> tuple[tuple[int, int], ...]:
     """Trial-division factorization (moduli here are small)."""
@@ -215,6 +216,7 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
+# one int per (p, alpha): 0.4 kB an entry with the key, 0.35 MiB in all
 @lru_cache(maxsize=1024)
 def _primitive_root(p: int, alpha: int) -> int:
     """Smallest primitive root mod p^alpha (odd p)."""
@@ -416,59 +418,65 @@ def heath_brown_terms(n: int, J: int, table: PrimeTable) -> float:
     if n < 2 or n > table.limit:
         raise ValueError(f"n={n} outside [2, {table.limit}]")
     pairs = factorize(n, table).pairs
-    primes = [p for p, _ in pairs]
-    shape = tuple(e + 1 for _, e in pairs)
     # restricted mu lives on the squarefree corner {0, 1}^k; d < n^(1/J) is
-    # decided exactly as d^J < n to avoid float boundary slips
-    cut = tuple(
-        math.prod(p**ai for p, ai in zip(primes, a)) ** J < n
-        for a in itertools.product((0, 1), repeat=len(shape))
-    )
-    coeffs = _hb_coefficients(shape, cut, J)
-    return float(sum(c * math.log(p) for c, p in zip(coeffs, primes)))
+    # decided exactly as d^J < n to avoid float boundary slips.  With the
+    # primes fed last first, the squarefree divisors come out in
+    # itertools.product order over the corners.
+    cut = tuple([d**J < n for d in _divisors([(p, 1) for p, _ in reversed(pairs)])])
+    coeffs = _hb_coefficients(tuple([e + 1 for _, e in pairs]), cut, J)
+    return float(sum([c * math.log(p) for c, (p, _) in zip(coeffs, pairs)]))
 
 
+# a key's cut holds 2^k flags, k <= 9 below TABLE_LIMIT_MAX: at most 4.6 kB
+# an entry, 4.5 MiB in all; 0.7 MiB while n <= 10^4 (k <= 5)
 @lru_cache(maxsize=1024)
 def _hb_coefficients(shape: tuple[int, ...], cut: tuple[bool, ...], J: int) -> tuple[int, ...]:
     """Integer coefficients of log p_1, ..., log p_k in heath_brown_terms.
 
-    The divisors of n = p_1^(e_1) ... p_k^(e_k) are held as the exponent
-    grid ``shape`` = (e_1+1, ..., e_k+1): log d is the grid coordinate (a
-    vector over the primes) and n / d the flipped index.  The Mobius-
-    restricted variables are folded by Dirichlet convolution over that
-    grid: convolving with 1 is a cumsum along each axis, with the
-    restricted mu a few shifted adds over the squarefree corners a kept by
-    ``cut`` (in ``itertools.product`` order).
+    The divisors d of n = p_1^(e_1) ... p_k^(e_k) are the cells of the
+    exponent grid ``shape`` = (e_1+1, ..., e_k+1), held flat in C order in
+    a block padded by one cell along each axis, and r = (r_1, ..., r_k) are
+    the exponents of n / d.  The j-fold Dirichlet convolution of the
+    restricted mu is built by shifting along the squarefree corners kept
+    by ``cut`` (in ``itertools.product`` order): a shift from a cell of the
+    grid lands inside the padded block, so it needs no bounds test, and
+    the padding is never read.  The j-fold convolution log * 1 * ... * 1
+    is log(m) tau_j(m) / j at m = n / d, so its coefficient of log p_i is
+    r_i tau_j(m) / j, an integer (it is C(r_i + j - 1, j) times the other
+    primes' C(r + j - 1, j - 1)).  All of it is Python integers, so
+    nothing can overflow.
     """
     k = len(shape)
-    mu_cut = {
-        a: (-1) ** sum(a)
+    strides = [math.prod(m + 1 for m in shape[i + 1 :]) for i in range(k)]
+    corners = [
+        ((-1) ** sum(a), sum(s for s, ai in zip(strides, a) if ai))
         for a, keep in zip(itertools.product((0, 1), repeat=k), cut)
         if keep
-    }
-
-    def conv_mu(A):
-        out = np.zeros_like(A)
-        for a, sign in mu_cut.items():
-            dst = tuple(slice(ai, None) for ai in a)
-            out[dst] += sign * A[tuple(slice(m - ai) for m, ai in zip(shape, a))]
-        return out
-
-    def conv_ones(A):
-        for axis in range(k):
-            A = np.cumsum(A, axis=axis)
-        return A
-
-    flip = (slice(None, None, -1),) * k
-    total_vec = np.zeros(k, dtype=np.int64)
-    m_conv = np.zeros(shape, dtype=np.int64)  # j-fold convolution of restricted mu
-    m_conv[(0,) * k] = 1
-    # j-fold convolution of (log, 1, 1, ...) as coefficient rows, from log d
-    l_conv = np.moveaxis(np.indices(shape, dtype=np.int64), 0, -1)
+    ]
+    cells = [0]  # the flat index of every cell of the grid, in C order
+    for m, s in zip(shape, strides):
+        cells = [c + x * s for c in cells for x in range(m)]
+    rests = list(itertools.product(*[range(m - 1, -1, -1) for m in shape]))
+    m_conv = [0] * (strides[0] * (shape[0] + 1))  # j-fold convolution of restricted mu
+    m_conv[0] = 1
+    total = [0] * k
     for j in range(1, J + 1):
-        m_conv = conv_mu(m_conv)
-        if j > 1:
-            l_conv = conv_ones(l_conv)
-        inner = np.tensordot(m_conv, l_conv[flip], axes=k)
-        total_vec -= (-1) ** j * math.comb(J, j) * inner
-    return tuple(int(c) for c in total_vec)
+        shifted = [0] * len(m_conv)
+        for c in cells:
+            v = m_conv[c]
+            if v:
+                for sign, offset in corners:
+                    shifted[c + offset] += sign * v
+        m_conv = shifted
+        binom = [math.comb(r + j - 1, j - 1) for r in range(max(shape))]
+        acc = [0] * k  # j x the pairing of m_conv with log * 1 * ... * 1
+        for c, rest in zip(cells, rests):
+            v = m_conv[c]
+            if v:
+                v_tau = v * math.prod([binom[r] for r in rest])
+                for i, r in enumerate(rest):
+                    acc[i] += v_tau * r
+        weight = (-1) ** j * math.comb(J, j)
+        for i in range(k):
+            total[i] -= weight * (acc[i] // j)  # every term of acc[i] is a multiple of j
+    return tuple(total)

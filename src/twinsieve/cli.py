@@ -428,6 +428,11 @@ def _cmd_sseries(args, out_dir: Path, t0: float) -> int:
 
 
 def _cmd_verify(args, out_dir: Path, t0: float) -> int:
+    # the export reads no suite, so a path that cannot be written fails
+    # here, before seconds of sweeps
+    if args.weights_csv:
+        w = linear_sieve(10**4, 100, 10, "lower", build_prime_table(100))
+        _write_csv(Path(args.weights_csv), ["d", "lambda_d"], sorted(w.coefficients.items()))
     res = run_suite(args.suite, full=not args.fast)
     for check in res["checks"]:
         mark = "PASS" if check["passed"] else "FAIL"
@@ -435,9 +440,6 @@ def _cmd_verify(args, out_dir: Path, t0: float) -> int:
         if check["detail"]:
             line += f" :: {check['detail']}"
         print(line)
-    if args.weights_csv:
-        w = linear_sieve(10**4, 100, 10, "lower", build_prime_table(100))
-        _write_csv(Path(args.weights_csv), ["d", "lambda_d"], sorted(w.coefficients.items()))
     results = {"suite": args.suite, "passed": res["passed"], "checks": res["checks"]}
     _write_report(out_dir, args, results, t0, trace=res["trace"])
     return 0 if res["passed"] else 1

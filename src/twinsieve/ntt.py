@@ -51,7 +51,9 @@ def _pow_array(base: int, n: int, p: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=4)  # both primes, both directions, at one size
+# both primes, both directions, at one size n: 4 x 8 B x n/2 = 16 B x n,
+# 1 GiB at n = 2^26 and 2 GiB at MAX_TRANSFORM
+@lru_cache(maxsize=4)
 def _twiddles(p: int, n: int, inverse: bool) -> np.ndarray:
     """w^0 .. w^(n/2 - 1) mod p for the n-th root of unity w mod p (its
     inverse when ``inverse``); the stage of length L reads ``T[:: n // L]``,

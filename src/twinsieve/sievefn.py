@@ -196,13 +196,14 @@ def _switching_windows(eps: float) -> tuple:
     )
 
 
-def _switching_integral(t1_lo: float, t1_hi: float, t2_lo, n: int) -> float:
-    """n-node Gauss-Legendre rule in t1 over the exact inner t2-integral.
+def _switching_integral(t1_lo: float, t1_hi: float, t2_lo, rule) -> float:
+    """Gauss-Legendre ``rule`` = (nodes, weights) on [-1, 1] in t1 over the
+    exact inner t2-integral.
 
     With c = 1 - t1, int dt2 / (t1 t2 (c - t2)) = log(t2 / (c - t2)) / (c t1),
     taken between t2_lo(t1) and min((1 - t1)/2, 0.9 - t1).
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = rule
     t1 = t1_lo + 0.5 * (t1_hi - t1_lo) * (x + 1.0)
     c = 1.0 - t1
     lo, hi = t2_lo(t1), np.minimum((1.0 - t1) / 2.0, 0.9 - t1)
@@ -221,9 +222,10 @@ def chen_constants(eps: float) -> ChenConstants:
     """
     if not 0 < eps < 0.01:
         raise ValueError("eps must lie in (0, 1/100)")
+    rules = [np.polynomial.legendre.leggauss(n) for n in (32, 64)]
     values, quad_error = [], 0.0
     for t1_lo, t1_hi, t2_lo in _switching_windows(eps):
-        coarse, fine = (_switching_integral(t1_lo, t1_hi, t2_lo, n) for n in (32, 64))
+        coarse, fine = (_switching_integral(t1_lo, t1_hi, t2_lo, rule) for rule in rules)
         values.append(fine)
         quad_error += abs(fine - coarse)
     c_b1, c_b2 = values

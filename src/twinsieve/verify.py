@@ -70,8 +70,18 @@ from .singular import (
 )
 
 
+class _Check(dict):
+    """A check {check, passed, detail}, stamped with the ``perf_counter``
+    reading it was made at in an attribute, not an item, so the report's
+    ``results`` hold only the three items."""
+
+    __slots__ = ("made",)
+
+
 def _check(name: str, passed: bool, detail: str = "") -> dict:
-    return {"check": name, "passed": bool(passed), "detail": detail}
+    check = _Check(check=name, passed=bool(passed), detail=detail)
+    check.made = time.perf_counter()
+    return check
 
 
 def _squarefree_upto(n: int) -> list[int]:
@@ -626,11 +636,10 @@ def suite_bv(full: bool = True) -> list[dict]:
     for q in range(2, 51):
         residues = np.arange(1, N + 1) % q
         for P in (1, 3, 10):
-            for a in (1, q - 1):
-                if math.gcd(a, q) != 1:
-                    continue
+            # u_P(n, a) = u_P(n a^-1, 1) elementwise, and (q - 1)^-1 = -1 mod q
+            row = u_P(np.arange(q), 1, q, P)  # 0 off the units
+            for a, u in ((1, row), (q - 1, row[-np.arange(q) % q])):
                 got = bv_discrepancy(N, q, a, P, "Lambda", table, w=wl)
-                u = u_P(np.arange(q), a, q, P)  # 0 off the units
                 want = float(np.dot(wl[1:], u[residues]))
                 worst = max(worst, abs(got - want))
                 if abs(got - want) > 1e-6:
@@ -680,7 +689,9 @@ SUITES = {
 
 def run_suite(name: str, full: bool = True) -> dict:
     """Run suite ``name`` (or all of them): its checks, whether all passed, and
-    a trace of {suite: {ms, checks}} for each suite run."""
+    a trace of {suite: {ms, checks, check_ms}} for each suite run, where
+    check_ms[i] is the time from the suite's start (i = 0) or the check
+    before to the making of check i."""
     if name == "all":
         runs = [run_suite(key, full) for key in SUITES]
         checks = [c for run in runs for c in run["checks"]]
@@ -692,9 +703,11 @@ def run_suite(name: str, full: bool = True) -> dict:
     t0 = time.perf_counter()
     checks = SUITES[name](full=full)
     ms = (time.perf_counter() - t0) * 1000
+    marks = [t0] + [c.made for c in checks]
+    check_ms = [round((b - a) * 1000, 1) for a, b in zip(marks, marks[1:])]
     return {
         "suite": name,
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
-        "trace": {name: {"ms": round(ms, 1), "checks": len(checks)}},
+        "trace": {name: {"ms": round(ms, 1), "checks": len(checks), "check_ms": check_ms}},
     }

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import random
 
@@ -371,3 +373,69 @@ def test_heath_brown_equals_von_mangoldt(small_table):
             got = heath_brown_terms(n, J, small_table)
             want = von_mangoldt(n, small_table)
             assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
+
+
+def _hb_cut_by_corner(n, primes, J):
+    # the divisor cut d^J < n without the divisor enumerator: one math.prod
+    # per squarefree corner, in product order
+    return tuple(
+        math.prod(p**ai for p, ai in zip(primes, a)) ** J < n
+        for a in itertools.product((0, 1), repeat=len(primes))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _hb_coefficients_grid(shape, cut, J):
+    # the coefficients by a second route, on a numpy exponent grid:
+    # restricted mu by shifted adds over the kept corners, 1 by a cumsum per
+    # axis (no closed form for log * 1 * ... * 1), and the pairing of the two
+    # by tensordot over the flipped grid
+    k = len(shape)
+    mu_cut = {
+        a: (-1) ** sum(a)
+        for a, keep in zip(itertools.product((0, 1), repeat=k), cut)
+        if keep
+    }
+
+    def conv_mu(A):
+        out = np.zeros_like(A)
+        for a, sign in mu_cut.items():
+            dst = tuple(slice(ai, None) for ai in a)
+            out[dst] += sign * A[tuple(slice(m - ai) for m, ai in zip(shape, a))]
+        return out
+
+    def conv_ones(A):
+        for axis in range(k):
+            A = np.cumsum(A, axis=axis)
+        return A
+
+    flip = (slice(None, None, -1),) * k
+    total_vec = np.zeros(k, dtype=np.int64)
+    m_conv = np.zeros(shape, dtype=np.int64)
+    m_conv[(0,) * k] = 1
+    l_conv = np.moveaxis(np.indices(shape, dtype=np.int64), 0, -1)
+    for j in range(1, J + 1):
+        m_conv = conv_mu(m_conv)
+        if j > 1:
+            l_conv = conv_ones(l_conv)
+        inner = np.tensordot(m_conv, l_conv[flip], axes=k)
+        total_vec -= (-1) ** j * math.comb(J, j) * inner
+    return tuple(int(c) for c in total_vec)
+
+
+def test_heath_brown_equals_the_grid_route_for_every_n(small_table):
+    from twinsieve.arith import _hb_coefficients
+
+    for J in (1, 2, 3, 4):
+        for n in range(2, small_table.limit + 1):
+            pairs = factorize(n, small_table).pairs
+            primes = [p for p, _ in pairs]
+            shape = tuple(e + 1 for _, e in pairs)
+            cut = _hb_cut_by_corner(n, primes, J)
+            want = _hb_coefficients_grid(shape, cut, J)
+            assert _hb_coefficients(shape, cut, J) == want, (n, J)
+            # the call below finds the entry just made: its own cut is this one
+            hits = _hb_coefficients.cache_info().hits
+            got = heath_brown_terms(n, J, small_table)
+            assert _hb_coefficients.cache_info().hits == hits + 1, (n, J)
+            assert got == float(sum(c * math.log(p) for c, p in zip(want, primes))), (n, J)

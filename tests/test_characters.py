@@ -740,6 +740,16 @@ def test_u_P_zero_mean():
 
 
 
+def test_u_P_at_minus_one_is_the_row_at_one_gathered_at_minus_n():
+    # verify's bv loop reads u_P(., q - 1) this way: u_P(n, a) = u_P(n / a, 1)
+    # is evaluated elementwise at x = n / a, and 1 / (q - 1) = -1 mod q
+    for q in range(2, 61):
+        n = np.arange(q)
+        for P in (1, 3, 10, q):
+            row = u_P(n, 1, q, P)
+            assert np.array_equal(u_P(n, q - 1, q, P), row[-n % q]), (q, P)
+
+
 def test_u_P_evaluates_only_the_residue_it_needs():
     from twinsieve.characters import _value_table
 

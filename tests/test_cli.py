@@ -244,6 +244,8 @@ def test_verify_trace_holds_each_suite_time_and_check_count(tmp_path):
     assert set(rep["trace"]) == {"singular"}
     suite = rep["trace"]["singular"]
     assert suite["checks"] == len(rep["results"]["checks"]) and suite["ms"] > 0
+    assert len(suite["check_ms"]) == suite["checks"]
+    assert all(ms >= 0 for ms in suite["check_ms"])
 
 
 def test_verify_all_fast_reports_the_benchmark_checks(tmp_path):
@@ -652,11 +654,14 @@ def test_bv_refuses_Q_above_N_before_building_a_table(tmp_path, monkeypatch, cap
     ["bogus"],
     ["bv", "--N", "500", "--Q", "501"],
     ["scan", "--N", "500", "--k1", "2", "--k2", "3", "--rough", "-1,0.1"],
+    # the export reads no suite, so an unwritable path fails before any runs
+    ["verify", "--suite", "singular", "--fast", "--weights-csv", "/nonexistent/dir/w.csv"],
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, argv):
     assert run_cli(argv + ["--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error:") and err.count("\n") == 1, err
+    assert out == ""
 
 
 @pytest.mark.parametrize("flag,argv", [

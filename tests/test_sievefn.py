@@ -160,6 +160,35 @@ def test_chen_constants_identity():
         assert c.c_B2 == pytest.approx(c_b2, rel=1e-12, abs=0)
 
 
+def _chen_constants_rule_per_window(eps):
+    # the quadrature with each window computing its own Gauss-Legendre
+    # rules: the oracle for the rules that chen_constants shares
+    from twinsieve.sievefn import _switching_windows
+
+    def integral(t1_lo, t1_hi, t2_lo, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        t1 = t1_lo + 0.5 * (t1_hi - t1_lo) * (x + 1.0)
+        c = 1.0 - t1
+        lo, hi = t2_lo(t1), np.minimum((1.0 - t1) / 2.0, 0.9 - t1)
+        inner = (np.log(hi / (c - hi)) - np.log(lo / (c - lo))) / (c * t1)
+        return 0.5 * (t1_hi - t1_lo) * float(w @ inner)
+
+    values, quad_error = [], 0.0
+    for t1_lo, t1_hi, t2_lo in _switching_windows(eps):
+        coarse, fine = (integral(t1_lo, t1_hi, t2_lo, n) for n in (32, 64))
+        values.append(fine)
+        quad_error += abs(fine - coarse)
+    c_b1, c_b2 = values
+    return c_b1, c_b2, 0.5 * c_b1 + c_b2, quad_error
+
+
+def test_chen_constants_equal_the_rules_recomputed_per_window():
+    for eps in (1e-4, 1e-3, 5e-3):
+        c = chen_constants(eps)
+        got = [c.c_B1, c.c_B2, c.c_E3star, c.quad_error]
+        assert [x.hex() for x in got] == [x.hex() for x in _chen_constants_rule_per_window(eps)]
+
+
 def test_chen_constants_vs_monte_carlo():
     c = chen_constants(1e-3)
     b1, b2, e1, e2 = chen_constants_monte_carlo(1e-3, samples=10**6, seed=7)
